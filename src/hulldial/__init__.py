@@ -36,7 +36,6 @@ from .field import Field, make_field, make_quadratic_field
 from .matrix import (
     FieldMatrix,
     conj_transpose,
-    intersect_row_spaces,
     matmul,
     null_space,
     rank,

@@ -27,13 +27,13 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
     TooLargeToEnumerateError,
+    VerificationFailedError,
     ZeroMultiplierError,
 )
 from .field import Field, ensure_same_field
 from .matrix import (
     FieldMatrix,
     frobenius_entrywise,
-    intersect_row_spaces,
     matmul,
     null_space,
     permute_columns,
@@ -142,54 +142,73 @@ class HullReport:
 # ---------------------------------------------------------------------------
 
 
+def _frobenius_index(field: Field, kind: str, l: int | None) -> int:
+    """The l for which the named dual is {x : x . sigma(c) = 0 for all c in C},
+    with sigma(a) = a^(p^l): 0 for Euclidean, e/2 for Hermitian."""
+    if kind == "euclidean":
+        return 0
+    if kind == "hermitian":
+        if field.e % 2 != 0:
+            raise OddExtensionError("Hermitian dual needs an even extension degree")
+        return field.e // 2
+    if kind == "galois":
+        if l is None:
+            raise BadGaloisIndexError("galois dual needs an index l")
+        if not 0 <= l <= field.e - 1:
+            raise BadGaloisIndexError(f"l must be in [0, {field.e - 1}], got {l}")
+        return l
+    raise ValueError(f"unknown dual kind {kind!r}")
+
+
+def dual_of_kind(c: LinearCode, kind: str, l: int | None = None) -> LinearCode:
+    """The named dual: the entrywise p^l-th power of the Euclidean dual."""
+    sigma = _frobenius_index(c.field, kind, l)
+    return LinearCode(c.field, frobenius_entrywise(null_space(c.gen), sigma), check=False)
+
+
 def euclidean_dual(c: LinearCode) -> LinearCode:
     """The dual under the standard inner product; dimension n - k."""
-    return LinearCode(c.field, null_space(c.gen), check=False)
+    return dual_of_kind(c, "euclidean")
 
 
 def hermitian_dual(c: LinearCode) -> LinearCode:
     """The dual under the Hermitian form; equals the entrywise q-th power
     of the Euclidean dual."""
-    if c.field.e % 2 != 0:
-        raise OddExtensionError("Hermitian dual needs an even extension degree")
-    dual_gen = frobenius_entrywise(null_space(c.gen), c.field.e // 2)
-    return LinearCode(c.field, dual_gen, check=False)
+    return dual_of_kind(c, "hermitian")
 
 
 def galois_dual(c: LinearCode, l: int) -> LinearCode:
     """The dual twisted by a -> a^(p^l); l = 0 is Euclidean, l = e/2 Hermitian."""
-    if not 0 <= l <= c.field.e - 1:
-        raise BadGaloisIndexError(f"l must be in [0, {c.field.e - 1}], got {l}")
-    dual_gen = frobenius_entrywise(null_space(c.gen), l)
-    return LinearCode(c.field, dual_gen, check=False)
-
-
-def dual_of_kind(c: LinearCode, kind: str, l: int | None = None) -> LinearCode:
-    if kind == "euclidean":
-        return euclidean_dual(c)
-    if kind == "hermitian":
-        return hermitian_dual(c)
-    if kind == "galois":
-        if l is None:
-            raise BadGaloisIndexError("galois dual needs an index l")
-        return galois_dual(c, l)
-    raise ValueError(f"unknown dual kind {kind!r}")
+    return dual_of_kind(c, "galois", l)
 
 
 def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullReport:
-    """Intersection of the code with the named dual of itself."""
-    dual = dual_of_kind(c, kind, l)
-    basis = intersect_row_spaces(c.gen, dual.gen)
+    """Intersection of the code with the named dual of itself.
+
+    A codeword mG lies in the dual twisted by sigma(a) = a^(p^l) iff
+    m G sigma(G)^T = 0, so the hull is leftnull(G sigma(G)^T) G and its
+    dimension is k - rank(G sigma(G)^T): one k x k Gram matrix decides it.
+    The basis is canonical, a function of the hull subspace alone: reverse
+    the columns, take the reduced echelon form, drop the zero rows, then
+    reverse both rows and columns.
+    """
+    field = c.field
+    sigma_gt = transpose(frobenius_entrywise(c.gen, _frobenius_index(field, kind, l)))
+    gram = matmul(c.gen, sigma_gt)
+    span = matmul(null_space(transpose(gram)), c.gen)
+    reduced, pivots = rref(FieldMatrix(field, span.data[:, ::-1]))
+    basis = FieldMatrix(field, reduced.data[: len(pivots)][::-1, ::-1])
+    if len(pivots) != c.k - rank(gram) or np.any(matmul(basis, sigma_gt).data):
+        raise VerificationFailedError(
+            "hull basis is not the left null space of the Gram matrix"
+        )  # pragma: no cover
     return HullReport(kind=kind, l=(l if kind == "galois" else None), basis=basis, dim=basis.rows)
 
 
 def gram_matrix(c: LinearCode, l: int | None = None) -> FieldMatrix:
     """G @ sigma(G)^T where sigma raises entries to p^l (default: conjugation)."""
-    if l is None:
-        if c.field.e % 2 != 0:
-            raise OddExtensionError("Hermitian Gram matrix needs an even extension degree")
-        l = c.field.e // 2
-    return matmul(c.gen, transpose(frobenius_entrywise(c.gen, l)))
+    sigma = _frobenius_index(c.field, "hermitian" if l is None else "galois", l)
+    return matmul(c.gen, transpose(frobenius_entrywise(c.gen, sigma)))
 
 
 def is_hermitian_self_orthogonal(c: LinearCode) -> bool:
@@ -199,8 +218,6 @@ def is_hermitian_self_orthogonal(c: LinearCode) -> bool:
 
 def is_galois_self_orthogonal(c: LinearCode, l: int) -> bool:
     """True iff the code is contained in its l-Galois dual."""
-    if not 0 <= l <= c.field.e - 1:
-        raise BadGaloisIndexError(f"l must be in [0, {c.field.e - 1}], got {l}")
     return not np.any(gram_matrix(c, l).data)
 
 

@@ -43,9 +43,11 @@ from .code import (
 from .matrix import (
     FieldMatrix,
     frobenius_entrywise,
+    hstack,
     matmul,
     rank,
     rref,
+    scale_columns,
     transpose,
 )
 
@@ -142,9 +144,7 @@ def verify_standard_form_gram(c: LinearCode, l: int | None = None) -> FieldMatri
     sf, _ = code_standard_form(c)
     P = FieldMatrix(field, sf.gen.data[:, c.k :])
     gram = matmul(P, transpose(frobenius_entrywise(P, sigma_l)))
-    minus_identity = FieldMatrix(
-        field, np.vectorize(field.neg, otypes=[np.int64])(np.eye(c.k, dtype=np.int64))
-    )
+    minus_identity = FieldMatrix(field, field.neg(1) * np.eye(c.k, dtype=np.int64))
     if gram != minus_identity:
         raise VerificationFailedError("P @ sigma(P)^T != -I_k on a self-orthogonal input")
     if rank(P) != c.k:
@@ -155,9 +155,10 @@ def verify_standard_form_gram(c: LinearCode, l: int | None = None) -> FieldMatri
 def arrange_p1_nonsingular(c: LinearCode) -> tuple[LinearCode, tuple[int, ...]]:
     """Permutation-equivalent code with generator (I_k | P1 | P2), P1 nonsingular.
 
-    The k columns of P forming P1 are chosen greedily left to right, so the
-    arrangement is deterministic; an input already in that shape comes back
-    with the identity permutation.
+    P1 is formed by the pivot columns of rref(P), which are the columns a
+    greedy left-to-right scan would keep, so the arrangement is
+    deterministic; an input already in that shape comes back with the
+    identity permutation.
     """
     k, n = c.k, c.n
     if n < 2 * k:
@@ -165,14 +166,7 @@ def arrange_p1_nonsingular(c: LinearCode) -> tuple[LinearCode, tuple[int, ...]]:
     sf, perm1 = code_standard_form(c)
     if k == 0:
         return sf, perm1
-    P = sf.gen.data[:, k:]
-    chosen: list[int] = []
-    for j in range(n - k):
-        cand = FieldMatrix(c.field, P[:, chosen + [j]])
-        if rank(cand) == len(chosen) + 1:
-            chosen.append(j)
-            if len(chosen) == k:
-                break
+    _, chosen = rref(FieldMatrix(c.field, sf.gen.data[:, k:]))
     if len(chosen) < k:
         raise RankDeficientError(
             "P has rank below k; the input cannot be self-orthogonal"
@@ -299,36 +293,22 @@ def reduce_hull(
     perm1 = list(piv_h) + [j for j in range(c.n) if j not in piv_set]
     hull_p = Rh.data[:, perm1]  # (I_l | P)
     gen_p = c.gen.data[:, perm1]
-    # complement rows: clear the hull-pivot coordinates, keep independent rows
-    comp = gen_p.copy()
-    for j in range(l):
-        col = comp[:, j].copy()
-        if np.any(col):
-            factors = field.neg_array(col) if field.has_tables() else np.vectorize(field.neg)(col)
-            upd = (
-                field.mul_array(factors[:, None], hull_p[j][None, :])
-                if field.has_tables()
-                else np.vectorize(field.mul)(factors[:, None], hull_p[j][None, :])
-            )
-            comp = (
-                field.add_array(comp, upd)
-                if field.has_tables()
-                else np.vectorize(field.add)(comp, upd)
-            )
-    comp_r, comp_piv = rref(FieldMatrix(field, comp))
+    # complement rows: clear the hull-pivot coordinates, keep independent rows.
+    # With A = gen_p[:, :l], gen_p - A @ hull_p vanishes there because
+    # hull_p[:, :l] = I_l; it is the one product (I_k | -A) @ (gen_p ; hull_p).
+    minus_lead = scale_columns(FieldMatrix(field, gen_p[:, :l]), (field.neg(1),) * l)
+    comp = matmul(
+        hstack(FieldMatrix.identity(field, c.k), minus_lead),
+        FieldMatrix(field, np.vstack([gen_p, hull_p])),
+    )
+    comp_r, comp_piv = rref(comp)
     ext = comp_r.data[: len(comp_piv)]
     if l + len(comp_piv) != c.k:
         raise VerificationFailedError("hull basis extension lost rank")  # pragma: no cover
     gen1 = np.vstack([hull_p, ext])
 
     # arrange a nonsingular l x l block right after the hull identity
-    P = hull_p[:, l:]
-    chosen: list[int] = []
-    for j in range(c.n - l):
-        if rank(FieldMatrix(field, P[:, chosen + [j]])) == len(chosen) + 1:
-            chosen.append(j)
-            if len(chosen) == l:
-                break
+    _, chosen = rref(FieldMatrix(field, hull_p[:, l:]))
     if len(chosen) < l:
         raise RankDeficientError("hull block P is rank deficient")  # pragma: no cover
     rest = [j for j in range(c.n - l) if j not in set(chosen)]

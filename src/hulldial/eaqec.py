@@ -25,11 +25,13 @@ from typing import Iterable, Iterator
 from .errors import (
     BadFieldError,
     BadTargetError,
+    CapExceededError,
+    HulldialError,
     HullMismatchError,
     NotSelfOrthogonalError,
     VerificationFailedError,
 )
-from .field import factorize
+from .field import FIELD_ORDER_CAP, factorize
 from .code import (
     LinearCode,
     dual_min_distance,
@@ -327,6 +329,8 @@ def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecPa
     rows of the table and are skipped.
     """
     limits = limits or Table1Limits()
+    if q * q > FIELD_ORDER_CAP:
+        raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
     if q < 3 or not is_prime_power(q):
         raise BadFieldError(f"q = {q} must be a prime power with q >= 3")
     seen: dict[tuple[int, int, int, int], int] = {}
@@ -420,7 +424,7 @@ def verify_claim(
             wq = witness.field.subfield_order
             if wq != q:
                 failures.append(f"witness base field GF({wq}) != GF({q})")
-        except Exception as exc:  # measurement failures are verdicts, not crashes
+        except (HulldialError, ValueError) as exc:  # measurement failures are verdicts
             failures.append(f"witness check failed: {exc}")
     return Verdict(
         passed=not failures,

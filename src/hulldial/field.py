@@ -201,13 +201,15 @@ class Field:
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
+        # The cap comes first: trial division of a huge p, or p**e for a
+        # huge e, would not finish.  Past the bit length, even 2**e is over.
+        if e >= 1 and (e > FIELD_ORDER_CAP.bit_length() or abs(p) ** e > FIELD_ORDER_CAP):
+            raise CapExceededError(f"GF({p}^{e}) exceeds the field order cap {FIELD_ORDER_CAP}")
         if not is_prime(p):
             raise NotPrimeError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         order = p**e
-        if order > FIELD_ORDER_CAP:
-            raise CapExceededError(f"p^e = {order} exceeds the cap {FIELD_ORDER_CAP}")
         if modulus is None:
             modulus = smallest_irreducible(p, e)
         modulus = tuple(int(c) % p for c in modulus)
@@ -537,6 +539,8 @@ def make_field(p: int, e: int) -> Field:
 
 def make_quadratic_field(q: int) -> Field:
     """GF(q^2) for a prime power q: the alphabet of Hermitian constructions."""
+    if q * q > FIELD_ORDER_CAP:
+        raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
     fact = factorize(q)
     if len(fact) != 1:
         raise NotPrimeError(f"q = {q} is not a prime power")

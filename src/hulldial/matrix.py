@@ -1,10 +1,10 @@
 """Dense linear algebra over a Field.
 
 A FieldMatrix wraps a read-only numpy int array of element codes plus the
-field they live in.  Row reduction, rank, null spaces, conjugate transpose
-and row-space intersection are all exact; pivoting is positional (first
-nonzero entry top-to-bottom in the leftmost unscanned column), so every
-result is deterministic.  Matrices with zero rows are legal values and
+field they live in.  Row reduction, rank, null spaces and conjugate
+transpose are all exact; pivoting is positional (first nonzero entry
+top-to-bottom in the leftmost unscanned column), so every result is
+deterministic.  Matrices with zero rows are legal values and
 represent the zero subspace.
 """
 
@@ -19,7 +19,6 @@ from .errors import (
     OddExtensionError,
     RankDeficientError,
     ShapeMismatchError,
-    VerificationFailedError,
 )
 from .field import Field, ensure_same_field
 
@@ -136,7 +135,7 @@ def _neg(field: Field, a):
 
 def frobenius_entrywise(m: FieldMatrix, l: int) -> FieldMatrix:
     """Apply a -> a^(p^l) to every entry."""
-    if m.data.size == 0:
+    if m.data.size == 0 or l % m.field.e == 0:
         return m
     if m.field.has_tables():
         return FieldMatrix(m.field, m.field.frobenius_array(m.data, l))
@@ -272,28 +271,6 @@ def same_row_space(a: FieldMatrix, b: FieldMatrix) -> bool:
         return False
     ra, rb = rank(a), rank(b)
     return ra == rb and rank(vstack(a, b)) == ra
-
-
-def intersect_row_spaces(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Basis of rowspace(a) intersected with rowspace(b).
-
-    Computed as the null space of the stacked dual bases: U and V have
-    U cap V = (U0 + V0)^perp where U0, V0 are the Euclidean-orthogonal
-    complements.  Every returned row is membership-checked against both
-    input row spaces.
-    """
-    ensure_same_field(a.field, b.field)
-    if a.cols != b.cols:
-        raise ShapeMismatchError(f"column counts differ: {a.cols} vs {b.cols}")
-    stacked = vstack(null_space(a), null_space(b))
-    inter = null_space(stacked)
-    for i in range(inter.rows):
-        row = inter.data[i]
-        if not (row_space_contains(a, row) and row_space_contains(b, row)):
-            raise VerificationFailedError(
-                "row-space intersection produced a vector outside an input space"
-            )  # pragma: no cover
-    return inter
 
 
 def standard_form(g: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:

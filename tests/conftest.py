@@ -3,10 +3,9 @@ from pathlib import Path
 
 import pytest
 
-# make the suite runnable from a clean checkout (tests/ for oracles, src/ for
-# the package when it is not pip-installed)
+# tests/ holds the oracles; pyproject.toml puts src/ on the path for an
+# uninstalled checkout
 sys.path.insert(0, str(Path(__file__).parent))
-sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from hulldial.field import make_field, make_quadratic_field
 from hulldial.code import LinearCode

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,14 @@ def test_table_determinism_and_q2(capsys):
     assert code == 1
 
 
+def test_hostile_field_size_exits_1(capsys):
+    for argv in (["table", "--q", "1000000000000000003"],
+                 ["construct", "--q", "1000000000000000003", "--family", "full-field", "--k", "1"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "exceeds the field order cap" in err
+
+
 def test_table_q8_includes_char2_row(capsys):
     code, out, _ = _run(capsys, "table", "--q", "8", "--no-generic")
     assert code == 0
@@ -170,3 +179,29 @@ def test_json_artifacts_accepted_back_bit_identically(tmp_path, capsys):
     _run(capsys, "dial", str(codefile), "--h", "0", "--out", str(dialfile))
     code, out, _ = _run(capsys, "distance", str(dialfile))
     assert code == 0 and json.loads(out)["d"] == 8
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+
+
+def _golden_cases():
+    # Outputs recorded from the CLI while hulls were still computed by
+    # intersecting two n-column null spaces; the Gram-matrix path must
+    # reproduce them byte for byte.  Neither code is Hermitian
+    # self-orthogonal, so `dial --h 0` runs reduce_hull.
+    for name, e in (("gf9", 2), ("gf16", 4)):
+        yield name, "hull_hermitian", ["hull", "--kind", "hermitian"]
+        yield name, "hull_euclidean", ["hull", "--kind", "euclidean"]
+        for l in range(e):
+            yield name, f"hull_galois_l{l}", ["hull", "--kind", "galois", "--l", str(l)]
+        yield name, "dial_h0", ["dial", "--h", "0"]
+
+
+@pytest.mark.parametrize(
+    "name,tag,argv", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _golden_cases()]
+)
+def test_golden_cli_bytes(capsys, name, tag, argv):
+    codefile = GOLDEN_CLI / f"{name}_code.json"
+    code, out, _ = _run(capsys, argv[0], str(codefile), *argv[1:])
+    assert code == 0
+    assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.json").read_bytes()

@@ -13,6 +13,7 @@ from hulldial.matrix import FieldMatrix, conj_transpose, row_space_contains
 from hulldial.code import (
     LinearCode,
     dual_min_distance,
+    dual_of_kind,
     euclidean_dual,
     galois_dual,
     gram_matrix,
@@ -26,7 +27,7 @@ from hulldial.code import (
     shorten,
     weight_vector_inverse_conj,
 )
-from oracles import all_codewords, brute_hull_dim, brute_min_distance
+from oracles import all_codewords, brute_hull_dim, brute_min_distance, in_twisted_dual
 
 
 def _random_code(field, rng, k, n):
@@ -89,8 +90,6 @@ def test_galois_dual_reductions(gf9, rs92):
 @pytest.mark.parametrize("kind,l", [("euclidean", None), ("hermitian", None), ("galois", 1)])
 def test_dual_dimension_law(gf9, kind, l):
     rng = np.random.default_rng(11)
-    from hulldial.code import dual_of_kind
-
     for _ in range(10):
         c = _random_code(gf9, rng, 2, 5)
         d = dual_of_kind(c, kind, l)
@@ -99,22 +98,60 @@ def test_dual_dimension_law(gf9, kind, l):
         assert dd.same_code(c)
 
 
-def test_hull_reports(gf9, rs92):
-    rep = hull(rs92, "hermitian")
-    assert rep.dim == 2  # self-orthogonal: hull is the whole code
-    assert rep.dim == brute_hull_dim(rs92, "hermitian")
-    assert rep.kind == "hermitian"
-    for i in range(rep.basis.rows):
-        row = rep.basis.row(i)
-        assert rs92.contains(row)
-        assert hermitian_dual(rs92).contains(row)
+def _hull_kinds(field):
+    """Every (kind, l) the field admits, with the Frobenius index of its pairing."""
+    yield "euclidean", None, 0
+    if field.e % 2 == 0:
+        yield "hermitian", None, field.e // 2
+    for l in range(field.e):
+        yield "galois", l, l
 
 
-def test_hull_symmetry(gf9):
+def test_hull_reports(gf9, gf16, rs92):
+    assert hull(rs92, "hermitian").dim == 2  # self-orthogonal: hull is the whole code
+    rng = np.random.default_rng(13)
+    codes = [rs92, _random_code(gf9, rng, 3, 5), _random_code(gf16, rng, 2, 4)]
+    for c in codes:
+        for kind, l, l_eff in _hull_kinds(c.field):
+            rep = hull(c, kind, l)
+            assert rep.kind == kind and rep.l == l
+            assert rep.dim == rep.basis.rows == brute_hull_dim(c, kind, l)
+            assert rep.basis.cols == c.n
+            dual = dual_of_kind(c, kind, l)
+            for i in range(rep.basis.rows):
+                row = rep.basis.row(i)
+                assert c.contains(row) and dual.contains(row)
+                assert in_twisted_dual(c, row, l_eff)
+    for kind, l, _ in _hull_kinds(gf16):
+        rep = hull(LinearCode.zero(gf16, 3), kind, l)
+        assert rep.dim == 0 and rep.basis.shape == (0, 3)
+
+
+def test_hull_symmetry(gf9, gf16):
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        c = _random_code(gf9, rng, 2, 5)
-        assert hull(c).dim == hull(hermitian_dual(c)).dim == brute_hull_dim(c)
+    for field, n in ((gf9, 5), (gf16, 4)):
+        for _ in range(10):
+            c = _random_code(field, rng, 2, n)
+            for kind, l, _ in _hull_kinds(field):
+                dim = hull(c, kind, l).dim
+                assert dim == hull(dual_of_kind(c, kind, l), kind, l).dim
+                assert dim == brute_hull_dim(c, kind, l)
+
+
+def test_hull_matches_exhaustive_enumeration(gf9, gf16):
+    # the span of the hull basis against a literal scan of every codeword
+    rng = np.random.default_rng(7)
+    nontrivial = 0
+    for field in (gf9, gf16):
+        for _ in range(8):
+            c = _random_code(field, rng, 2, 4)
+            for kind, l, l_eff in _hull_kinds(field):
+                members = {w for w in all_codewords(c) if in_twisted_dual(c, w, l_eff)}
+                basis = hull(c, kind, l).basis
+                span = set(all_codewords(LinearCode(field, basis))) if basis.rows else {(0,) * 4}
+                assert span == members
+                nontrivial += len(members) > 1
+    assert nontrivial >= 5
 
 
 def test_self_orthogonality_examples(gf9, rs92):

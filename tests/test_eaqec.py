@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from hulldial.errors import BadFieldError, HullMismatchError, NotSelfOrthogonalError
+from hulldial import eaqec
+from hulldial.errors import (
+    BadFieldError,
+    CapExceededError,
+    HullMismatchError,
+    NotSelfOrthogonalError,
+)
 from hulldial.field import make_field
 from hulldial.code import LinearCode
 from hulldial.dial import dial_hull
@@ -173,6 +179,8 @@ def test_table_limits_and_errors():
         enumerate_table1(2)
     with pytest.raises(BadFieldError):
         enumerate_table1(6)
+    with pytest.raises(CapExceededError):
+        enumerate_table1(10**18 + 3)  # rejected before factorizing q
 
 
 def test_verify_claim_examples(rs92):
@@ -191,6 +199,15 @@ def test_verify_claim_examples(rs92):
 def test_verify_claim_wrong_witness(rs92):
     verdict = verify_claim(claim(3, 9, 6, 3, 1), rs92)  # hull dim 2, not 1
     assert not verdict.passed
+
+
+def test_verify_claim_propagates_programming_errors(monkeypatch, rs92):
+    def broken(code, cap=None):
+        raise TypeError("not a measurement failure")
+
+    monkeypatch.setattr(eaqec, "eaqec_from_code", broken)
+    with pytest.raises(TypeError):
+        verify_claim(claim(3, 9, 6, 3, 1), rs92)
 
 
 def test_tsv_shape(rs92):

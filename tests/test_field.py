@@ -42,6 +42,13 @@ def test_not_prime_rejected():
 def test_cap_enforced():
     with pytest.raises(CapExceededError):
         make_field(2, 21)
+    # checked before trial division of p, factorization of q, or forming p**e
+    with pytest.raises(CapExceededError):
+        Field(10**18 + 3, 1)
+    with pytest.raises(CapExceededError):
+        Field(2, 10**8)
+    with pytest.raises(CapExceededError):
+        make_quadratic_field(10**18 + 3)
     # the documented cap itself is constructible
     assert Field(2, 20).order == 2**20
 

@@ -14,7 +14,6 @@ from hulldial.matrix import (
     conj_transpose,
     frobenius_entrywise,
     hstack,
-    intersect_row_spaces,
     matmul,
     null_space,
     permute_columns,
@@ -131,51 +130,6 @@ def test_null_space_of_empty_matrix(gf9):
     assert ns.rows == 4 and rank(ns) == 4
 
 
-def test_intersect_row_spaces(gf3, gf9):
-    a = FieldMatrix(gf3, [[1, 0]])
-    b = FieldMatrix(gf3, [[0, 1]])
-    assert intersect_row_spaces(a, b).rows == 0
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        m = _random_matrix(gf9, rng, 2, 5)
-        both = intersect_row_spaces(m, m)
-        assert both.rows == rank(m)
-        assert same_row_space(both, m)
-
-
-def test_intersection_matches_exhaustive_enumeration(gf9):
-    # dim(U cap V) against literal row-space enumeration
-    import itertools
-
-    rng = np.random.default_rng(7)
-    for _ in range(6):
-        a = _random_matrix(gf9, rng, 2, 4)
-        b = _random_matrix(gf9, rng, 2, 4)
-
-        def span(m):
-            vecs = set()
-            rows = [m.row(i) for i in range(m.rows)]
-            for coef in itertools.product(gf9.elements(), repeat=m.rows):
-                v = tuple(
-                    # scalar accumulation, independent of the library path
-                    _dot(gf9, coef, [r[j] for r in rows])
-                    for j in range(m.cols)
-                )
-                vecs.add(v)
-            return vecs
-
-        inter = span(a) & span(b)
-        got = intersect_row_spaces(a, b)
-        assert gf9.order**got.rows == len(inter)
-
-
-def _dot(field, coef, column):
-    acc = 0
-    for c, x in zip(coef, column):
-        acc = field.add(acc, field.mul(c, x))
-    return acc
-
-
 def test_standard_form(gf3, gf9):
     ident_like = FieldMatrix(gf9, [[1, 0, 5], [0, 1, 7]])
     out, perm = standard_form(ident_like)
@@ -200,7 +154,6 @@ def test_zero_row_matrices_are_legal(gf9):
     empty = FieldMatrix.zeros(gf9, 0, 3)
     assert rank(empty) == 0
     assert rref(empty)[1] == ()
-    assert intersect_row_spaces(empty, FieldMatrix.identity(gf9, 3)).rows == 0
     out, perm = standard_form(empty)
     assert out.rows == 0 and perm == (0, 1, 2)
 
