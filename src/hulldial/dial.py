@@ -370,12 +370,12 @@ def dual_block_generator(arranged: LinearCode, v: Sequence[int]) -> FieldMatrix:
     P1 = arranged.gen.data[:, k : 2 * k]
     P2 = arranged.gen.data[:, 2 * k :]
     D = np.diag(np.array(vinvq[:k], dtype=np.int64))
-    P2ct = transpose(frobenius_entrywise(FieldMatrix(field, P2), field.e // 2)).data
-    neg = np.vectorize(field.neg, otypes=[np.int64])
     top = np.hstack([D, P1, P2])
     if n - 2 * k > 0:
-        bottom_left = matmul(
-            FieldMatrix(field, neg(P2ct)), FieldMatrix(field, D)
+        # -conj(P2)^T @ D scales column j of conj(P2)^T by -D[j, j]
+        bottom_left = scale_columns(
+            transpose(frobenius_entrywise(FieldMatrix(field, P2), field.e // 2)),
+            [field.neg(x) for x in vinvq[:k]],
         ).data
         bottom = np.hstack(
             [

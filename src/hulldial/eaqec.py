@@ -39,7 +39,7 @@ from .code import (
     is_hermitian_self_orthogonal,
     min_distance,
 )
-from .dial import DialResult, dial_hull, reduce_hull
+from .dial import dial_hull, reduce_hull
 
 
 def _divisors(n: int) -> list[int]:
@@ -130,6 +130,22 @@ def tsv_lines(records: Iterable[EaqecParams]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _measured_hull_dim(c: LinearCode, asserted: int | None) -> int:
+    """Fresh Hermitian hull dimension; an asserted value is only cross-checked."""
+    h = hull(c, "hermitian").dim
+    if asserted is not None and asserted != h:
+        raise HullMismatchError(f"asserted hull dim {asserted}, measured {h}")
+    return h
+
+
+def _assisted_record(c: LinearCode, h: int, dd: int, digest: str) -> EaqecParams:
+    """[[n, n-k-h, d_dual, k-h]]_q witnessed by c."""
+    return classified(
+        c.field.subfield_order, c.n, c.n - c.k - h, dd, c.k - h,
+        witnessed=True, witness_digest=digest, hull_dim=h,
+    )
+
+
 def eaqec_from_code(
     c: LinearCode, use_hull_dim: int | None = None, cap: int | None = None
 ) -> tuple[EaqecParams, EaqecParams]:
@@ -139,22 +155,27 @@ def eaqec_from_code(
     cross-checked (HullMismatchError on disagreement).  Distances are exact:
     d from the code, the dual distance from its Hermitian dual.
     """
-    q = c.field.subfield_order
-    h = hull(c, "hermitian").dim
-    if use_hull_dim is not None and use_hull_dim != h:
-        raise HullMismatchError(f"asserted hull dim {use_hull_dim}, measured {h}")
+    h = _measured_hull_dim(c, use_hull_dim)
     d = min_distance(c, cap)
     dd = dual_min_distance(c, cap)
     digest = witness_digest(c)
     first = classified(
-        q, c.n, c.k - h, d, c.n - c.k - h,
+        c.field.subfield_order, c.n, c.k - h, d, c.n - c.k - h,
         witnessed=True, witness_digest=digest, hull_dim=h,
     )
-    second = classified(
-        q, c.n, c.n - c.k - h, dd, c.k - h,
-        witnessed=True, witness_digest=digest, hull_dim=h,
-    )
-    return first, second
+    return first, _assisted_record(c, h, dd, digest)
+
+
+def _dialed_code(c: LinearCode, l: int, lambda_source) -> LinearCode:
+    if l < 0:
+        raise BadTargetError("l must be nonnegative")
+    dial = dial_hull if is_hermitian_self_orthogonal(c) else reduce_hull
+    return dial(c, l, lambda_source).code
+
+
+def _dialed_record(dialed: LinearCode, l: int, dd: int) -> EaqecParams:
+    h = _measured_hull_dim(dialed, l)
+    return _assisted_record(dialed, h, dd, witness_digest(dialed))
 
 
 def eaqec_from_dial(
@@ -163,22 +184,25 @@ def eaqec_from_dial(
     """Dial the hull of c down to l and derive [[n, n-k-l, d_dual, k-l]]_q.
 
     Self-orthogonal inputs can reach any l in [0, k]; general codes any
-    l up to their measured hull dimension.
+    l up to their measured hull dimension.  Only the dual distance is
+    measured, since the record does not carry d.
     """
-    if l < 0:
-        raise BadTargetError("l must be nonnegative")
-    if is_hermitian_self_orthogonal(c):
-        dialed: DialResult = dial_hull(c, l, lambda_source)
-    else:
-        dialed = reduce_hull(c, l, lambda_source)
-    _, second = eaqec_from_code(dialed.code, use_hull_dim=l, cap=cap)
-    return second
+    dialed = _dialed_code(c, l, lambda_source)
+    return _dialed_record(dialed, l, dual_min_distance(dialed, cap))
 
 
 def eaqec_sweep(c: LinearCode, cap: int | None = None, lambda_source=None) -> list[EaqecParams]:
-    """All records for l = 0 .. hull ceiling (k for self-orthogonal inputs)."""
+    """All records for l = 0 .. hull ceiling (k for self-orthogonal inputs).
+
+    Every dialed code is the input with its coordinates permuted and scaled
+    by nonzero constants, which preserves the dual distance, so it is
+    measured once, on the input.  Each record gets a fresh hull
+    measurement and its own witness digest.
+    """
     top = c.k if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").dim
-    return [eaqec_from_dial(c, l, cap, lambda_source) for l in range(top + 1)]
+    dialed = [_dialed_code(c, l, lambda_source) for l in range(top + 1)]
+    dd = dual_min_distance(c, cap)
+    return [_dialed_record(code, l, dd) for l, code in enumerate(dialed)]
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,38 @@ def rank(m: FieldMatrix) -> int:
     return len(rref(m)[1])
 
 
+def batch_column_deficient(field: Field, blocks) -> np.ndarray:
+    """For a (B, r, w) stack of matrices, True where the w columns are dependent.
+
+    One fraction-free Gaussian elimination runs over the whole batch: rows
+    below the pivot become pivot * row - row[c] * pivot_row, so no inverse
+    is taken.  A matrix is deficient as soon as a column has no nonzero
+    entry left on or below the diagonal; its later steps are ignored.
+    """
+    M = np.array(blocks, dtype=np.int64)
+    batch, rows, cols = M.shape
+    if cols > rows:
+        return np.ones(batch, dtype=bool)
+    deficient = np.zeros(batch, dtype=bool)
+    idx = np.arange(batch)
+    for c in range(cols):
+        nz = M[:, c:, c] != 0
+        deficient |= ~nz.any(axis=1)
+        p = c + np.argmax(nz, axis=1)
+        top = M[idx, c].copy()
+        M[idx, c] = M[idx, p]
+        M[idx, p] = top
+        if c + 1 < cols:
+            pivot = M[:, c, c][:, None, None]
+            factors = _neg(field, M[:, c + 1 :, c])[:, :, None]
+            M[:, c + 1 :, c + 1 :] = _add(
+                field,
+                _mul(field, pivot, M[:, c + 1 :, c + 1 :]),
+                _mul(field, factors, M[:, c : c + 1, c + 1 :]),
+            )
+    return deficient
+
+
 def null_space(m: FieldMatrix) -> FieldMatrix:
     """Basis (as rows) of {x : m @ x^T = 0}; cols - rank(m) rows."""
     field = m.field

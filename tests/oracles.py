@@ -103,6 +103,17 @@ def minor_rank(field: Field, data) -> int:
     return 0
 
 
+def brute_dual_distance(code: LinearCode) -> int:
+    """Smallest w such that some w generator columns have minor rank < w."""
+    field = code.field
+    rows = [code.gen.row(i) for i in range(code.k)]
+    for w in range(1, code.n + 1):
+        for cols in itertools.combinations(range(code.n), w):
+            if minor_rank(field, [[row[j] for j in cols] for row in rows]) < w:
+                return w
+    raise AssertionError("the columns of the generator are independent: dual is zero")
+
+
 def power_sum(field: Field, points, t: int) -> int:
     """sum of x^t over the given points, with 0^0 = 1."""
     acc = 0

@@ -195,6 +195,13 @@ def _golden_cases():
         for l in range(e):
             yield name, f"hull_galois_l{l}", ["hull", "--kind", "galois", "--l", str(l)]
         yield name, "dial_h0", ["dial", "--h", "0"]
+    # eaqec sweeps: reduce_hull for gf9 and gf16, dial_hull for the
+    # self-orthogonal full-field [16, 3] code rs16; recorded while every
+    # record still re-measured both distances of its dialed code
+    for name in ("gf9", "gf16", "rs16"):
+        yield name, "eaqec_tsv", ["eaqec", "--format", "tsv"]
+        yield name, "eaqec_json", ["eaqec", "--format", "json"]
+        yield name, "eaqec_l0", ["eaqec", "--l", "0", "--format", "json"]
 
 
 @pytest.mark.parametrize(
@@ -204,4 +211,5 @@ def test_golden_cli_bytes(capsys, name, tag, argv):
     codefile = GOLDEN_CLI / f"{name}_code.json"
     code, out, _ = _run(capsys, argv[0], str(codefile), *argv[1:])
     assert code == 0
-    assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.json").read_bytes()
+    suffix = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hulldial.errors import (
     BadGaloisIndexError,
@@ -8,9 +11,12 @@ from hulldial.errors import (
     TooLargeToEnumerateError,
     ZeroMultiplierError,
 )
-from hulldial.field import make_field
-from hulldial.matrix import FieldMatrix, conj_transpose, row_space_contains
+from hulldial.field import make_field, make_quadratic_field
+from hulldial.grs import GrsSpec
+from hulldial.matrix import FieldMatrix, conj_transpose, row_space_contains, rref
 from hulldial.code import (
+    _CHUNK,
+    SUPPORT_SEARCH_BUDGET,
     LinearCode,
     dual_min_distance,
     dual_of_kind,
@@ -27,7 +33,13 @@ from hulldial.code import (
     shorten,
     weight_vector_inverse_conj,
 )
-from oracles import all_codewords, brute_hull_dim, brute_min_distance, in_twisted_dual
+from oracles import (
+    all_codewords,
+    brute_dual_distance,
+    brute_hull_dim,
+    brute_min_distance,
+    in_twisted_dual,
+)
 
 
 def _random_code(field, rng, k, n):
@@ -255,6 +267,78 @@ def test_dual_min_distance_support_search(gf25):
     rows = [[gf25.pow(a, i) for a in pts] for i in range(3)]
     c = LinearCode(gf25, rows)
     assert dual_min_distance(c, cap=10**5) == 4
+
+
+def test_support_budget_counts_weights_up_to_k():
+    # [100, 3] RS-type code over GF(121): the search scans weights 1..3
+    # (166,750 subsets); weight 4 = k + 1 needs no scan
+    field = make_quadratic_field(11)
+    c = GrsSpec(field, tuple(range(100)), (1,) * 100, 3).code()
+    assert sum(math.comb(100, w) for w in range(1, 4)) <= SUPPORT_SEARCH_BUDGET
+    assert sum(math.comb(100, w) for w in range(1, 5)) > SUPPORT_SEARCH_BUDGET
+    assert dual_min_distance(c) == 4
+
+
+def test_support_search_finds_dependency_past_first_chunk():
+    # Over GF(256) the conic points (1, t, t^2), (0, 0, 1) and the nucleus
+    # (0, 1, 0) form a hyperoval: no three are collinear.  A line through
+    # Q = (1, 0, c) meets it in P(s) and P(c/s), so taking one point of 67
+    # such pairs, then both points of one more pair, then Q, leaves exactly
+    # one dependent triple: the last three columns, the last subset of
+    # weight 3 in lexicographic order.
+    field = make_field(2, 8)
+    c = 2
+    root = field.pow(c, 128)  # the square root of c
+    pairs, used = [], {0, root}
+    for s in range(1, field.order):
+        if s not in used:
+            pairs.append((s, field.div(c, s)))
+            used.update(pairs[-1])
+    point = lambda t: [1, t, field.mul(t, t)]  # noqa: E731
+    cols = [point(s) for s, _ in pairs[:67]] + [point(t) for t in pairs[67]] + [[1, 0, c]]
+    assert len(cols) == 70 and math.comb(70, 3) > _CHUNK
+    assert dual_min_distance(LinearCode(field, np.array(cols).T)) == 3
+    assert dual_min_distance(LinearCode(field, np.array(cols[:-1]).T)) == 4
+
+
+PROPERTY_FIELDS = ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (37, 2))
+
+
+@st.composite
+def _column_codes(draw):
+    """Codes whose generators mix zero, repeated, sparse and dense columns."""
+    field = make_field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 7))
+    nonzero = st.integers(1, field.order - 1)
+    cols: list[list[int]] = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("zero", "repeat", "sparse") + ("dense",) * 5))
+        if kind == "zero":
+            col = [0] * k
+        elif kind == "repeat" and cols:
+            scalar = draw(nonzero)
+            col = [field.mul(scalar, x) for x in draw(st.sampled_from(cols))]
+        elif kind == "sparse":
+            col = [0] * k
+            col[draw(st.integers(0, k - 1))] = draw(nonzero)
+        else:
+            col = draw(st.lists(st.integers(0, field.order - 1), min_size=k, max_size=k))
+        cols.append(col)
+    reduced, pivots = rref(FieldMatrix(field, np.array(cols, dtype=np.int64).T))
+    assume(0 < len(pivots) < n)
+    return LinearCode(field, FieldMatrix(field, reduced.data[: len(pivots)]))
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_column_codes())
+def test_dual_min_distance_matches_minor_oracle(code):
+    expected = brute_dual_distance(code)
+    assert dual_min_distance(code, cap=1) == expected  # support search only
+    assert dual_min_distance(code) == expected
 
 
 def test_shorten(gf9, rs92):

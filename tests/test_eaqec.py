@@ -10,9 +10,16 @@ from hulldial.errors import (
     HullMismatchError,
     NotSelfOrthogonalError,
 )
-from hulldial.field import make_field
-from hulldial.code import LinearCode
-from hulldial.dial import dial_hull
+from hulldial.field import make_field, make_quadratic_field
+from hulldial.code import (
+    LinearCode,
+    dual_min_distance,
+    hull,
+    is_hermitian_self_orthogonal,
+    min_distance,
+)
+from hulldial.dial import dial_hull, reduce_hull
+from hulldial.grs import full_field_rs
 from hulldial.eaqec import (
     EaqecParams,
     Table1Limits,
@@ -28,6 +35,7 @@ from hulldial.eaqec import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_counts.json"
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 
 def test_both_forms_from_witness(rs92):
@@ -77,6 +85,36 @@ def test_dial_record_from_general_code(gf9):
     recs = eaqec_sweep(g83)  # hull dim 1: l in {0, 1}
     assert len(recs) == 2
     assert all(2 * r.d + r.k_q == r.n + r.c + 2 for r in recs)
+
+
+def _sweep_inputs():
+    for q in (3, 4, 5):
+        for k in range(1, q):
+            yield f"full-field q={q} k={k}", lambda q=q, k=k: full_field_rs(
+                make_quadratic_field(q), k
+            ).code()
+    for name in ("gf9", "gf16"):
+        yield name, lambda name=name: LinearCode.from_dict(
+            json.loads((GOLDEN_CLI / f"{name}_code.json").read_text())
+        )
+
+
+@pytest.mark.parametrize("make_code", [pytest.param(f, id=tag) for tag, f in _sweep_inputs()])
+def test_dialing_preserves_both_distances(make_code):
+    # eaqec_sweep measures the dual distance once, on the input: every
+    # dialed code permutes and scales its coordinates, which keeps d and
+    # d_dual.  Re-measure both on each dialed code to pin that down.
+    code = make_code()
+    d, dd = min_distance(code), dual_min_distance(code)
+    if is_hermitian_self_orthogonal(code):
+        dialed = [dial_hull(code, l).code for l in range(code.k + 1)]
+    else:
+        dialed = [reduce_hull(code, l).code for l in range(hull(code).dim + 1)]
+    records = eaqec_sweep(code)
+    assert len(records) == len(dialed)
+    for l, (out, rec) in enumerate(zip(dialed, records)):
+        assert (min_distance(out), dual_min_distance(out)) == (d, dd), l
+        assert (rec.d, rec.hull_dim, rec.c) == (dd, l, code.k - l)
 
 
 def test_sweep_singleton_law_across_corpus(self_orthogonal_corpus):

@@ -8,9 +8,10 @@ from hulldial.errors import (
     ShapeMismatchError,
     SpecMismatchError,
 )
-from hulldial.field import make_field
+from hulldial.field import make_field, make_quadratic_field
 from hulldial.matrix import (
     FieldMatrix,
+    batch_column_deficient,
     conj_transpose,
     frobenius_entrywise,
     hstack,
@@ -107,6 +108,23 @@ def test_rank_properties(gf9):
         m = _random_matrix(gf9, rng, 3, 5)
         assert rank(m) == rank(transpose(m))
         assert rank(m) == minor_rank(gf9, m.tolist())
+
+
+@pytest.mark.parametrize("q", [2, 3, 37])
+def test_batch_column_deficient_matches_minor_rank(q):
+    # dense-table fields and GF(37^2), which has no tables; a third of the
+    # entries are zero so rank drops and row swaps both occur
+    field = make_quadratic_field(q)
+    rng = np.random.default_rng(q)
+    for rows, cols in ((1, 1), (3, 1), (3, 2), (3, 3), (4, 3), (2, 3)):
+        blocks = rng.integers(1, field.order, size=(40, rows, cols))
+        blocks[rng.random(blocks.shape) < 0.35] = 0
+        blocks[0, :, -1] = blocks[0, :, 0]  # a repeated column
+        flags = batch_column_deficient(field, blocks)
+        assert flags.shape == (40,)
+        for m, flag in zip(blocks, flags):
+            assert flag == (minor_rank(field, m) < cols)
+    assert batch_column_deficient(field, np.zeros((0, 3, 2), dtype=np.int64)).shape == (0,)
 
 
 def test_null_space_examples(gf3, gf9):
