@@ -100,6 +100,7 @@ def _cmd_construct(args) -> int:
         m2=args.m2,
         g=_int_list(args.g) if args.g else None,
         seed=args.seed,
+        cap=args.cap,
     )
     payload = {
         "status": result.status,

@@ -18,8 +18,10 @@ for exact Singleton equality.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -246,6 +248,10 @@ class Table1Limits:
     max_rows: int | None = None
     include_generic: bool = True
 
+    def __post_init__(self):
+        if self.max_rows is not None and self.max_rows < 0:
+            raise BadTargetError(f"max_rows = {self.max_rows} must be nonnegative")
+
 
 def _table_rows(q: int) -> Iterator[tuple[str, int, int, int, int]]:
     """Yield (family, n, k_q, d, c) in family order, params lexicographic."""
@@ -304,8 +310,6 @@ def _table_rows(q: int) -> Iterator[tuple[str, int, int, int, int]]:
                     yield "two-t-subgroup", nn, nn - k - h, k + 1, k - h
     # unions of two coprime odd subgroups of the (q+1)-part
     odd_divs = [m for m in _divisors(q + 1) if m % 2 == 1]
-    from math import gcd
-
     for i, m1 in enumerate(odd_divs):
         for m2 in odd_divs[i:]:
             if gcd(m1, m2) != 1:
@@ -348,42 +352,37 @@ def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecPa
 
     Emitted records are deduplicated on (n, k_q, d, c); a record reachable
     from several families carries all their tags, ordered by first
-    encounter.  Every record satisfies the Singleton relation with equality
-    and the distance gate; parameter combinations failing either are not
-    rows of the table and are skipped.
+    encounter, from every family, even past ``max_rows``; records are built
+    only for the rows emitted.  Every record satisfies the Singleton
+    relation with equality and the distance gate; parameter combinations
+    failing either are not rows of the table and are skipped.
     """
     limits = limits or Table1Limits()
     if q * q > FIELD_ORDER_CAP:
         raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
     if q < 3 or not is_prime_power(q):
         raise BadFieldError(f"q = {q} must be a prime power with q >= 3")
-    seen: dict[tuple[int, int, int, int], int] = {}
-    out: list[EaqecParams] = []
+    families: dict[tuple[int, int, int, int], list[str]] = {}
     rows: Iterator = _table_rows(q)
     if limits.include_generic:
-        import itertools as _it
-
-        rows = _it.chain(rows, _generic_rows(q))
+        rows = itertools.chain(rows, _generic_rows(q))
     for fam, n, k_q, d, c in rows:
         if k_q < 0 or c < 0 or n < 2 or 2 * d > n + 2:
             continue
         key = (n, k_q, d, c)
-        if key in seen:
-            idx = seen[key]
-            prev = out[idx]
-            if fam not in prev.families:
-                out[idx] = replace(prev, families=prev.families + (fam,))
-            continue
-        rec = classified(q, n, k_q, d, c, families=(fam,), witnessed=False)
-        if not rec.mds:
-            raise VerificationFailedError(
-                f"table row [[{n},{k_q},{d},{c}]]_{q} misses Singleton equality"
-            )  # pragma: no cover
-        seen[key] = len(out)
-        out.append(rec)
-    if limits.max_rows is not None:
-        out = out[: limits.max_rows]
-    return out
+        tags = families.get(key)
+        if tags is None:
+            if 2 * d + k_q != n + c + 2:
+                raise VerificationFailedError(
+                    f"table row [[{n},{k_q},{d},{c}]]_{q} misses Singleton equality"
+                )  # pragma: no cover
+            families[key] = [fam]
+        elif fam not in tags:
+            tags.append(fam)
+    keys = itertools.islice(families, limits.max_rows)
+    return [
+        classified(q, *key, families=tuple(families[key]), witnessed=False) for key in keys
+    ]
 
 
 def is_prime_power(q: int) -> bool:

@@ -12,7 +12,9 @@ a linear system over GF(q).  The solver scans the null space of that
 system for a vector with every entry nonzero, exhaustively when the space
 is small (so "no solution" is a proof), otherwise with a deterministic
 prefix scan followed by seeded random sampling (so the failure mode is
-"not found within budget", never a nonexistence claim).
+"not found within budget", never a nonexistence claim).  A coefficient
+vector with a zero coefficient gives a zero entry, so only all-nonzero
+ones are evaluated; the rest are ruled out without arithmetic.
 
 Every constructed code is re-verified self-orthogonal before it is
 returned; no construction is trusted.
@@ -306,63 +308,85 @@ def _all_nonzero_combination(
 ) -> tuple[np.ndarray | None, int, bool]:
     """Search GF(q)-combinations of basis rows for an all-nonzero vector.
 
-    Returns (vector or None, attempts, exhausted): ``exhausted`` means every
-    nonzero coefficient vector was tried, so None is a proof of absence.
+    Coefficient vector number i has base-q digit t as the coefficient of
+    row t.  Row t is 1 on its free column and 0 on the other free columns,
+    so w[free_t] is coefficient t: a zero digit rules the vector out, and
+    only all-nonzero digit vectors are evaluated, on the bound columns.
+    The ordered scans take them by increasing i (the smallest is
+    (q^nu - 1)/(q - 1), so a smaller prefix budget is skipped).
+
+    Returns (vector or None, attempts, exhausted).  ``attempts`` counts the
+    indices ruled out, evaluated or not, up to the end of the _CHUNK-sized
+    chunk holding the hit; ``exhausted`` means every nonzero coefficient
+    vector was ruled out, so None is a proof of absence.
     """
     nu, ncols = basis.shape
     q_sub = field.subfield_order
     subfield_els = np.array(
         [a for a in field.elements() if field.in_subfield(a)], dtype=np.int64
     )
-    assert len(subfield_els) == q_sub
+    assert len(subfield_els) == q_sub and subfield_els[0] == 0
+    free = [int(np.flatnonzero(row)[-1]) for row in basis]
+    if not np.array_equal(basis[:, free], np.eye(nu, dtype=np.int64)):
+        raise VerificationFailedError("null-space basis is not the identity on its free columns")
+    bound = np.setdiff1d(np.arange(ncols), free)
+    bound_rows = basis[:, bound]
 
-    def scan(indices: np.ndarray) -> np.ndarray | None:
-        digits = np.empty((len(indices), nu), dtype=np.int64)
-        rem = indices.copy()
-        for t in range(nu):
-            rem, digits[:, t] = np.divmod(rem, q_sub)
+    def evaluate(digits: np.ndarray) -> tuple[int, np.ndarray] | None:
+        """First row of all-nonzero digits whose combination has no zero entry."""
         coeff = subfield_els[digits]
-        w = np.zeros((len(indices), ncols), dtype=np.int64)
-        for t in range(nu):
-            w = field.add_array(w, field.mul_array(coeff[:, t][:, None], basis[t][None, :]))
-        hits = np.nonzero(np.all(w != 0, axis=1))[0]
-        return w[hits[0]] if hits.size else None
+        w = field.mul_array(coeff[:, :1], bound_rows[:1])
+        for t in range(1, nu):
+            w = field.add_array(w, field.mul_array(coeff[:, t : t + 1], bound_rows[t : t + 1]))
+        hits = np.flatnonzero(np.all(w != 0, axis=1))
+        if not hits.size:
+            return None
+        r = int(hits[0])
+        full = np.empty(ncols, dtype=np.int64)
+        full[free] = coeff[r]
+        full[bound] = w[r]
+        return r, full
+
+    def ordered(stop: int) -> tuple[np.ndarray | None, int]:
+        """Scan the all-nonzero indices below ``stop`` in increasing order."""
+        weights = q_sub ** np.arange(nu, dtype=np.int64)
+        count = (q_sub - 1) ** nu
+        for j0 in range(0, count, _CHUNK):
+            rem = np.arange(j0, min(j0 + _CHUNK, count), dtype=np.int64)
+            digits = np.empty((len(rem), nu), dtype=np.int64)
+            for t in range(nu):
+                rem, digits[:, t] = np.divmod(rem, q_sub - 1)
+            digits += 1
+            idx = digits @ weights
+            keep = idx < stop
+            found = evaluate(digits[keep])
+            if found is not None:
+                i = int(idx[found[0]])
+                return found[1], min((i - 1) // _CHUNK * _CHUNK + _CHUNK, stop - 1)
+            if not keep[-1]:
+                break
+        return None, stop - 1
 
     total = q_sub**nu
-    attempts = 0
     if total <= EXHAUSTIVE_SCAN_LIMIT:
-        for start in range(1, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            attempts += len(idx)
-            hit = scan(idx)
-            if hit is not None:
-                return hit, attempts, True
-        return None, attempts, True
+        w, attempts = ordered(total)
+        return w, attempts, True
     prefix = min(PREFIX_SCAN_BUDGET, total - 1)
-    for start in range(1, prefix + 1, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, prefix + 1), dtype=np.int64)
-        attempts += len(idx)
-        hit = scan(idx)
-        if hit is not None:
-            return hit, attempts, False
+    # the smallest all-nonzero index; past the prefix there is nothing to
+    # scan, and below it q^nu also fits the int64 index arithmetic
+    if (total - 1) // (q_sub - 1) <= prefix:
+        w, attempts = ordered(prefix + 1)
+        if w is not None:
+            return w, attempts, False
+    attempts = prefix
     rng = np.random.default_rng(seed)
-    remaining = RANDOM_BUDGET
-    while remaining > 0:
-        take = min(_CHUNK, remaining)
+    for start in range(0, RANDOM_BUDGET, _CHUNK):
+        take = min(_CHUNK, RANDOM_BUDGET - start)
         digits = rng.integers(0, q_sub, size=(take, nu))
-        keep = np.any(digits != 0, axis=1)
-        digits = digits[keep]
         attempts += take
-        remaining -= take
-        if digits.size == 0:
-            continue
-        coeff = subfield_els[digits]
-        w = np.zeros((digits.shape[0], ncols), dtype=np.int64)
-        for t in range(nu):
-            w = field.add_array(w, field.mul_array(coeff[:, t][:, None], basis[t][None, :]))
-        hits = np.nonzero(np.all(w != 0, axis=1))[0]
-        if hits.size:
-            return w[hits[0]], attempts, False
+        found = evaluate(digits[np.all(digits != 0, axis=1)])
+        if found is not None:
+            return found[1], attempts, False
     return None, attempts, False
 
 
@@ -429,12 +453,14 @@ def construct_family(
     g: Sequence[int] | None = None,
     seed: int = DEFAULT_SEED,
     verify_mds: bool = True,
+    cap: int | None = None,
 ) -> MultiplierSearch:
     """Build the evaluation set for a named family and run the solver.
 
     Family parameters are validated against the family's constraints
     before any search starts.  A found code is re-verified Hermitian
-    self-orthogonal always, and MDS whenever enumeration is feasible.
+    self-orthogonal always, and MDS whenever enumeration within ``cap``
+    messages is feasible.
     """
     q = field.subfield_order
     if k < 1:
@@ -507,7 +533,7 @@ def construct_family(
 
     if result.found and verify_mds:
         try:
-            if not is_mds(result.grs.code()):
+            if not is_mds(result.grs.code(), cap):
                 raise VerificationFailedError("family output is not MDS")  # pragma: no cover
         except TooLargeToEnumerateError:
             pass

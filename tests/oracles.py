@@ -126,3 +126,31 @@ def gram_by_power_sums(field: Field, points, k: int) -> list[list[int]]:
     """Hermitian Gram of the unit-multiplier code on `points`, entry by entry."""
     q = field.subfield_order
     return [[power_sum(field, points, i + j * q) for j in range(k)] for i in range(k)]
+
+
+def brute_first_all_nonzero(field: Field, basis):
+    """First combination of the basis rows with no zero entry, and its index.
+
+    Coefficient vectors are walked in index order 1 .. q^nu - 1, where digit
+    t of the index in base q picks the t-th subfield element (canonical
+    order) as the coefficient of row t.  Returns (vector, index), or None
+    when no combination qualifies.
+    """
+    rows = [list(map(int, row)) for row in basis]
+    nu = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    sub = [a for a in field.elements() if field.in_subfield(a)]
+    q = len(sub)
+    for index in range(1, q**nu):
+        coeff = [sub[(index // q**t) % q] for t in range(nu)]
+        vec = []
+        for col in range(ncols):
+            acc = 0
+            for t in range(nu):
+                acc = field.add(acc, field.mul(coeff[t], rows[t][col]))
+            if acc == 0:
+                break
+            vec.append(acc)
+        else:
+            return tuple(vec), index
+    return None

@@ -118,6 +118,12 @@ def test_hostile_field_size_exits_1(capsys):
         assert "exceeds the field order cap" in err
 
 
+def test_table_negative_max_rows_exits_1(capsys):
+    code, out, err = _run(capsys, "table", "--q", "3", "--max-rows", "-1")
+    assert code == 1 and out == ""
+    assert "max_rows" in err
+
+
 def test_table_q8_includes_char2_row(capsys):
     code, out, _ = _run(capsys, "table", "--q", "8", "--no-generic")
     assert code == 0
@@ -202,14 +208,33 @@ def _golden_cases():
         yield name, "eaqec_tsv", ["eaqec", "--format", "tsv"]
         yield name, "eaqec_json", ["eaqec", "--format", "json"]
         yield name, "eaqec_l0", ["eaqec", "--l", "0", "--format", "json"]
+    # construct and table take no code file; recorded while the multiplier
+    # solver still evaluated every coefficient vector and the table built a
+    # record for every row before truncating
+    yield "construct", "q5_q2plus1_k3", ["construct", "--q", "5", "--family", "q2plus1",
+                                         "--k", "3", "--seed", "1"]  # random-phase hit
+    yield "construct", "q5_tracepoly_k3", ["construct", "--q", "5", "--family", "trace-poly",
+                                           "--k", "3", "--g", "0,1", "--seed", "1"]
+    yield "construct", "q3_q2plus1_k1", ["construct", "--q", "3", "--family", "q2plus1",
+                                         "--k", "1"]  # exhaustive hit in the third chunk
+    yield "construct", "q4_tracepoly_k2", ["construct", "--q", "4", "--family", "trace-poly",
+                                           "--k", "2", "--g", "0,1"]
+    yield "construct", "q5_subgroup_k2", ["construct", "--q", "5", "--family", "subgroup",
+                                          "--k", "2", "--m", "3"]
+    yield "table", "q11_rows50", ["table", "--q", "11", "--max-rows", "50"]
+    yield "table", "q9_rows300", ["table", "--q", "9", "--max-rows", "300",
+                                  "--format", "pretty"]
 
 
 @pytest.mark.parametrize(
     "name,tag,argv", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _golden_cases()]
 )
 def test_golden_cli_bytes(capsys, name, tag, argv):
-    codefile = GOLDEN_CLI / f"{name}_code.json"
-    code, out, _ = _run(capsys, argv[0], str(codefile), *argv[1:])
+    files = [] if name in ("construct", "table") else [str(GOLDEN_CLI / f"{name}_code.json")]
+    code, out, _ = _run(capsys, argv[0], *files, *argv[1:])
     assert code == 0
-    suffix = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if "--format" in argv:
+        suffix = argv[argv.index("--format") + 1]
+    else:
+        suffix = "tsv" if argv[0] == "table" else "json"
     assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()

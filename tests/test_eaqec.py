@@ -6,6 +6,7 @@ import pytest
 from hulldial import eaqec
 from hulldial.errors import (
     BadFieldError,
+    BadTargetError,
     CapExceededError,
     HullMismatchError,
     NotSelfOrthogonalError,
@@ -219,6 +220,19 @@ def test_table_limits_and_errors():
         enumerate_table1(6)
     with pytest.raises(CapExceededError):
         enumerate_table1(10**18 + 3)  # rejected before factorizing q
+    assert enumerate_table1(3, Table1Limits(max_rows=0)) == []
+    with pytest.raises(BadTargetError):
+        Table1Limits(max_rows=-1)  # a slice would silently drop the last row
+
+
+def test_table_truncation_keeps_tags_merged_later():
+    full = enumerate_table1(5)
+    for max_rows in (1, 17, len(full) - 1, len(full) + 5):
+        assert enumerate_table1(5, Table1Limits(max_rows=max_rows)) == full[:max_rows]
+    # named-family rows come first; the generic family enumerated after
+    # them still adds its tag to rows kept by a short limit
+    first = enumerate_table1(5, Table1Limits(max_rows=3))
+    assert any("generic" in r.families and len(r.families) > 1 for r in first)
 
 
 def test_verify_claim_examples(rs92):

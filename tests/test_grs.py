@@ -2,19 +2,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hulldial.errors import (
     BadDimensionError,
     BadFamilyParamsError,
     DuplicateEvalPointsError,
     NotADivisorError,
+    VerificationFailedError,
     ZeroMultiplierError,
 )
 from hulldial.field import make_field, make_quadratic_field
 from hulldial.code import is_hermitian_self_orthogonal, is_mds, min_distance
+from hulldial import grs
 from hulldial.grs import (
+    _CHUNK,
     GrsSpec,
     MultiplierProblem,
+    _orthogonality_system,
     construct_family,
     full_field_rs,
     grs_generator,
@@ -24,7 +29,8 @@ from hulldial.grs import (
     subgroup_union_eval_set,
     trace_nonzero_eval_set,
 )
-from oracles import gram_by_power_sums
+from hulldial.matrix import null_space
+from oracles import brute_first_all_nonzero, gram_by_power_sums
 
 
 def test_grs_spec_validation(gf9):
@@ -112,6 +118,128 @@ def test_solver_dimension_obstruction(gf9):
     res = solve_multipliers(MultiplierProblem(gf9, (0, 1), 2))
     assert res.status == "no-solution"
     assert res.grs is None
+
+
+ORACLE_QS = (2, 3, 4, 5, 7)  # GF(4), GF(9), GF(16), GF(25), GF(49)
+ORACLE_WALK = 20000  # largest q^nu the scalar oracle walks
+
+
+def _chunked_attempts(index: int, total: int) -> int:
+    """Indices ruled out up to the end of the scan chunk holding ``index``."""
+    return min((index - 1) // _CHUNK * _CHUNK + _CHUNK, total - 1)
+
+
+@st.composite
+def _exhaustive_problems(draw):
+    """Solver problems whose null space is scanned exhaustively, nu <= 6."""
+    q = draw(st.sampled_from(ORACLE_QS))
+    field = make_quadratic_field(q)
+    k = draw(st.integers(1, q))
+    # the system has about k^2 independent rows, so nu is about n - k^2
+    n = min(q * q, max(k, k * k + draw(st.integers(-1, 6))))
+    pts = tuple(draw(st.permutations(list(field.elements())))[:n])
+    problem = MultiplierProblem(field, pts, k, extended=draw(st.booleans()))
+    basis = null_space(_orthogonality_system(problem))
+    assume(basis.rows <= 6 and q**basis.rows <= ORACLE_WALK)
+    return problem, basis
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_exhaustive_problems())
+def test_solver_matches_first_all_nonzero_oracle(case):
+    problem, basis = case
+    f = problem.field
+    total = f.subfield_order**basis.rows
+    res = solve_multipliers(problem, seed=5)
+    assert res.null_dim == basis.rows
+    expected = brute_first_all_nonzero(f, basis.data)
+    if expected is None:
+        assert (res.status, res.grs, res.attempts) == ("no-solution", None, total - 1)
+        return
+    vec, index = expected
+    assert res.status == "found"
+    assert tuple(f.norm(v) for v in res.grs.multipliers) == vec
+    assert res.attempts == _chunked_attempts(index, total)
+
+
+@st.composite
+def _echelon_bases(draw):
+    """Subfield bases shaped like null_space output: row t is 1 on free
+    column t, 0 on the other free columns, and nonzero elsewhere only on
+    bound columns left of its free column."""
+    field = make_quadratic_field(draw(st.sampled_from(ORACLE_QS)))
+    sub = [a for a in field.elements() if field.in_subfield(a)]
+    nu = draw(st.integers(1, 6))
+    assume(len(sub) ** nu <= ORACLE_WALK)
+    is_free = draw(st.permutations([True] * nu + [False] * draw(st.integers(0, 6))))
+    free = [c for c, flag in enumerate(is_free) if flag]
+    basis = np.zeros((nu, len(is_free)), dtype=np.int64)
+    for t, fc in enumerate(free):
+        basis[t, fc] = 1
+        for c in range(fc):
+            if not is_free[c]:
+                basis[t, c] = draw(st.sampled_from(sub))
+    return field, basis
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_echelon_bases())
+def test_pruned_scan_matches_first_all_nonzero_oracle(case):
+    field, basis = case
+    total = field.subfield_order ** basis.shape[0]
+    w, attempts, exhausted = grs._all_nonzero_combination(field, basis, seed=1)
+    assert exhausted
+    expected = brute_first_all_nonzero(field, basis)
+    if expected is None:
+        assert (w, attempts) == (None, total - 1)
+    else:
+        assert tuple(int(x) for x in w) == expected[0]
+        assert attempts == _chunked_attempts(expected[1], total)
+
+
+def test_solver_random_phase_hit_pinned(gf25):
+    # q2plus1 at q = 5, k = 3: nu = 17, so every index within the prefix
+    # budget has a zero digit and the hit comes from the seeded random
+    # phase; values recorded before zero-digit vectors were pruned
+    res = construct_family(gf25, "q2plus1", k=3, seed=2)
+    assert (res.status, res.null_dim, res.attempts) == ("found", 17, 104096)
+    assert res.grs.multipliers == (
+        1, 8, 8, 8, 2, 8, 2, 8, 2, 8, 7, 8, 1, 7, 7, 7, 1, 2, 7, 2, 2, 1, 7, 8, 7, 7,
+    )
+
+
+def test_solver_prefix_phase_hit_pinned():
+    # k = 1 on six points of GF(17^2): nu = 5 and 17^5 > EXHAUSTIVE_SCAN_LIMIT,
+    # but the smallest all-nonzero index (17^5 - 1)/16 = 88741 lies within
+    # the prefix budget, which finds the hit; values recorded before
+    # zero-digit vectors were pruned
+    f = make_quadratic_field(17)
+    res = solve_multipliers(MultiplierProblem(f, (1, 2, 3, 4, 5, 6), 1))
+    assert (res.status, res.null_dim, res.attempts) == ("found", 5, 90112)
+    assert res.grs.multipliers == (38, 1, 1, 1, 1, 1)
+
+
+def test_solver_rejects_basis_without_identity_on_free_columns(gf9):
+    # free columns are each row's last nonzero entry: 2 and 2, then 1 and 2
+    for basis in ([[1, 0, 1], [0, 1, 1]], [[1, 2, 0], [1, 0, 1]]):
+        with pytest.raises(VerificationFailedError):
+            grs._all_nonzero_combination(gf9, np.array(basis, dtype=np.int64), seed=1)
+
+
+def test_construct_family_passes_cap_to_mds_check(monkeypatch, gf9):
+    caps = []
+
+    def recording_is_mds(code, cap=None):
+        caps.append(cap)
+        return True
+
+    monkeypatch.setattr(grs, "is_mds", recording_is_mds)
+    construct_family(gf9, "trace-poly", k=2, g=[0, 1], cap=123)
+    construct_family(gf9, "trace-poly", k=2, g=[0, 1])
+    assert caps == [123, None]
 
 
 def test_solver_lift_norms(gf25):
