@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import HulldialError
 from .field import make_quadratic_field
-from .code import LinearCode, hull, is_hermitian_self_orthogonal, min_distance
+from .code import LinearCode, enumeration_cap, hull, is_hermitian_self_orthogonal, min_distance
 from .dial import dial_galois_hull, dial_hull, reduce_hull
 from .grs import DEFAULT_SEED, FAMILIES, construct_family
 from .eaqec import (
@@ -184,8 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hulldial", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", help="write output to this file (atomic)")
+
+    def add_common(p):
+        add_out(p)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="search seed")
         p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
 
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rows", type=int, default=None)
     p.add_argument("--no-generic", action="store_true", help="omit the any-length family")
     p.add_argument("--format", choices=("tsv", "json", "pretty"), default="tsv")
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("verify", help="check a claimed [[n,k,d,c]]_q record")
@@ -248,6 +251,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "cap" in args:
+            enumeration_cap(args.cap)  # a bad cap fails before any work
         return args.fn(args)
     except (HulldialError, ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"hulldial: error: {exc}\n")

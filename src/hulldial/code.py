@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     BadGaloisIndexError,
+    CapExceededError,
     OddExtensionError,
     RankDeficientError,
     ShapeMismatchError,
@@ -62,11 +63,18 @@ SUPPORT_SEARCH_BUDGET = 2 * 10**6
 _CHUNK = 1 << 15
 
 
+#: Largest admissible cap: message indices are int64.
+MAX_ENUM_CAP = 2**63 - 1
+
+
 def enumeration_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    """The cap argument, else the environment override, else the default."""
+    if cap is None:
+        env = os.environ.get(ENUM_CAP_ENV)
+        cap = int(env) if env else DEFAULT_ENUM_CAP
+    if cap > MAX_ENUM_CAP:
+        raise CapExceededError(f"enumeration cap {cap} exceeds the int64 limit {MAX_ENUM_CAP}")
+    return cap
 
 
 class LinearCode:
@@ -375,8 +383,16 @@ def dual_min_distance(c: LinearCode, cap: int | None = None) -> int:
 
 
 def is_mds(c: LinearCode, cap: int | None = None) -> bool:
-    """True iff the minimum distance meets the Singleton bound n - k + 1."""
-    return min_distance(c, cap) == c.n - c.k + 1
+    """True iff the minimum distance meets the Singleton bound n - k + 1.
+
+    A code is MDS iff every k columns of its generator are independent,
+    that is iff its dual distance is k + 1, so no message is enumerated
+    unless dual_min_distance takes its enumeration route, which ``cap``
+    bounds.  A code with k = n is MDS outright.
+    """
+    if c.k < 1:
+        raise ValueError("the zero code has no nonzero codeword")
+    return c.k == c.n or dual_min_distance(c, cap) == c.k + 1
 
 
 def shorten(c: LinearCode, i: int) -> LinearCode:

@@ -347,15 +347,39 @@ def _generic_rows(q: int) -> Iterator[tuple[str, int, int, int, int]]:
                 yield "generic", n, n - k - l, k + 1, k - l
 
 
+def _is_generic(q: int, n: int, k_q: int, d: int, c: int) -> bool:
+    """Closed-form membership in _generic_rows(q): k = d - 1, l = k - c."""
+    k = d - 1
+    return 2 <= n <= q * q + 1 and 1 <= k <= n // 2 and 0 <= c <= k and k_q == n - 2 * k + c
+
+
+def _is_table_row(q: int, n: int, k_q: int, d: int, c: int) -> bool:
+    """Sane parameters within the distance gate; such a row must meet
+    Singleton equality, so the record is gated and MDS."""
+    if k_q < 0 or c < 0 or d < 1 or n < 2 or 2 * d > n + 2:
+        return False
+    if 2 * d + k_q != n + c + 2:
+        raise VerificationFailedError(
+            f"table row [[{n},{k_q},{d},{c}]]_{q} misses Singleton equality"
+        )  # pragma: no cover
+    return True
+
+
 def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecParams]:
     """Formula-level records for every parameter family admissible at q.
 
     Emitted records are deduplicated on (n, k_q, d, c); a record reachable
     from several families carries all their tags, ordered by first
-    encounter, from every family, even past ``max_rows``; records are built
-    only for the rows emitted.  Every record satisfies the Singleton
-    relation with equality and the distance gate; parameter combinations
-    failing either are not rows of the table and are skipped.
+    encounter.  The named families are enumerated in full into one dict,
+    so their rows come first; the generic any-length family is tested in
+    closed form for their tags, and its other rows follow in generic
+    order, walked lazily and only until ``max_rows`` records exist.  Work
+    is thus bounded by the named-family rows plus ``max_rows``; the named
+    families still grow as about q^3 (coset-trim alone has about q^3/6
+    rows per divisor of (q+1)/2), so large q stays costly in time and
+    memory.  Every record satisfies the Singleton relation with
+    equality and the distance gate; parameter combinations failing either
+    are not rows of the table and are skipped.
     """
     limits = limits or Table1Limits()
     if q * q > FIELD_ORDER_CAP:
@@ -363,26 +387,30 @@ def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecPa
     if q < 3 or not is_prime_power(q):
         raise BadFieldError(f"q = {q} must be a prime power with q >= 3")
     families: dict[tuple[int, int, int, int], list[str]] = {}
-    rows: Iterator = _table_rows(q)
-    if limits.include_generic:
-        rows = itertools.chain(rows, _generic_rows(q))
-    for fam, n, k_q, d, c in rows:
-        if k_q < 0 or c < 0 or n < 2 or 2 * d > n + 2:
-            continue
+    for fam, n, k_q, d, c in _table_rows(q):
         key = (n, k_q, d, c)
         tags = families.get(key)
         if tags is None:
-            if 2 * d + k_q != n + c + 2:
-                raise VerificationFailedError(
-                    f"table row [[{n},{k_q},{d},{c}]]_{q} misses Singleton equality"
-                )  # pragma: no cover
-            families[key] = [fam]
+            if _is_table_row(q, *key):
+                families[key] = [fam]
         elif fam not in tags:
             tags.append(fam)
-    keys = itertools.islice(families, limits.max_rows)
-    return [
-        classified(q, *key, families=tuple(families[key]), witnessed=False) for key in keys
-    ]
+    records = []
+    for key, tags in itertools.islice(families.items(), limits.max_rows):
+        if limits.include_generic and _is_generic(q, *key):
+            tags.append("generic")
+        records.append(EaqecParams(q, *key, True, True, tuple(tags)))
+    if limits.include_generic:
+        fresh = (
+            (n, k_q, d, c)
+            for _, n, k_q, d, c in _generic_rows(q)
+            if (n, k_q, d, c) not in families and _is_table_row(q, n, k_q, d, c)
+        )
+        left = None if limits.max_rows is None else limits.max_rows - len(records)
+        records += [
+            EaqecParams(q, *key, True, True, ("generic",)) for key in itertools.islice(fresh, left)
+        ]
+    return records
 
 
 def is_prime_power(q: int) -> bool:

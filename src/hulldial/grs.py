@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     BadDimensionError,
     BadFamilyParamsError,
+    CapExceededError,
     DuplicateEvalPointsError,
     NotADivisorError,
     ShapeMismatchError,
@@ -40,7 +41,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import Field
+from .field import TABLE_LIMIT, Field
 from .code import LinearCode, is_hermitian_self_orthogonal, is_mds
 from .matrix import FieldMatrix, null_space
 
@@ -395,7 +396,8 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
 
     The subfield-valued unknowns w_l are found in the null space of the
     orthogonality system; each is then lifted to v_l through a norm
-    preimage.  The returned code is always re-verified.
+    preimage.  The returned code is always re-verified.  The scan needs
+    the dense tables, so fields above TABLE_LIMIT are refused first.
     """
     f = problem.field
     pts = tuple(int(a) for a in problem.eval_points)
@@ -403,6 +405,8 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
         raise DuplicateEvalPointsError("evaluation points must be pairwise distinct")
     if problem.k < 1:
         raise BadDimensionError("k must be at least 1")
+    if not f.has_tables():  # the scan needs add_array and mul_array
+        raise CapExceededError(f"field order {f.order} exceeds the table limit {TABLE_LIMIT}")
     system = _orthogonality_system(problem)
     basis = null_space(system)
     if not all(f.in_subfield(int(x)) for x in basis.data.reshape(-1)):
@@ -459,8 +463,9 @@ def construct_family(
 
     Family parameters are validated against the family's constraints
     before any search starts.  A found code is re-verified Hermitian
-    self-orthogonal always, and MDS whenever enumeration within ``cap``
-    messages is feasible.
+    self-orthogonal always, and MDS (dual distance k + 1) whenever
+    dual_min_distance is feasible; ``cap`` bounds only its dual
+    enumeration route.
     """
     q = field.subfield_order
     if k < 1:

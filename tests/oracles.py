@@ -8,11 +8,13 @@ the library's echelon-form machinery, so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from hulldial.field import Field
 from hulldial.code import LinearCode
+from hulldial.eaqec import EaqecParams, Table1Limits, _generic_rows, _table_rows, classified
 
 
 def codeword(field: Field, message, gen_rows) -> tuple[int, ...]:
@@ -154,3 +156,35 @@ def brute_first_all_nonzero(field: Field, basis):
         else:
             return tuple(vec), index
     return None
+
+
+@functools.cache
+def brute_table1_tags(q: int, include_generic: bool) -> dict[tuple[int, int, int, int], tuple]:
+    """Every table key (n, k_q, d, c) with its family tags, in emission order."""
+    rows = _table_rows(q)
+    if include_generic:
+        rows = itertools.chain(rows, _generic_rows(q))
+    families: dict[tuple[int, int, int, int], list[str]] = {}
+    for fam, n, k_q, d, c in rows:
+        if k_q < 0 or c < 0 or n < 2 or 2 * d > n + 2:
+            continue
+        tags = families.setdefault((n, k_q, d, c), [])
+        if fam not in tags:
+            tags.append(fam)
+    return {key: tuple(tags) for key, tags in families.items()}
+
+
+def brute_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecParams]:
+    """The table by walking every family row, the generic family included.
+
+    Rows of every family pass through one dedup dict in family order, so a
+    key's tags are ordered by first encounter; the first ``max_rows`` keys
+    become records through ``classified``.  The walk is cached per
+    (q, include_generic), since it does not depend on ``max_rows``.
+    """
+    limits = limits or Table1Limits()
+    families = brute_table1_tags(q, limits.include_generic)
+    return [
+        classified(q, *key, families=families[key], witnessed=False)
+        for key in itertools.islice(families, limits.max_rows)
+    ]

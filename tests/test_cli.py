@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from hulldial import cli
 from hulldial.cli import main
 
 
@@ -124,6 +125,32 @@ def test_table_negative_max_rows_exits_1(capsys):
     assert "max_rows" in err
 
 
+def test_table_rejects_flags_it_would_ignore(capsys):
+    for flag in ("--seed", "--cap"):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--q", "3", flag, "1"])
+        assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the cap was checked")
+
+
+def test_enumeration_cap_past_int64_exits_1(tmp_path, capsys, monkeypatch):
+    codefile = tmp_path / "code.json"
+    _run(capsys, "construct", "--q", "3", "--family", "full-field", "--k", "2",
+         "--out", str(codefile))
+    code, out, err = _run(capsys, "distance", str(codefile), "--cap", str(2**64))
+    assert code == 1 and out == "" and "int64" in err
+    monkeypatch.setenv("HULLDIAL_ENUM_CAP", str(2**64))
+    monkeypatch.setattr(cli, "construct_family", _must_not_run)
+    for argv in (["distance", str(codefile)], ["eaqec", str(codefile)],
+                 ["construct", "--q", "3", "--family", "q2plus1", "--k", "1"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == "" and "int64" in err
+
+
 def test_table_q8_includes_char2_row(capsys):
     code, out, _ = _run(capsys, "table", "--q", "8", "--no-generic")
     assert code == 0
@@ -224,6 +251,11 @@ def _golden_cases():
     yield "table", "q11_rows50", ["table", "--q", "11", "--max-rows", "50"]
     yield "table", "q9_rows300", ["table", "--q", "9", "--max-rows", "300",
                                   "--format", "pretty"]
+    # full tables, recorded while every generic row still went through the
+    # dedup dict
+    yield "table", "q8_full", ["table", "--q", "8"]
+    yield "table", "q7_full", ["table", "--q", "7", "--format", "json"]
+    yield "table", "q9_nogeneric", ["table", "--q", "9", "--no-generic", "--format", "pretty"]
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from hulldial import code as code_module
 from hulldial.errors import (
     BadGaloisIndexError,
+    CapExceededError,
     RankDeficientError,
     ShapeMismatchError,
     TooLargeToEnumerateError,
@@ -20,6 +22,7 @@ from hulldial.code import (
     LinearCode,
     dual_min_distance,
     dual_of_kind,
+    enumeration_cap,
     euclidean_dual,
     galois_dual,
     gram_matrix,
@@ -246,10 +249,78 @@ def test_singleton_bound(gf9):
         assert min_distance(c) <= c.n - c.k + 1
 
 
-def test_is_mds(gf9, rs92):
+def test_enumeration_cap_rejects_values_past_int64(monkeypatch):
+    assert enumeration_cap(2**63 - 1) == 2**63 - 1
+    with pytest.raises(CapExceededError):
+        enumeration_cap(2**63)
+    monkeypatch.setenv("HULLDIAL_ENUM_CAP", str(2**64))
+    with pytest.raises(CapExceededError):
+        enumeration_cap()
+
+
+def test_is_mds(gf9, rs92, monkeypatch):
     assert is_mds(rs92)
     assert is_mds(LinearCode(gf9, [[1] * 6]))
     assert not is_mds(LinearCode(gf9, [[1, 0]]))
+    with pytest.raises(ValueError):
+        is_mds(LinearCode.zero(gf9, 3))
+
+    def no_dual(c, cap=None):
+        raise AssertionError("k = n needs no dual distance")
+
+    monkeypatch.setattr(code_module, "dual_min_distance", no_dual)
+    assert is_mds(LinearCode.full(gf9, 3))
+
+
+MDS_FIELDS = ((2, 2), (3, 2), (2, 4), (5, 2))
+
+
+@st.composite
+def _mds_candidates(draw):
+    """GRS codes (MDS), GRS codes with one column zeroed or copied, and
+    codes with zero, repeated, sparse and dense columns; k = n included."""
+    field = make_field(*draw(st.sampled_from(MDS_FIELDS)))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, min(7, field.order)))
+    nonzero = st.integers(1, field.order - 1)
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n, unique=True))
+        mults = draw(st.lists(nonzero, min_size=n, max_size=n))
+        cols = GrsSpec(field, tuple(pts), tuple(mults), k).code().gen.data.T.tolist()
+        damage = draw(st.sampled_from(("none", "zero", "copy")))
+        j = draw(st.integers(0, n - 1))
+        if damage == "zero":
+            cols[j] = [0] * k
+        elif damage == "copy":
+            cols[j] = [field.mul(draw(nonzero), x) for x in cols[draw(st.integers(0, n - 1))]]
+    else:
+        cols = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(("zero", "repeat", "sparse", "dense", "dense")))
+            if kind == "zero":
+                col = [0] * k
+            elif kind == "repeat" and cols:
+                col = [field.mul(draw(nonzero), x) for x in draw(st.sampled_from(cols))]
+            elif kind == "sparse":
+                col = [0] * k
+                col[draw(st.integers(0, k - 1))] = draw(nonzero)
+            else:
+                col = draw(st.lists(st.integers(0, field.order - 1), min_size=k, max_size=k))
+            cols.append(col)
+    reduced, pivots = rref(FieldMatrix(field, np.array(cols, dtype=np.int64).T))
+    assume(pivots)
+    return LinearCode(field, FieldMatrix(field, reduced.data[: len(pivots)]))
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_mds_candidates())
+def test_is_mds_matches_singleton_equality(code):
+    expected = min_distance(code) == code.n - code.k + 1
+    assert is_mds(code) == expected
+    assert is_mds(code, cap=1) == expected  # support search only
 
 
 def test_dual_min_distance_matches_enumeration(gf9, rs92):

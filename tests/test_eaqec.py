@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hulldial import eaqec
 from hulldial.errors import (
@@ -34,6 +35,8 @@ from hulldial.eaqec import (
     tsv_lines,
     verify_claim,
 )
+
+from oracles import brute_table1, brute_table1_tags
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_counts.json"
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
@@ -233,6 +236,41 @@ def test_table_truncation_keeps_tags_merged_later():
     # them still adds its tag to rows kept by a short limit
     first = enumerate_table1(5, Table1Limits(max_rows=3))
     assert any("generic" in r.families and len(r.families) > 1 for r in first)
+
+
+TABLE_QS = (3, 4, 5, 7, 8, 9, 11, 13)
+
+
+@st.composite
+def _table_limits(draw):
+    q = draw(st.sampled_from(TABLE_QS))
+    include_generic = draw(st.booleans())
+    total = len(brute_table1_tags(q, include_generic))
+    max_rows = draw(st.one_of(st.none(), st.integers(0, total + 5)))
+    return q, Table1Limits(max_rows=max_rows, include_generic=include_generic)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_table_limits())
+def test_table_matches_full_walk_oracle(case):
+    q, limits = case
+    assert enumerate_table1(q, limits) == brute_table1(q, limits)
+
+
+def test_table_draws_generic_rows_only_as_needed(monkeypatch):
+    drawn = 0
+    generic_rows = eaqec._generic_rows
+
+    def counting(q):
+        nonlocal drawn
+        for row in generic_rows(q):
+            drawn += 1
+            assert drawn <= 10, "walked generic rows past max_rows"
+            yield row
+
+    monkeypatch.setattr(eaqec, "_generic_rows", counting)
+    rows = enumerate_table1(31, Table1Limits(max_rows=10))
+    assert len(rows) == 10 and drawn <= 10
 
 
 def test_verify_claim_examples(rs92):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hulldial.errors import (
     BadDimensionError,
     BadFamilyParamsError,
+    CapExceededError,
     DuplicateEvalPointsError,
     NotADivisorError,
     VerificationFailedError,
@@ -14,7 +15,7 @@ from hulldial.errors import (
 )
 from hulldial.field import make_field, make_quadratic_field
 from hulldial.code import is_hermitian_self_orthogonal, is_mds, min_distance
-from hulldial import grs
+from hulldial import code as code_module, grs
 from hulldial.grs import (
     _CHUNK,
     GrsSpec,
@@ -240,6 +241,29 @@ def test_construct_family_passes_cap_to_mds_check(monkeypatch, gf9):
     construct_family(gf9, "trace-poly", k=2, g=[0, 1], cap=123)
     construct_family(gf9, "trace-poly", k=2, g=[0, 1])
     assert caps == [123, None]
+
+
+def test_construct_family_mds_check_uses_column_subsets(monkeypatch, gf25):
+    # q2plus1 at q = 5, k = 5: 25^5 messages, but only the C(26, w <= 5)
+    # column subsets of the dual distance search
+    def no_enumeration(code, cap=None):
+        raise AssertionError("the MDS check enumerated messages")
+
+    monkeypatch.setattr(code_module, "min_distance", no_enumeration)
+    res = construct_family(gf25, "q2plus1", k=5)
+    assert res.found and res.grs.code().n == 26
+
+
+def test_solver_refuses_fields_above_table_limit_before_building_system(monkeypatch):
+    def no_system(problem):
+        raise AssertionError("built the orthogonality system")
+
+    monkeypatch.setattr(grs, "_orthogonality_system", no_system)
+    field = make_quadratic_field(37)
+    with pytest.raises(CapExceededError):
+        solve_multipliers(MultiplierProblem(field, tuple(range(6)), 1))
+    with pytest.raises(CapExceededError):
+        construct_family(field, "q2plus1", k=1)
 
 
 def test_solver_lift_norms(gf25):
