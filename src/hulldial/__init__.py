@@ -19,6 +19,7 @@ from .errors import (
     HulldialError,
     HullMismatchError,
     LengthTooShortError,
+    MalformedCodeError,
     NoSuchElementError,
     NotADivisorError,
     NotPrimeError,

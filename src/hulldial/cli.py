@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .errors import HulldialError
+from .errors import HulldialError, MalformedCodeError
 from .field import make_quadratic_field
 from .code import LinearCode, enumeration_cap, hull, is_hermitian_self_orthogonal, min_distance
 from .dial import dial_galois_hull, dial_hull, reduce_hull
@@ -61,9 +61,12 @@ def _json_text(obj) -> str:
 
 def _load_code(path: str) -> LinearCode:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "generator" not in data and "code" in data:
-        data = data["code"]
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise MalformedCodeError(f"{path}: JSON nested too deeply") from exc
+    if isinstance(data, dict) and "generator" not in data and "code" in data:
+        data = data["code"]  # a construct or dial payload
     return LinearCode.from_dict(data)
 
 
@@ -189,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         add_out(p)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="search seed")
         p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
 
     p = sub.add_parser("construct", help="build a self-orthogonal GRS family member")
@@ -200,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int, help="first subgroup index (two-subgroup)")
     p.add_argument("--m2", type=int, help="second subgroup index (two-subgroup)")
     p.add_argument("--g", help="polynomial g as comma-separated element codes, low degree first")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="search seed")
     add_common(p)
     p.set_defaults(fn=_cmd_construct)
 
@@ -207,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codefile", help="code JSON file")
     p.add_argument("--h", dest="target", type=int, required=True, help="target hull dimension")
     p.add_argument("--galois-l", type=int, default=None, help="use the l-Galois form instead")
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=_cmd_dial)
 
     p = sub.add_parser("eaqec", help="derive entanglement-assisted parameters")
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codefile", help="code JSON file")
     p.add_argument("--kind", choices=("euclidean", "hermitian", "galois"), default="hermitian")
     p.add_argument("--l", type=int, default=None, help="galois index")
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=_cmd_hull)
 
     return parser

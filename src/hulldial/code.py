@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     BadGaloisIndexError,
     CapExceededError,
+    MalformedCodeError,
     OddExtensionError,
     RankDeficientError,
     ShapeMismatchError,
@@ -34,7 +35,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import Field, ensure_same_field
+from .field import FIELD_ORDER_CAP, Field, ensure_same_field
 from .matrix import (
     FieldMatrix,
     batch_column_deficient,
@@ -75,6 +76,19 @@ def enumeration_cap(cap: int | None = None) -> int:
     if cap > MAX_ENUM_CAP:
         raise CapExceededError(f"enumeration cap {cap} exceeds the int64 limit {MAX_ENUM_CAP}")
     return cap
+
+
+#: Longest code a code file may declare: q^2 + 1 at the field-order cap.
+MAX_CODE_LENGTH = FIELD_ORDER_CAP + 1
+
+
+def _json_value(d, key: str, kind: type):
+    """d[key], which must have exactly that JSON type (so true is no int)."""
+    if not isinstance(d, dict) or key not in d:
+        raise MalformedCodeError(f"code JSON has no {key!r} entry")
+    if type(d[key]) is not kind:
+        raise MalformedCodeError(f"code JSON entry {key!r} must be a {kind.__name__}")
+    return d[key]
 
 
 class LinearCode:
@@ -131,12 +145,22 @@ class LinearCode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearCode":
-        field = Field.from_dict(d["field"])
-        gen = FieldMatrix.from_dict(field, d["generator"])
-        code = cls(field, gen)
-        if code.n != int(d["n"]) or code.k != int(d["k"]):
-            raise ShapeMismatchError("declared [n, k] disagree with the generator")
-        return code
+        """Load the to_dict layout.  Keys, JSON types and sizes (n at most
+        MAX_CODE_LENGTH) are checked before any entry is converted."""
+        spec, gen = _json_value(d, "field", dict), _json_value(d, "generator", dict)
+        n, k = _json_value(d, "n", int), _json_value(d, "k", int)
+        rows, cols = _json_value(gen, "rows", int), _json_value(gen, "cols", int)
+        entries, modulus = _json_value(gen, "entries", list), _json_value(spec, "modulus", list)
+        if not 0 <= k <= n <= MAX_CODE_LENGTH or (rows, cols) != (k, n) or len(entries) != k * n:
+            raise MalformedCodeError(
+                f"[n, k] = [{n}, {k}] with a {rows} x {cols} generator of {len(entries)} "
+                f"entries (needs 0 <= k <= n <= {MAX_CODE_LENGTH})"
+            )
+        arrays = (modulus, *entries)
+        if not all(type(cs) is list and all(type(x) is int for x in cs) for cs in arrays):
+            raise MalformedCodeError("coefficient arrays must be lists of integers")
+        field = Field(_json_value(spec, "p", int), _json_value(spec, "e", int), modulus)
+        return cls(field, FieldMatrix.from_dict(field, gen))
 
 
 @dataclass(frozen=True)
@@ -312,25 +336,11 @@ def min_distance(c: LinearCode, cap: int | None = None) -> int:
         )
     G = c.gen.data
     best = c.n + 1
-    if field.has_tables():
-        for digits in _message_chunks(field.order, c.k, total):
-            cw = np.zeros((digits.shape[0], c.n), dtype=np.int64)
-            for j in range(c.k):
-                cw = field.add_array(cw, field.mul_array(digits[:, j][:, None], G[j][None, :]))
-            w = int(np.count_nonzero(cw, axis=1).min())
-            best = min(best, w)
-    else:  # scalar fallback for large fields
-        for msg in itertools.product(field.elements(), repeat=c.k):
-            if not any(msg):
-                continue
-            weight = 0
-            for col in range(c.n):
-                acc = 0
-                for j in range(c.k):
-                    acc = field.add(acc, field.mul(msg[j], int(G[j, col])))
-                if acc:
-                    weight += 1
-            best = min(best, weight)
+    for digits in _message_chunks(field.order, c.k, total):
+        cw = np.zeros((digits.shape[0], c.n), dtype=np.int64)
+        for j in range(c.k):
+            cw = field.add_array(cw, field.mul_array(digits[:, j][:, None], G[j][None, :]))
+        best = min(best, int(np.count_nonzero(cw, axis=1).min()))
     return best
 
 

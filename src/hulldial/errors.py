@@ -33,6 +33,10 @@ class NoSuchElementError(HulldialError):
     """No field element satisfies the requested property."""
 
 
+class MalformedCodeError(HulldialError):
+    """A code file lacks a key, or holds a value of the wrong type or shape."""
+
+
 class ShapeMismatchError(HulldialError):
     """Matrix or vector dimensions are incompatible."""
 

@@ -7,15 +7,18 @@ canonical, so equality of integers is equality of elements, and the
 integer order 0, 1, 2, ... is the canonical enumeration order used by
 every "first qualifying element" rule in the toolkit.
 
-Arithmetic is polynomial arithmetic modulo a monic irreducible modulus.
-For fields up to ``TABLE_LIMIT`` elements the field builds dense add/mul
-lookup tables (derived from the same polynomial arithmetic), which both
-the scalar fast path and the matrix layer's vectorised numpy operations
-use.  Results are identical either way.
+Arithmetic is polynomial arithmetic modulo a monic irreducible modulus,
+done through tables of O(p^e) size that every field builds on first use:
+exp[i] = g^i for the smallest primitive element g, its inverse log, and
+Zech logarithms zech[i] = log(1 + g^i), so that a + b = a(1 + b/a) (Huber,
+"Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4),
+1990).  Fields of at most ``TABLE_LIMIT`` elements also cache their full
+add/mul grids, computed from the tables, behind the same methods.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -32,7 +35,7 @@ from .errors import (
 #: Largest field order the toolkit will construct.
 FIELD_ORDER_CAP = 2**20
 
-#: Largest field order for which dense lookup tables are built.
+#: Largest field order whose full add/mul grids are cached.
 TABLE_LIMIT = 1024
 
 
@@ -168,13 +171,20 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     Candidates are compared by their coefficient sequences, constant term
     first.  Returns e+1 coefficients, constant term first.
     """
-    for low in itertools.product(range(p), repeat=e):
+    # for e > 1 a zero constant term leaves the factor x, so it starts at 1
+    for low in itertools.product(range(1 if e > 1 else 0, p), *[range(p)] * (e - 1)):
         cand = low + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise NoSuchElementError(
         f"no irreducible polynomial of degree {e} over GF({p})"
     )  # pragma: no cover
+
+
+def _lookup(fn, *shape):
+    """fn evaluated at every index of a grid of that shape, then read back."""
+    table = fn(*np.indices(shape, sparse=True))
+    return lambda *index: table[index]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +231,6 @@ class Field:
         self.e = e
         self.order = order
         self.modulus = modulus
-        self._tables: dict | None = None
-        self._frob_arrays: dict[int, np.ndarray] = {}
         self._primitive: int | None = None
 
     # -- identity -------------------------------------------------------------
@@ -278,59 +286,26 @@ class Field:
             raise ValueError(f"{a} is not an element of GF({self.p}^{self.e})")
         return a
 
-    # -- raw (table-free) arithmetic, used during table construction -------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        return self.element(_pmulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.p))
-
-    def _pow_raw(self, a: int, n: int) -> int:
-        if a == 0:
-            return 1 if n == 0 else 0
-        n %= self.order - 1
-        result, base = 1, a
-        while n:
-            if n & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            n >>= 1
-        return result
-
     # -- scalar arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.has_tables():
-            return int(self._ensure_tables()["add"][a, b])
-        return self.element(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        return int(self._tables["add"](a, b))
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        if self.has_tables():
-            return int(self._ensure_tables()["neg"][a])
-        return self.element(-x for x in self.coeffs(a))
+        return int(self._tables["neg"][self._check(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        if self.has_tables():
-            return int(self._ensure_tables()["mul"][a, b])
-        return self._mul_raw(a, b)
+        return int(self._tables["mul"](a, b))
 
     def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
+        if self._check(a) == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.has_tables():
-            return int(self._ensure_tables()["inv"][a])
-        return self._pow_raw(a, self.order - 2)
+        return int(self._tables["inv"][a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -342,12 +317,8 @@ class Field:
             return self.pow(self.inv(a), -n)
         if a == 0:
             return 1 if n == 0 else 0
-        if self.has_tables():
-            t = self._ensure_tables()
-            if self.order == 2:
-                return 1
-            return int(t["exp"][(int(t["log"][a]) * n) % (self.order - 1)])
-        return self._pow_raw(a, n)
+        t = self._tables
+        return int(t["exp"][int(t["log"][a]) * n % (self.order - 1)])
 
     # -- Galois structure -----------------------------------------------------------
 
@@ -426,8 +397,10 @@ class Field:
             self._primitive = 1
             return 1
         prime_divs = list(factorize(o))
-        for g in range(2, self.order):
-            if all(self._pow_raw(g, o // r) != 1 for r in prime_divs):
+        # for e > 1, the elements below p lie in GF(p), whose units have order < o
+        for g in range(self.p if self.e > 1 else 2, self.order):
+            c = self.coeffs(g)
+            if all(_ppowmod(c, o // r, self.modulus, self.p) != (1,) for r in prime_divs):
                 self._primitive = g
                 return g
         raise NoSuchElementError("no primitive element found")  # pragma: no cover
@@ -456,66 +429,91 @@ class Field:
 
     # -- vectorised arithmetic (numpy arrays of element ints) ---------------------------
 
-    def has_tables(self) -> bool:
-        return self.order <= TABLE_LIMIT
+    @functools.cached_property
+    def _tables(self) -> dict:
+        """The log/exp/Zech tables and the arithmetic they define.
 
-    def _ensure_tables(self) -> dict:
-        if self._tables is None:
-            if not self.has_tables():
-                raise CapExceededError(
-                    f"field order {self.order} exceeds the table limit {TABLE_LIMIT}"
-                )
-            self._tables = self._build_tables()
-        return self._tables
+        Multiplication by g is GF(p)-linear on digit vectors; applied to the
+        low and the high digits of every element, then summed digit-wise,
+        it gives the permutation a -> g*a, and pointer doubling over that
+        permutation fills exp.  Nothing is quadratic in the order but the
+        grids cached up to TABLE_LIMIT elements.
+        """
+        p, e, m = self.p, self.e, self.order - 1
+        g = self.coeffs(self.primitive_element())
+        x_powers = ((0,) * i + (1,) for i in range(e))
+        times_g = np.array(
+            [self.coeffs(self.element(_pmulmod(g, xi, self.modulus, p))) for xi in x_powers]
+        )
 
-    def _build_tables(self) -> dict:
-        q, p, e = self.order, self.p, self.e
-        digits = np.empty((q, e), dtype=np.int64)
-        vals = np.arange(q, dtype=np.int64)
-        for i in range(e):
-            vals, digits[:, i] = np.divmod(vals, p)
-        weights = p ** np.arange(e, dtype=np.int64)
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
-        neg = ((-digits) % p) @ weights
-        g = self.primitive_element()
-        exp = np.empty(max(q - 1, 1), dtype=np.int64)
-        val = 1
-        for i in range(q - 1):
-            exp[i] = val
-            val = self._mul_raw(val, g)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        nz = np.arange(1, q)
-        if q > 1:
-            mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
-        inv = np.zeros(q, dtype=np.int64)
-        inv[nz] = exp[(-log[nz]) % (q - 1)]
-        return {"add": add, "neg": neg, "mul": mul, "inv": inv, "exp": exp, "log": log}
+        def images(lo: int, hi: int) -> np.ndarray:  # digits of g*a, a in span(x^lo..x^(hi-1))
+            vals = np.arange(p ** (hi - lo), dtype=np.int64)
+            out = np.zeros((len(vals), e), dtype=np.int64)
+            for i in range(lo, hi):
+                vals, digit = np.divmod(vals, p)
+                out += digit[:, None] * times_g[i]
+            return out % p
+
+        low, high = images(0, e // 2), images(e // 2, e)
+        step = sum(((high[:, None, j] + low[None, :, j]) % p) * p**j for j in range(e)).reshape(-1)
+        # log 0 = 2m and exp is 0 from index 2m on, so zero operands need no masks
+        exp = np.zeros(4 * m + 1, dtype=np.int64)
+        exp[0], done = 1, 1
+        while done < m:  # invariant: step is a -> g^done * a
+            take = min(done, m - done)
+            exp[done : done + take] = step[exp[:take]]
+            done += take
+            step = step[step]
+        exp[m : 2 * m] = exp[:m]  # so log a + log b needs no reduction
+        log = np.full(self.order, 2 * m, dtype=np.int64)
+        log[exp[:m]] = np.arange(m, dtype=np.int64)
+        # zech[i] = log(1 + g^i); 1 + a only increments the constant digit
+        zech = log[exp[:m] + np.where(exp[:m] % p == p - 1, 1 - p, 1)]
+        # a + b = exp[log a + plus[log b - log a + 2m]]: plus[2m + d] = zech[d mod m]
+        # for a, b nonzero (|d| < m), log b - 2m for a = 0, and 0 for b = 0
+        plus = np.zeros(4 * m + 1, dtype=np.int64)
+        plus[:m] = np.arange(m) - 2 * m
+        plus[m + 1 : 2 * m], plus[2 * m : 3 * m] = zech[1:], zech
+
+        def add(a, b):
+            la = log[a]
+            return exp[la + plus[log[b] - la + 2 * m]]
+
+        def mul(a, b):
+            return exp[log[a] + log[b]]
+
+        def frobenius(a, l):  # a -> a^(p^l) for 0 <= l < e
+            la = log[a]
+            return exp[np.where(la < m, la * (p ** np.asarray(l) % m) % m, la)]
+
+        q = self.order
+        if q <= TABLE_LIMIT:  # evaluated once on their whole domains, then read back
+            add, mul, frobenius = _lookup(add, q, q), _lookup(mul, q, q), _lookup(frobenius, q, e)
+        grid, minus_one = np.arange(q, dtype=np.int64), (m // 2 if p != 2 else 0)  # log(-1)
+        return {
+            "add": add, "mul": mul, "frobenius": frobenius,
+            "neg": exp[log + minus_one],
+            "inv": np.where(grid == 0, 0, exp[m - log]),
+            "exp": exp, "log": log,
+        }
 
     def add_array(self, a, b) -> np.ndarray:
-        return self._ensure_tables()["add"][a, b]
+        return self._tables["add"](a, b)
 
     def mul_array(self, a, b) -> np.ndarray:
-        return self._ensure_tables()["mul"][a, b]
+        return self._tables["mul"](a, b)
 
     def neg_array(self, a) -> np.ndarray:
-        return self._ensure_tables()["neg"][a]
+        return self._tables["neg"][a]
 
     def inv_array(self, a) -> np.ndarray:
         if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._ensure_tables()["inv"][a]
+        return self._tables["inv"][a]
 
     def frobenius_array(self, a, l: int) -> np.ndarray:
-        l %= self.e
-        if l not in self._frob_arrays:
-            self._frob_arrays[l] = np.fromiter(
-                (self.frobenius(v, l) for v in range(self.order)),
-                dtype=np.int64,
-                count=self.order,
-            )
-        return self._frob_arrays[l][a]
+        """The Galois map a -> a^(p^l) on every entry; l is reduced mod e."""
+        return self._tables["frobenius"](a, l % self.e)
 
     def conj_array(self, a) -> np.ndarray:
         if self.e % 2 != 0:

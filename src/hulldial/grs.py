@@ -41,7 +41,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import TABLE_LIMIT, Field
+from .field import Field
 from .code import LinearCode, is_hermitian_self_orthogonal, is_mds
 from .matrix import FieldMatrix, null_space
 
@@ -56,6 +56,10 @@ PREFIX_SCAN_BUDGET = 10**5
 
 #: Seeded random attempts after the prefix scan.
 RANDOM_BUDGET = 10**5
+
+#: Longest code the solver takes on, since its dense null-space basis has
+#: up to n^2 entries: 32^2 + 1, the q2plus1 length over GF(32^2).
+MAX_SOLVER_LENGTH = 1025
 
 _CHUNK = 4096
 
@@ -323,9 +327,8 @@ def _all_nonzero_combination(
     """
     nu, ncols = basis.shape
     q_sub = field.subfield_order
-    subfield_els = np.array(
-        [a for a in field.elements() if field.in_subfield(a)], dtype=np.int64
-    )
+    elements = np.arange(field.order, dtype=np.int64)
+    subfield_els = elements[field.conj_array(elements) == elements]
     assert len(subfield_els) == q_sub and subfield_els[0] == 0
     free = [int(np.flatnonzero(row)[-1]) for row in basis]
     if not np.array_equal(basis[:, free], np.eye(nu, dtype=np.int64)):
@@ -396,20 +399,21 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
 
     The subfield-valued unknowns w_l are found in the null space of the
     orthogonality system; each is then lifted to v_l through a norm
-    preimage.  The returned code is always re-verified.  The scan needs
-    the dense tables, so fields above TABLE_LIMIT are refused first.
+    preimage.  The returned code is always re-verified.  Codes longer than
+    MAX_SOLVER_LENGTH are refused before the system is built.
     """
     f = problem.field
+    n = len(problem.eval_points) + (1 if problem.extended else 0)
+    if n > MAX_SOLVER_LENGTH:
+        raise CapExceededError(f"length {n} exceeds the solver's length bound {MAX_SOLVER_LENGTH}")
     pts = tuple(int(a) for a in problem.eval_points)
     if len(set(pts)) != len(pts):
         raise DuplicateEvalPointsError("evaluation points must be pairwise distinct")
     if problem.k < 1:
         raise BadDimensionError("k must be at least 1")
-    if not f.has_tables():  # the scan needs add_array and mul_array
-        raise CapExceededError(f"field order {f.order} exceeds the table limit {TABLE_LIMIT}")
     system = _orthogonality_system(problem)
     basis = null_space(system)
-    if not all(f.in_subfield(int(x)) for x in basis.data.reshape(-1)):
+    if np.any(f.conj_array(basis.data) != basis.data):
         raise VerificationFailedError("null-space basis left the subfield")  # pragma: no cover
     nu = basis.rows
     if nu == 0:

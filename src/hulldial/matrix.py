@@ -115,31 +115,11 @@ class FieldMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _mul(field: Field, a, b):
-    if field.has_tables():
-        return field.mul_array(a, b)
-    return np.vectorize(field.mul, otypes=[np.int64])(a, b)
-
-
-def _add(field: Field, a, b):
-    if field.has_tables():
-        return field.add_array(a, b)
-    return np.vectorize(field.add, otypes=[np.int64])(a, b)
-
-
-def _neg(field: Field, a):
-    if field.has_tables():
-        return field.neg_array(a)
-    return np.vectorize(field.neg, otypes=[np.int64])(a)
-
-
 def frobenius_entrywise(m: FieldMatrix, l: int) -> FieldMatrix:
     """Apply a -> a^(p^l) to every entry."""
     if m.data.size == 0 or l % m.field.e == 0:
         return m
-    if m.field.has_tables():
-        return FieldMatrix(m.field, m.field.frobenius_array(m.data, l))
-    return FieldMatrix(m.field, np.vectorize(lambda x: m.field.frobenius(int(x), l))(m.data))
+    return FieldMatrix(m.field, m.field.frobenius_array(m.data, l))
 
 
 def scale_columns(m: FieldMatrix, v: Sequence[int]) -> FieldMatrix:
@@ -149,7 +129,7 @@ def scale_columns(m: FieldMatrix, v: Sequence[int]) -> FieldMatrix:
     if m.rows == 0:
         return m
     vec = np.array(v, dtype=np.int64)
-    return FieldMatrix(m.field, _mul(m.field, m.data, vec[None, :]))
+    return FieldMatrix(m.field, m.field.mul_array(m.data, vec[None, :]))
 
 
 def permute_columns(m: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:
@@ -186,7 +166,7 @@ def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     field = a.field
     out = np.zeros((a.rows, b.cols), dtype=np.int64)
     for t in range(a.cols):
-        out = _add(field, out, _mul(field, a.data[:, t][:, None], b.data[t, :][None, :]))
+        out = field.add_array(out, field.mul_array(a.data[:, t][:, None], b.data[t, :][None, :]))
     return FieldMatrix(field, out)
 
 
@@ -224,12 +204,12 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
         pivot = int(R[r, c])
         if pivot != 1:
             inv_p = field.inv(pivot)
-            R[r] = _mul(field, R[r], np.int64(inv_p))
+            R[r] = field.mul_array(R[r], np.int64(inv_p))
         col_vals = R[:, c].copy()
         col_vals[r] = 0
         if np.any(col_vals):
-            factors = _neg(field, col_vals)
-            R = _add(field, R, _mul(field, factors[:, None], R[r][None, :]))
+            factors = field.neg_array(col_vals)
+            R = field.add_array(R, field.mul_array(factors[:, None], R[r][None, :]))
         pivots.append(c)
         r += 1
     out = FieldMatrix(field, R)
@@ -264,11 +244,10 @@ def batch_column_deficient(field: Field, blocks) -> np.ndarray:
         M[idx, p] = top
         if c + 1 < cols:
             pivot = M[:, c, c][:, None, None]
-            factors = _neg(field, M[:, c + 1 :, c])[:, :, None]
-            M[:, c + 1 :, c + 1 :] = _add(
-                field,
-                _mul(field, pivot, M[:, c + 1 :, c + 1 :]),
-                _mul(field, factors, M[:, c : c + 1, c + 1 :]),
+            factors = field.neg_array(M[:, c + 1 :, c])[:, :, None]
+            M[:, c + 1 :, c + 1 :] = field.add_array(
+                field.mul_array(pivot, M[:, c + 1 :, c + 1 :]),
+                field.mul_array(factors, M[:, c : c + 1, c + 1 :]),
             )
     return deficient
 

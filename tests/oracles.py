@@ -3,7 +3,9 @@
 Everything here recomputes from definitions with scalar field arithmetic
 only: full message-space enumeration, Laplace-expansion determinants,
 inner products summed term by term.  None of it shares code paths with
-the library's echelon-form machinery, so agreement is meaningful.
+the library's echelon-form machinery, so agreement is meaningful.  The
+scalar arithmetic itself is checked against ``poly_*``, which compute on
+base-p digit lists and read only p, e and the modulus of a Field.
 """
 
 from __future__ import annotations
@@ -15,6 +17,55 @@ import math
 from hulldial.field import Field
 from hulldial.code import LinearCode
 from hulldial.eaqec import EaqecParams, Table1Limits, _generic_rows, _table_rows, classified
+
+
+def _poly_digits(field: Field, a: int) -> list[int]:
+    return [(a // field.p**i) % field.p for i in range(field.e)]
+
+
+def _poly_element(field: Field, digits) -> int:
+    return sum(d * field.p**i for i, d in enumerate(digits))
+
+
+def poly_add(field: Field, a: int, b: int) -> int:
+    """a + b, digit by digit mod p."""
+    pairs = zip(_poly_digits(field, a), _poly_digits(field, b))
+    return _poly_element(field, [(x + y) % field.p for x, y in pairs])
+
+
+def poly_neg(field: Field, a: int) -> int:
+    return _poly_element(field, [-x % field.p for x in _poly_digits(field, a)])
+
+
+def poly_mul(field: Field, a: int, b: int) -> int:
+    """Schoolbook product of the digit polynomials, reduced mod the monic modulus."""
+    p, e, f = field.p, field.e, field.modulus
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_poly_digits(field, a)):
+        for j, y in enumerate(_poly_digits(field, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * e - 2, e - 1, -1):  # x^top = -(f_0 + ... + f_(e-1) x^(e-1)) x^(top-e)
+        c, prod[top] = prod[top], 0
+        for i in range(e):
+            prod[top - e + i] = (prod[top - e + i] - c * f[i]) % p
+    return _poly_element(field, prod[:e])
+
+
+def poly_pow(field: Field, a: int, n: int) -> int:
+    """a^n by square and multiply, 0^0 = 1; negative n inverts a first."""
+    if n < 0:
+        return poly_pow(field, poly_inv(field, a), -n)
+    result = 1
+    while n:
+        if n & 1:
+            result = poly_mul(field, result, a)
+        a, n = poly_mul(field, a, a), n >> 1
+    return result
+
+
+def poly_inv(field: Field, a: int) -> int:
+    assert a != 0
+    return poly_pow(field, a, field.order - 2)
 
 
 def codeword(field: Field, message, gen_rows) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hulldial import cli
 from hulldial.cli import main
@@ -126,11 +127,20 @@ def test_table_negative_max_rows_exits_1(capsys):
 
 
 def test_table_rejects_flags_it_would_ignore(capsys):
-    for flag in ("--seed", "--cap"):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--q", "3", flag, "1"])
-        assert exc.value.code == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # and every other subcommand that would ignore its --seed or --cap
+    for argv, flags in (
+        (["table", "--q", "3"], ("--seed", "--cap")),
+        (["dial", "code.json", "--h", "0"], ("--seed", "--cap")),
+        (["hull", "code.json"], ("--seed", "--cap")),
+        (["eaqec", "code.json"], ("--seed",)),
+        (["verify", "--q", "3", "--params", "9,6,3,1"], ("--seed",)),
+        (["distance", "code.json"], ("--seed",)),
+    ):
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "1"])
+            assert exc.value.code == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _must_not_run(*args, **kwargs):
@@ -270,3 +280,88 @@ def test_golden_cli_bytes(capsys, name, tag, argv):
     else:
         suffix = "tsv" if argv[0] == "table" else "json"
     assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()
+
+
+# Malformed code files: every path of the code JSON layout with the JSON
+# type it needs.  Each mutation below leaves a file that is not a code.
+_LAYOUT = {
+    (): dict, ("field",): dict, ("field", "p"): int, ("field", "e"): int,
+    ("field", "modulus"): list, ("n",): int, ("k",): int, ("generator",): dict,
+    ("generator", "rows"): int, ("generator", "cols"): int, ("generator", "entries"): list,
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_json_type(value, kind) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _walk(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _malformed_code_text(draw) -> bytes:
+    doc = json.loads((GOLDEN_CLI / "gf9_code.json").read_text())  # [7, 3] over GF(9)
+    kind = draw(st.sampled_from(
+        ["delete", "retype", "resize", "entry", "coefficient", "text", "long"]))
+    if kind == "text":
+        return draw(st.sampled_from([b"", b"{", b"\xff\xfe", b"[" * 100_000, b'"code"', b"7"]))
+    if kind == "delete":
+        *parent, key = draw(st.sampled_from([path for path in _LAYOUT if path]))
+        del _walk(doc, parent)[key]
+    elif kind == "retype":
+        path = draw(st.sampled_from(list(_LAYOUT)))
+        value = draw(_JSON.filter(lambda v: not _is_json_type(v, _LAYOUT[path])))
+        if not path:
+            doc = value
+        else:
+            _walk(doc, path[:-1])[path[-1]] = value
+    elif kind == "resize":  # a declared size that disagrees with the rest
+        *parent, key = draw(st.sampled_from([("field", "e"), ("n",), ("k",),
+                                             ("generator", "rows"), ("generator", "cols")]))
+        node = _walk(doc, parent)
+        node[key] = draw(st.integers(-(10**30), 10**30).filter(lambda v, old=node[key]: v != old))
+    elif kind == "long":  # a zero code, consistent but longer than any code file may be
+        n = draw(st.integers(2**20 + 2, 2**20 + 100))
+        doc["n"], doc["k"], doc["generator"] = n, 0, {"rows": 0, "cols": n, "entries": []}
+    elif kind == "entry":  # drop, add or replace one generator entry
+        entries = doc["generator"]["entries"]
+        i = draw(st.integers(0, len(entries) - 1))
+        action = draw(st.sampled_from(["drop", "add", "replace"]))
+        if action == "drop":
+            del entries[i]
+        elif action == "add":
+            entries.insert(i, [0, 0])
+        else:
+            entries[i] = draw(_JSON.filter(lambda v: not isinstance(v, list))
+                              | st.lists(st.integers(), min_size=3, max_size=4))
+    else:  # a coefficient array holding a non-integer
+        arrays = [doc["field"]["modulus"], *doc["generator"]["entries"]]
+        array = arrays[draw(st.integers(0, len(arrays) - 1))]
+        array[draw(st.integers(0, len(array) - 1))] = draw(
+            _JSON.filter(lambda v: not _is_json_type(v, int)))
+    if draw(st.booleans()) and isinstance(doc, dict):
+        doc = {"code": doc}  # as the construct payload wraps it
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much])
+@given(text=_malformed_code_text())
+def test_malformed_code_json_exits_1_with_typed_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    for argv in (["dial", str(path), "--h", "0"], ["eaqec", str(path)],
+                 ["distance", str(path)], ["hull", str(path)],
+                 ["verify", "--q", "3", "--params", "7,1,5,2", "--witness", str(path)]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == "", (argv, text[:200])
+        assert err.startswith("hulldial: error:") and err.count("\n") == 1, err

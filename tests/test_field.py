@@ -8,6 +8,7 @@ from hulldial.errors import (
     OddExtensionError,
 )
 from hulldial.field import Field, make_field, make_quadratic_field, smallest_irreducible
+from oracles import poly_add, poly_inv, poly_mul, poly_neg, poly_pow
 
 OMEGA = 3  # x in GF(9) with the canonical modulus x^2 + 1
 
@@ -215,6 +216,56 @@ def test_axioms_random_above_table_regime():
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         if a:
             assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p, e, samples", [
+    (3, 2, None), (2, 4, None),  # every pair
+    (2, 10, 400), (37, 2, 400), (2, 12, 400), (101, 2, 400),  # seeded, zeros included
+])
+def test_arithmetic_matches_polynomial_oracle(p, e, samples):
+    # the tables must reproduce the digit encoding and the canonical
+    # modulus, which field axioms alone do not pin down
+    f = Field(p, e)
+    q = f.subfield_order
+    if samples is None:
+        a, b = (g.ravel() for g in np.meshgrid(np.arange(f.order), np.arange(f.order)))
+    else:
+        rng = np.random.default_rng(f.order)
+        a, b = rng.integers(0, f.order, samples), rng.integers(0, f.order, samples)
+        a[:20], b[10:30] = 0, 0
+    pairs = list(zip(a.tolist(), b.tolist()))
+    for scalar, array, oracle in ((f.add, f.add_array, poly_add), (f.mul, f.mul_array, poly_mul)):
+        want = [oracle(f, x, y) for x, y in pairs]
+        assert [scalar(x, y) for x, y in pairs] == want
+        assert array(a, b).tolist() == want
+    els = sorted(set(a[:100].tolist()) | {0, 1, f.order - 1})
+    units = [x for x in els if x]
+    assert f.neg_array(np.array(els)).tolist() == [poly_neg(f, x) for x in els]
+    assert [f.neg(x) for x in els] == [poly_neg(f, x) for x in els]
+    assert f.inv_array(np.array(units)).tolist() == [poly_inv(f, x) for x in units]
+    assert [f.inv(x) for x in units] == [poly_inv(f, x) for x in units]
+    conj = [poly_pow(f, x, q) for x in els]
+    assert f.conj_array(np.array(els)).tolist() == conj
+    assert [f.conj(x) for x in els] == conj
+    for n in (0, 1, 2, q + 1, f.order - 2, f.order - 1, f.order, 10**20 + 3):
+        assert [f.pow(x, n) for x in els[:40]] == [poly_pow(f, x, n) for x in els[:40]]
+    for n in (-1, -5):
+        assert [f.pow(x, n) for x in units[:40]] == [poly_pow(f, x, n) for x in units[:40]]
+
+
+@pytest.mark.parametrize(
+    "p, e", [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3)]
+)
+def test_primitive_element_is_smallest_generator(p, e):
+    f = Field(p, e)
+
+    def order(g):
+        x, n = g, 1
+        while x != 1:
+            x, n = poly_mul(f, x, g), n + 1
+        return n
+
+    assert f.primitive_element() == next(g for g in range(1, f.order) if order(g) == f.order - 1)
 
 
 def test_subfield_coordinates_recompose():

@@ -31,7 +31,7 @@ from hulldial.grs import (
     trace_nonzero_eval_set,
 )
 from hulldial.matrix import null_space
-from oracles import brute_first_all_nonzero, gram_by_power_sums
+from oracles import brute_first_all_nonzero, gram_by_power_sums, twisted_inner
 
 
 def test_grs_spec_validation(gf9):
@@ -254,16 +254,23 @@ def test_construct_family_mds_check_uses_column_subsets(monkeypatch, gf25):
     assert res.found and res.grs.code().n == 26
 
 
-def test_solver_refuses_fields_above_table_limit_before_building_system(monkeypatch):
+def test_solver_refuses_long_codes_before_building_system(monkeypatch):
+    # the length bound, not the field order, limits the solver: q2plus1 at
+    # q = 37 (n = 1370) and q = 1024 (n = 2^20 + 1) is refused up front,
+    # while six points of GF(37^2) are solved and the result re-verified
     def no_system(problem):
         raise AssertionError("built the orthogonality system")
 
-    monkeypatch.setattr(grs, "_orthogonality_system", no_system)
+    with monkeypatch.context() as patch:
+        patch.setattr(grs, "_orthogonality_system", no_system)
+        for q in (37, 1024):
+            with pytest.raises(CapExceededError):
+                construct_family(make_quadratic_field(q), "q2plus1", k=1)
     field = make_quadratic_field(37)
-    with pytest.raises(CapExceededError):
-        solve_multipliers(MultiplierProblem(field, tuple(range(6)), 1))
-    with pytest.raises(CapExceededError):
-        construct_family(field, "q2plus1", k=1)
+    res = solve_multipliers(MultiplierProblem(field, tuple(range(6)), 1))
+    assert (res.status, res.null_dim) == ("found", 5)
+    row = res.grs.code().gen.row(0)
+    assert twisted_inner(field, row, row, 1) == 0
 
 
 def test_solver_lift_norms(gf25):
