@@ -77,7 +77,6 @@ from .grs import (
     construct_family,
     full_field_rs,
     grs_generator,
-    norm_substituted_polys,
     solve_multipliers,
     subgroup_eval_set,
     subgroup_union_eval_set,

@@ -11,8 +11,9 @@ MDS or non-MDS, only gate-failed.
 Hull dialing turns one k-dimensional self-orthogonal witness into the
 whole sweep l = 0..k of derived records with distinct consumption
 parameters.  The table enumerator reproduces the known parameter families
-at the formula level (witnessed=False) with every emitted record checked
-for exact Singleton equality.
+at the formula level (witnessed=False); every row has the shape
+(n, n-k-h, k+1, k-h) with 0 <= h <= k <= n/2, so it meets the distance
+gate and the Singleton bound with equality.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     BadFieldError,
@@ -53,12 +54,13 @@ def witness_digest(code: LinearCode) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class EaqecParams:
+class EaqecParams(NamedTuple):
     """One [[n, k_q, d, c]]_q record with its Singleton classification.
 
     ``gate`` records whether d <= (n+2)/2; ``mds`` is None exactly when the
-    gate fails, True on exact Singleton equality, False otherwise.
+    gate fails, True on exact Singleton equality, False otherwise.  A named
+    tuple, so records are immutable, hash and compare by value, and cost
+    little to build: the table makes thousands of them.
     """
 
     q: int
@@ -116,11 +118,13 @@ TSV_HEADER = "q\tn\tk_q\td\tc\tfamily\twitnessed\tmds\tgate"
 
 
 def tsv_row(rec: EaqecParams) -> str:
-    mds = "gate-failed" if rec.mds is None else ("true" if rec.mds else "false")
-    fam = ",".join(rec.families) if rec.families else "-"
-    wit = "true" if rec.witnessed else "false"
-    gate = "true" if rec.gate else "false"
-    return f"{rec.q}\t{rec.n}\t{rec.k_q}\t{rec.d}\t{rec.c}\t{fam}\t{wit}\t{mds}\t{gate}"
+    # unpacked, since a tuple unpacks faster than nine attribute reads
+    q, n, k_q, d, c, gate, mds, families, witnessed, _, _ = rec
+    mds = "gate-failed" if mds is None else ("true" if mds else "false")
+    fam = ",".join(families) if families else "-"
+    wit = "true" if witnessed else "false"
+    gate = "true" if gate else "false"
+    return f"{q}\t{n}\t{k_q}\t{d}\t{c}\t{fam}\t{wit}\t{mds}\t{gate}"
 
 
 def tsv_lines(records: Iterable[EaqecParams]) -> list[str]:
@@ -253,164 +257,220 @@ class Table1Limits:
             raise BadTargetError(f"max_rows = {self.max_rows} must be nonnegative")
 
 
-def _table_rows(q: int) -> Iterator[tuple[str, int, int, int, int]]:
-    """Yield (family, n, k_q, d, c) in family order, params lexicographic."""
-    # lengths q^2 + 1, any admissible k
+class _Family(NamedTuple):
+    """One parameter family at a fixed q.
+
+    ``pairs()`` yields its (n, k) pairs in emission order; pair (n, k)
+    stands for the rows (n, n-k-h, k+1, k-h), h = 0..k.  ``has(n, k)`` is
+    true exactly on the pairs ``pairs()`` yields, decided in closed form.
+    """
+
+    name: str
+    pairs: Callable[[], Iterator[tuple[int, int]]]
+    has: Callable[[int, int], bool]
+
+
+def _q2plus1(q: int) -> _Family:
+    """Length q^2 + 1, any k <= q except q - 1."""
     n = q * q + 1
-    for k in range(1, q + 1):
-        if k == q - 1:
-            continue
-        for h in range(0, k + 1):
-            yield "q2plus1", n, n - k - h, k + 1, k - h
-    # char-2 special row at length q^2 + 1
-    fact = factorize(q)
-    p_char, r = next(iter(fact.items()))
-    if p_char == 2 and r >= 3 and r % 2 == 1:
-        for h in range(0, q):
-            yield "q2plus1-char2", n, q * q + 2 - q - h, q, q - 1 - h
-    # q^2 - 1 - t(q-1) - u(q+1) lengths (q odd)
-    if q % 2 == 1:
-        for t in _divisors((q + 1) // 2):
+
+    def pairs():
+        for k in range(1, q + 1):
+            if k != q - 1:
+                yield n, k
+
+    return _Family("q2plus1", pairs, lambda nn, k: nn == n and 1 <= k <= q and k != q - 1)
+
+
+def _q2plus1_char2(q: int) -> _Family:
+    """Length q^2 + 1 with k = q - 1, for q = 2^r with r >= 3 odd."""
+    ((p, r),) = factorize(q).items()
+    on = p == 2 and r >= 3 and r % 2 == 1
+    n = q * q + 1
+
+    def pairs():
+        if on:
+            yield n, q - 1
+
+    return _Family("q2plus1-char2", pairs, lambda nn, k: on and nn == n and k == q - 1)
+
+
+def _coset_trim(q: int) -> _Family:
+    """Lengths q^2 - 1 - t(q-1) - u(q+1) for t | (q+1)/2 and u >= 1, q odd."""
+    ts = _divisors((q + 1) // 2) if q % 2 == 1 else []
+
+    def length(t: int, u: int) -> int:
+        return q * q - 1 - t * (q - 1) - u * (q + 1)
+
+    def pairs():
+        for t in ts:
             for k in range(1, q):
                 u = 1
                 while 1 + u * (q + 1) <= (q - k) * q - 1:
-                    nn = q * q - 1 - t * (q - 1) - u * (q + 1)
-                    if nn >= 2 and k <= nn:
-                        for h in range(0, k + 1):
-                            yield "coset-trim", nn, nn - k - h, k + 1, k - h
+                    n = length(t, u)
+                    if n >= 2 and k <= n:
+                        yield n, k
                     u += 1
-    # q^2 - s lengths
-    for s in range(0, q):
-        if 2 * s > q - 2:
-            break
-        nn = q * q - s
-        for k in range(1, q):
-            if 2 * k < q or k > q - s - 1:
-                continue
-            for h in range(0, k + 1):
-                yield "near-full", nn, nn - k - h, k + 1, k - h
-    # (q^2 + 1)/5 lengths
-    if q % 20 in (3, 7):
-        nn = (q * q + 1) // 5
-        for k in range(1, (q + 3) // 2 + 1):
-            if 2 * k > q + 3 or k > nn:
-                continue
-            for h in range(0, k + 1):
-                yield "fifth-length", nn, nn - k - h, k + 1, k - h
-    # 2t(q-1) lengths
-    if (q + 1) % 8 == 0:
-        for t in _divisors(q + 1):
-            if t % 2 == 0:
-                continue
-            nn = 2 * t * (q - 1)
-            for k in range(1, 6 * t - 1):
-                if k > nn:
-                    continue
-                for h in range(0, k + 1):
-                    yield "two-t-subgroup", nn, nn - k - h, k + 1, k - h
-    # unions of two coprime odd subgroups of the (q+1)-part
-    odd_divs = [m for m in _divisors(q + 1) if m % 2 == 1]
-    for i, m1 in enumerate(odd_divs):
-        for m2 in odd_divs[i:]:
-            if gcd(m1, m2) != 1:
-                continue
-            nn = (q * q - 1) // m1 + (q * q - 1) // m2 - (q * q - 1) // (m1 * m2)
-            for k in range(1, q):
-                if 2 * k > q - 1 or k > nn:
-                    continue
-                for h in range(0, k + 1):
-                    yield "subgroup-union", nn, nn - k - h, k + 1, k - h
-    # (q^2 - 1)/m lengths for even divisors m >= 6 of q - 1 (q odd)
+
+    def has(n: int, k: int) -> bool:
+        if n < 2 or not 1 <= k <= min(q - 1, n):
+            return False
+        for t in ts:
+            u, rest = divmod(length(t, 0) - n, q + 1)
+            if rest == 0 and u >= 1 and 1 + u * (q + 1) <= (q - k) * q - 1:
+                return True
+        return False
+
+    return _Family("coset-trim", pairs, has)
+
+
+def _near_full(q: int) -> _Family:
+    """Lengths q^2 - s for 2s <= q - 2, with q/2 <= k <= q - s - 1."""
+
+    def pairs():
+        for s in range((q - 2) // 2 + 1):
+            for k in range((q + 1) // 2, q - s):
+                yield q * q - s, k
+
+    def has(n: int, k: int) -> bool:
+        s = q * q - n
+        return 0 <= 2 * s <= q - 2 and q <= 2 * k and k <= q - s - 1
+
+    return _Family("near-full", pairs, has)
+
+
+def _fifth_length(q: int) -> _Family:
+    """Length (q^2 + 1)/5 for q = 3, 7 mod 20, with k <= (q + 3)/2."""
+    on = q % 20 in (3, 7)
+    n = (q * q + 1) // 5
+    top = min((q + 3) // 2, n)
+
+    def pairs():
+        if on:
+            for k in range(1, top + 1):
+                yield n, k
+
+    return _Family("fifth-length", pairs, lambda nn, k: on and nn == n and 1 <= k <= top)
+
+
+def _two_t_subgroup(q: int) -> _Family:
+    """Lengths 2t(q-1) for odd t | q + 1, 8 | q + 1, with k <= 6t - 2."""
+    ts = [t for t in _divisors(q + 1) if t % 2 == 1] if (q + 1) % 8 == 0 else []
+
+    def pairs():
+        for t in ts:
+            n = 2 * t * (q - 1)
+            for k in range(1, min(6 * t - 2, n) + 1):
+                yield n, k
+
+    def has(n: int, k: int) -> bool:
+        t, rest = divmod(n, 2 * (q - 1))
+        return rest == 0 and t in ts and 1 <= k <= min(6 * t - 2, n)
+
+    return _Family("two-t-subgroup", pairs, has)
+
+
+def _subgroup_union(q: int) -> _Family:
+    """Unions of two coprime odd-index subgroups, with 2k <= q - 1."""
+    odd = [m for m in _divisors(q + 1) if m % 2 == 1]
+    lengths = [
+        (q * q - 1) // m1 + (q * q - 1) // m2 - (q * q - 1) // (m1 * m2)
+        for i, m1 in enumerate(odd)
+        for m2 in odd[i:]
+        if gcd(m1, m2) == 1
+    ]
+    top = (q - 1) // 2
+
+    def pairs():
+        for n in lengths:
+            for k in range(1, min(top, n) + 1):
+                yield n, k
+
+    return _Family("subgroup-union", pairs, lambda n, k: n in lengths and 1 <= k <= min(top, n))
+
+
+def _subgroup_quotient(q: int) -> _Family:
+    """Lengths (q^2 - 1)/m for even m >= 6 dividing q - 1 (q odd)."""
+    tops: dict[int, int] = {}  # length -> largest k
     if q % 2 == 1:
         big_h = ((q - 1) & -(q - 1)).bit_length() - 1
         a = (q - 1) >> big_h
         for m in _divisors(q - 1):
-            if m % 2 != 0 or m < 6:
-                continue
             h1 = (m & -m).bit_length() - 1
-            a1 = m >> h1
-            if a % a1 != 0:
+            if m % 2 == 0 and m >= 6 and a % (m >> h1) == 0:
+                n = (q * q - 1) // m
+                tops[n] = min((q + 1) // 2 + 2 ** (big_h - h1) * (a // (m >> h1)) - 1, n)
+
+    def pairs():
+        for n, top in tops.items():
+            for k in range(1, top + 1):
+                yield n, k
+
+    return _Family("subgroup-quotient", pairs, lambda n, k: 1 <= k <= tops.get(n, 0))
+
+
+def _generic(q: int) -> _Family:
+    """Every length 2 <= n <= q^2 + 1 with k <= n/2."""
+
+    def pairs():
+        for n in range(2, q * q + 2):
+            for k in range(1, n // 2 + 1):
+                yield n, k
+
+    return _Family("generic", pairs, lambda n, k: 2 <= n <= q * q + 1 and 1 <= k <= n // 2)
+
+
+def _families(q: int, include_generic: bool) -> list[_Family]:
+    """The families in table order; the generic one, when included, is last."""
+    named = [
+        family(q)
+        for family in (
+            _q2plus1, _q2plus1_char2, _coset_trim, _near_full, _fifth_length,
+            _two_t_subgroup, _subgroup_union, _subgroup_quotient,
+        )
+    ]
+    return named + [_generic(q)] if include_generic else named
+
+
+def _table_records(q: int, families: list[_Family]) -> Iterator[EaqecParams]:
+    """Records in table order, each (n, k_q, d, c) once, walked lazily.
+
+    Keys and (n, k, h) determine each other, so a key was emitted exactly
+    when its pair was: the dedup set holds the emitted pairs.  A pair with
+    2k > n yields no row, since its rows fail the distance gate.  Every
+    other row (n, n-k-h, k+1, k-h) has 0 <= h <= k, so it meets the gate
+    and Singleton equality and is recorded as MDS.
+    """
+    emitted: set[tuple[int, int]] = set()
+    for i, family in enumerate(families):
+        for n, k in family.pairs():
+            if 2 * k > n or (n, k) in emitted:
                 continue
-            bound = (q + 1) // 2 + 2 ** (big_h - h1) * (a // a1) - 1
-            nn = (q * q - 1) // m
-            for k in range(1, bound + 1):
-                if k > nn:
-                    continue
-                for h in range(0, k + 1):
-                    yield "subgroup-quotient", nn, nn - k - h, k + 1, k - h
-
-
-def _generic_rows(q: int) -> Iterator[tuple[str, int, int, int, int]]:
-    for n in range(2, q * q + 2):
-        for k in range(1, n // 2 + 1):
-            for l in range(0, k + 1):
-                yield "generic", n, n - k - l, k + 1, k - l
-
-
-def _is_generic(q: int, n: int, k_q: int, d: int, c: int) -> bool:
-    """Closed-form membership in _generic_rows(q): k = d - 1, l = k - c."""
-    k = d - 1
-    return 2 <= n <= q * q + 1 and 1 <= k <= n // 2 and 0 <= c <= k and k_q == n - 2 * k + c
-
-
-def _is_table_row(q: int, n: int, k_q: int, d: int, c: int) -> bool:
-    """Sane parameters within the distance gate; such a row must meet
-    Singleton equality, so the record is gated and MDS."""
-    if k_q < 0 or c < 0 or d < 1 or n < 2 or 2 * d > n + 2:
-        return False
-    if 2 * d + k_q != n + c + 2:
-        raise VerificationFailedError(
-            f"table row [[{n},{k_q},{d},{c}]]_{q} misses Singleton equality"
-        )  # pragma: no cover
-    return True
+            emitted.add((n, k))
+            tags = (family.name, *(later.name for later in families[i + 1 :] if later.has(n, k)))
+            for h in range(k + 1):
+                yield EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
 
 
 def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecParams]:
     """Formula-level records for every parameter family admissible at q.
 
-    Emitted records are deduplicated on (n, k_q, d, c); a record reachable
-    from several families carries all their tags, ordered by first
-    encounter.  The named families are enumerated in full into one dict,
-    so their rows come first; the generic any-length family is tested in
-    closed form for their tags, and its other rows follow in generic
-    order, walked lazily and only until ``max_rows`` records exist.  Work
-    is thus bounded by the named-family rows plus ``max_rows``; the named
-    families still grow as about q^3 (coset-trim alone has about q^3/6
-    rows per divisor of (q+1)/2), so large q stays costly in time and
-    memory.  Every record satisfies the Singleton relation with
-    equality and the distance gate; parameter combinations failing either
-    are not rows of the table and are skipped.
+    Records are deduplicated on (n, k_q, d, c).  Families are walked in
+    order, the generic any-length family last, each lazily; a row is
+    recorded where it is first met, and its tags are that family and
+    every later family whose closed-form membership test holds for it.
+    The walk stops once ``max_rows`` records exist, so time and memory
+    grow with the rows emitted, not with the families' size (about q^3
+    named rows, about q^6/24 generic ones).  Every record meets the
+    distance gate and the Singleton bound with equality.
     """
     limits = limits or Table1Limits()
     if q * q > FIELD_ORDER_CAP:
         raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
     if q < 3 or not is_prime_power(q):
         raise BadFieldError(f"q = {q} must be a prime power with q >= 3")
-    families: dict[tuple[int, int, int, int], list[str]] = {}
-    for fam, n, k_q, d, c in _table_rows(q):
-        key = (n, k_q, d, c)
-        tags = families.get(key)
-        if tags is None:
-            if _is_table_row(q, *key):
-                families[key] = [fam]
-        elif fam not in tags:
-            tags.append(fam)
-    records = []
-    for key, tags in itertools.islice(families.items(), limits.max_rows):
-        if limits.include_generic and _is_generic(q, *key):
-            tags.append("generic")
-        records.append(EaqecParams(q, *key, True, True, tuple(tags)))
-    if limits.include_generic:
-        fresh = (
-            (n, k_q, d, c)
-            for _, n, k_q, d, c in _generic_rows(q)
-            if (n, k_q, d, c) not in families and _is_table_row(q, n, k_q, d, c)
-        )
-        left = None if limits.max_rows is None else limits.max_rows - len(records)
-        records += [
-            EaqecParams(q, *key, True, True, ("generic",)) for key in itertools.islice(fresh, left)
-        ]
-    return records
+    records = _table_records(q, _families(q, limits.include_generic))
+    return list(itertools.islice(records, limits.max_rows))
 
 
 def is_prime_power(q: int) -> bool:

@@ -417,16 +417,6 @@ class Field:
             raise ValueError("prime field has no extension generator")
         return self.element((0, 1))
 
-    def subfield_coordinates(self, z: int) -> tuple[int, int]:
-        """Coordinates (z0, z1) of z in the GF(q)-basis {1, x}: z = z0 + z1*x."""
-        beta = self.extension_generator()
-        denom = self.sub(beta, self.conj(beta))
-        z1 = self.div(self.sub(z, self.conj(z)), denom)
-        z0 = self.sub(z, self.mul(z1, beta))
-        if not (self.in_subfield(z0) and self.in_subfield(z1)):
-            raise AssertionError("subfield decomposition failed")  # pragma: no cover
-        return z0, z1
-
     # -- vectorised arithmetic (numpy arrays of element ints) ---------------------------
 
     @functools.cached_property
@@ -505,6 +495,12 @@ class Field:
 
     def neg_array(self, a) -> np.ndarray:
         return self._tables["neg"][a]
+
+    def pow_array(self, a, n) -> np.ndarray:
+        """a**n entrywise, a broadcast against int64 exponents n >= 0; 0**0 = 1."""
+        t, m = self._tables, self.order - 1
+        la, n = t["log"][a], np.asarray(n, dtype=np.int64)
+        return t["exp"][np.where(la < m, la * (n % m) % m, np.where(n == 0, 0, la))]
 
     def inv_array(self, a) -> np.ndarray:
         if np.any(np.asarray(a) == 0):

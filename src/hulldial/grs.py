@@ -22,11 +22,10 @@ returned; no construction is trusted.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,13 +172,6 @@ def full_field_rs(field: Field, k: int) -> GrsSpec:
 # ---------------------------------------------------------------------------
 
 
-def eval_poly(field: Field, coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = field.add(field.mul(acc, x), int(c))
-    return acc
-
-
 def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     """Points x of GF(q^2) where g(x) + g(x)^q is nonzero.
 
@@ -187,33 +179,16 @@ def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     g + g^q vanishes on exactly q^2 - n points certifies that an
     [n, k] Hermitian self-orthogonal MDS code exists on the complement.
     The zero polynomial yields an empty set (returned with a warning).
+    g is evaluated at every element at once, by Horner steps on arrays.
     """
-    q = field.subfield_order
-    points = []
-    for x in field.elements():
-        gx = eval_poly(field, g, x)
-        if field.add(gx, field.pow(gx, q)) != 0:
-            points.append(x)
+    xs = np.arange(field.order, dtype=np.int64)
+    gx = np.zeros_like(xs)
+    for c in reversed(list(g)):
+        gx = field.add_array(field.mul_array(gx, xs), field._check(int(c)))
+    points = tuple(np.flatnonzero(field.add_array(gx, field.conj_array(gx))).tolist())
     if not points:
         warnings.warn("g + g^q vanishes everywhere; evaluation set is empty", stacklevel=2)
-    return tuple(points)
-
-
-def norm_substituted_polys(field: Field, max_f_degree: int) -> Iterator[tuple[int, ...]]:
-    """All g(x) = f(x^(q+1)) with deg f <= max_f_degree, f over GF(q^2).
-
-    These are the standard shapes whose trace zero sets are unions of norm
-    fibers; enumerated in canonical coefficient order.
-    """
-    q = field.subfield_order
-    for deg in range(max_f_degree + 1):
-        for f_coeffs in itertools.product(field.elements(), repeat=deg + 1):
-            if deg > 0 and f_coeffs[-1] == 0:
-                continue
-            g = [0] * ((q + 1) * deg + 1)
-            for j, c in enumerate(f_coeffs):
-                g[(q + 1) * j] = c
-            yield tuple(g)
+    return points
 
 
 def subgroup_eval_set(field: Field, m: int, cosets: Iterable[int] = (0,)) -> tuple[int, ...]:
@@ -284,28 +259,23 @@ def _orthogonality_system(problem: MultiplierProblem) -> FieldMatrix:
     """The GF(q)-linear system on w_l = v_l^(q+1), two rows per (i, j) pair.
 
     Each GF(q^2) equation sum_l w_l a_l^(i+jq) = 0 splits along the basis
-    {1, x} into two subfield-coefficient equations.  The extension column
+    {1, x} into two subfield-coefficient equations: z = z0 + z1 x with
+    z1 = (z - z^q)/(x - x^q) and z0 = z - z1 x.  The extension column
     adds an unknown w_inf appearing only in the (k-1, k-1) equation.
     """
-    f = problem.field
-    q = f.subfield_order
-    pts = problem.eval_points
+    f, k = problem.field, problem.k
+    pts = np.array(problem.eval_points, dtype=np.int64)
+    exponents = np.arange(k)[:, None] + f.subfield_order * np.arange(k)  # i + jq
+    z = f.pow_array(pts, exponents.reshape(-1, 1))  # row i*k + j holds a_l^(i+jq)
+    x = f.extension_generator()
+    z1 = f.mul_array(f.add_array(z, f.neg_array(f.conj_array(z))), f.inv(f.sub(x, f.conj(x))))
+    z0 = f.add_array(z, f.neg_array(f.mul_array(z1, x)))
     ncols = len(pts) + (1 if problem.extended else 0)
-    rows = []
-    for i in range(problem.k):
-        for j in range(problem.k):
-            row0, row1 = [], []
-            for a in pts:
-                z0, z1 = f.subfield_coordinates(f.pow(a, i + j * q))
-                row0.append(z0)
-                row1.append(z1)
-            if problem.extended:
-                is_last = i == problem.k - 1 and j == problem.k - 1
-                row0.append(1 if is_last else 0)
-                row1.append(0)
-            rows.append(row0)
-            rows.append(row1)
-    return FieldMatrix(f, np.array(rows, dtype=np.int64).reshape(-1, ncols))
+    system = np.zeros((k * k, 2, ncols), dtype=np.int64)
+    system[:, 0, : len(pts)], system[:, 1, : len(pts)] = z0, z1
+    if problem.extended:
+        system[-1, 0, -1] = 1
+    return FieldMatrix(f, system.reshape(2 * k * k, ncols))
 
 
 def _all_nonzero_combination(

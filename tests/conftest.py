@@ -7,6 +7,7 @@ import pytest
 # uninstalled checkout
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hulldial import eaqec
 from hulldial.field import make_field, make_quadratic_field
 from hulldial.code import LinearCode
 from hulldial.grs import MultiplierProblem, construct_family, full_field_rs, solve_multipliers
@@ -54,3 +55,30 @@ def self_orthogonal_corpus(gf9, gf16, gf25):
     assert res.found
     corpus.append(("[8,2] subgroup q=5", res.grs.code()))
     return corpus
+
+
+@pytest.fixture
+def table_draws(monkeypatch):
+    """The (n, k) pairs each table family yields, recorded as they are drawn.
+
+    Drawing a 1001st pair from one family fails at once, so a table walk
+    that stopped being lazy fails fast instead of filling memory.
+    """
+    drawn: dict[str, list[tuple[int, int]]] = {}
+    families = eaqec._families
+
+    def recording(family):
+        def pairs():
+            for pair in family.pairs():
+                seen = drawn.setdefault(family.name, [])
+                assert len(seen) < 1000, f"drew over 1000 {family.name} pairs"
+                seen.append(pair)
+                yield pair
+
+        return family._replace(pairs=pairs)
+
+    monkeypatch.setattr(
+        eaqec, "_families",
+        lambda q, include_generic: [recording(f) for f in families(q, include_generic)],
+    )
+    return drawn

@@ -16,7 +16,8 @@ import math
 
 from hulldial.field import Field
 from hulldial.code import LinearCode
-from hulldial.eaqec import EaqecParams, Table1Limits, _generic_rows, _table_rows, classified
+from hulldial.grs import MultiplierProblem
+from hulldial.eaqec import EaqecParams, Table1Limits, _families, classified
 
 
 def _poly_digits(field: Field, a: int) -> list[int]:
@@ -181,6 +182,64 @@ def gram_by_power_sums(field: Field, points, k: int) -> list[list[int]]:
     return [[power_sum(field, points, i + j * q) for j in range(k)] for i in range(k)]
 
 
+def subfield_coordinates(field: Field, z: int) -> tuple[int, int]:
+    """Coordinates (z0, z1) of z in the GF(q)-basis {1, x}: z = z0 + z1*x."""
+    beta = field.extension_generator()
+    z1 = field.div(field.sub(z, field.conj(z)), field.sub(beta, field.conj(beta)))
+    z0 = field.sub(z, field.mul(z1, beta))
+    assert field.in_subfield(z0) and field.in_subfield(z1)
+    return z0, z1
+
+
+def orthogonality_system(problem: MultiplierProblem) -> list[list[int]]:
+    """The solver's GF(q) system, entry by entry with scalar powers.
+
+    Rows 2(ik + j) and 2(ik + j) + 1 hold the coordinates of a_l^(i+jq)
+    on 1 and on x; the extension column is 1 only in row 2(k^2 - 1).
+    """
+    f, k = problem.field, problem.k
+    q = f.subfield_order
+    rows = []
+    for i in range(k):
+        for j in range(k):
+            coords = [subfield_coordinates(f, f.pow(a, i + j * q)) for a in problem.eval_points]
+            row0, row1 = [z0 for z0, _ in coords], [z1 for _, z1 in coords]
+            if problem.extended:
+                row0.append(1 if i == j == k - 1 else 0)
+                row1.append(0)
+            rows += [row0, row1]
+    return rows
+
+
+def trace_nonzero_points(field: Field, g) -> tuple[int, ...]:
+    """Points x with g(x) + g(x)^q != 0, g evaluated by scalar Horner steps."""
+    points = []
+    for x in field.elements():
+        gx = 0
+        for c in reversed(list(g)):
+            gx = field.add(field.mul(gx, x), c)
+        if field.add(gx, field.conj(gx)) != 0:
+            points.append(x)
+    return tuple(points)
+
+
+def norm_substituted_polys(field: Field, max_f_degree: int):
+    """All g(x) = f(x^(q+1)) with deg f <= max_f_degree, f over GF(q^2).
+
+    These are the standard shapes whose trace zero sets are unions of norm
+    fibers; enumerated in canonical coefficient order.
+    """
+    q = field.subfield_order
+    for deg in range(max_f_degree + 1):
+        for f_coeffs in itertools.product(field.elements(), repeat=deg + 1):
+            if deg > 0 and f_coeffs[-1] == 0:
+                continue
+            g = [0] * ((q + 1) * deg + 1)
+            for j, c in enumerate(f_coeffs):
+                g[(q + 1) * j] = c
+            yield tuple(g)
+
+
 def brute_first_all_nonzero(field: Field, basis):
     """First combination of the basis rows with no zero entry, and its index.
 
@@ -212,9 +271,12 @@ def brute_first_all_nonzero(field: Field, basis):
 @functools.cache
 def brute_table1_tags(q: int, include_generic: bool) -> dict[tuple[int, int, int, int], tuple]:
     """Every table key (n, k_q, d, c) with its family tags, in emission order."""
-    rows = _table_rows(q)
-    if include_generic:
-        rows = itertools.chain(rows, _generic_rows(q))
+    rows = (
+        (family.name, n, n - k - h, k + 1, k - h)
+        for family in _families(q, include_generic)
+        for n, k in family.pairs()
+        for h in range(k + 1)
+    )
     families: dict[tuple[int, int, int, int], list[str]] = {}
     for fam, n, k_q, d, c in rows:
         if k_q < 0 or c < 0 or n < 2 or 2 * d > n + 2:

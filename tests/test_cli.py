@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,23 @@ def test_hostile_field_size_exits_1(capsys):
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == ""
         assert "exceeds the field order cap" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-generic"]])
+def test_table_large_q_costs_only_the_rows_it_prints(capsys, table_draws, extra):
+    # the named families alone hold about 10^9 rows at q = 1009; table_draws
+    # fails a walk that draws more than 1000 pairs from one of them
+    tracemalloc.start()
+    try:
+        code, out, _ = _run(capsys, "table", "--q", "1009", "--max-rows", "5", *extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 6 and lines[0].startswith("q\tn\t")
+    assert all(line.startswith("1009\t1018082\t") for line in lines[1:])
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
+    assert list(table_draws) == ["q2plus1"] and len(table_draws["q2plus1"]) <= 5
 
 
 def test_table_negative_max_rows_exits_1(capsys):

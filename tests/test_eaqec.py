@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -257,20 +259,101 @@ def test_table_matches_full_walk_oracle(case):
     assert enumerate_table1(q, limits) == brute_table1(q, limits)
 
 
-def test_table_draws_generic_rows_only_as_needed(monkeypatch):
-    drawn = 0
-    generic_rows = eaqec._generic_rows
+def _rows_before_last(pairs) -> int:
+    """Rows of every pair but the last drawn: all of them were needed."""
+    return sum(k + 1 for _, k in pairs[:-1])
 
-    def counting(q):
-        nonlocal drawn
-        for row in generic_rows(q):
-            drawn += 1
-            assert drawn <= 10, "walked generic rows past max_rows"
-            yield row
 
-    monkeypatch.setattr(eaqec, "_generic_rows", counting)
-    rows = enumerate_table1(31, Table1Limits(max_rows=10))
-    assert len(rows) == 10 and drawn <= 10
+def test_table_draws_generic_rows_only_as_needed(request):
+    # at q = 32 every named row has n >= 403, so the first generic rows are new
+    named = len(enumerate_table1(32, Table1Limits(include_generic=False)))
+    drawn = request.getfixturevalue("table_draws")
+    rows = enumerate_table1(32, Table1Limits(max_rows=10))
+    assert len(rows) == 10 and "generic" not in drawn
+    rows = enumerate_table1(32, Table1Limits(max_rows=named + 10))
+    assert [r.families for r in rows[named:]] == [("generic",)] * 10
+    assert _rows_before_last(drawn["generic"]) < 10, "walked generic rows past max_rows"
+
+
+def test_table_draws_named_rows_only_as_needed(table_draws):
+    assert len(enumerate_table1(1009, Table1Limits(max_rows=5))) == 5
+    assert set(table_draws) == {"q2plus1"} and _rows_before_last(table_draws["q2plus1"]) < 5
+    # a limit ending inside coset-trim, the third family at q = 31
+    table_draws.clear()
+    first = sum(k + 1 for _, k in eaqec._q2plus1(31).pairs())
+    rows = enumerate_table1(31, Table1Limits(max_rows=first + 10, include_generic=False))
+    assert [r.families[0] for r in rows[first:]] == ["coset-trim"] * 10
+    assert set(table_draws) == {"q2plus1", "coset-trim"}
+    assert _rows_before_last(table_draws["coset-trim"]) < 10, "walked named rows past max_rows"
+
+
+MEMBERSHIP_QS = (3, 4, 5, 7, 8, 9, 11, 13, 23, 27, 31, 32)
+
+
+@functools.cache
+def _family_pairs(q: int) -> dict[str, tuple[list, set]]:
+    """Each family's pairs at q, generic included: the walk and its set."""
+    return {
+        family.name: (pairs := list(family.pairs()), set(pairs))
+        for family in eaqec._families(q, include_generic=True)
+    }
+
+
+def test_family_membership_is_exact_around_every_length():
+    names = set()
+    for q in MEMBERSHIP_QS:
+        for family in eaqec._families(q, include_generic=True):
+            pairs, members = _family_pairs(q)[family.name]
+            names.update([family.name] if pairs else [])
+            lengths = {n + dn for n, _ in pairs for dn in (-1, 0, 1)} | {q * q + 1, q * q + 2}
+            top = max((k for _, k in pairs), default=q) + 2
+            for n, k in itertools.product(lengths, range(-1, top + 1)):
+                assert family.has(n, k) == ((n, k) in members), (q, family.name, n, k)
+    # every family occurs at some q drawn here
+    assert names == {family.name for family in eaqec._families(3, include_generic=True)}
+
+
+def test_table_tags_are_every_family_holding_the_row():
+    for q in MEMBERSHIP_QS:
+        families = eaqec._families(q, include_generic=True)
+        for r in enumerate_table1(q, Table1Limits(include_generic=False)):
+            k = r.d - 1
+            assert r.params == (r.n, r.n - 2 * k + r.c, k + 1, r.c) and 0 <= r.c <= k
+            assert r.families + ("generic",) == tuple(
+                family.name for family in families if family.has(r.n, k)
+            ), (q, r.params)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_family_membership_matches_generator(data):
+    """Each closed-form test is exact on pairs of every family and their near misses."""
+    q = data.draw(st.sampled_from(MEMBERSHIP_QS))
+    walks = _family_pairs(q)
+    source = data.draw(st.sampled_from([pairs for pairs, _ in walks.values() if pairs]))
+    if data.draw(st.booleans()):
+        n, k = data.draw(st.sampled_from(source))
+    else:
+        n, k = data.draw(st.integers(-2, q * q + 3)), data.draw(st.integers(-2, q + 3))
+    for family in eaqec._families(q, include_generic=True):
+        _, members = walks[family.name]
+        for dn, dk in itertools.product((-1, 0, 1), repeat=2):
+            pair = (n + dn, k + dk)
+            assert family.has(*pair) == (pair in members), (q, family.name, pair)
+
+
+def test_params_record_is_an_immutable_value():
+    rec = claim(5, 26, 20, 4, 1, families=("q2plus1", "generic"))
+    with pytest.raises(AttributeError):
+        rec.d = 5
+    same = claim(5, 26, 20, 4, 1, families=("q2plus1", "generic"))
+    assert rec == same and hash(rec) == hash(same) and len({rec, same}) == 1
+    assert rec != claim(5, 26, 20, 4, 1)
+    assert list(rec.to_dict()) == [
+        "q", "n", "k_q", "d", "c", "gate", "mds", "families", "witnessed",
+        "witness_digest", "hull_dim",
+    ]
+    assert rec.params == (26, 20, 4, 1) and rec.to_dict()["families"] == ["q2plus1", "generic"]
 
 
 def test_verify_claim_examples(rs92):

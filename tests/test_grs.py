@@ -24,14 +24,20 @@ from hulldial.grs import (
     construct_family,
     full_field_rs,
     grs_generator,
-    norm_substituted_polys,
     solve_multipliers,
     subgroup_eval_set,
     subgroup_union_eval_set,
     trace_nonzero_eval_set,
 )
 from hulldial.matrix import null_space
-from oracles import brute_first_all_nonzero, gram_by_power_sums, twisted_inner
+from oracles import (
+    brute_first_all_nonzero,
+    gram_by_power_sums,
+    norm_substituted_polys,
+    orthogonality_system,
+    trace_nonzero_points,
+    twisted_inner,
+)
 
 
 def test_grs_spec_validation(gf9):
@@ -128,6 +134,19 @@ ORACLE_WALK = 20000  # largest q^nu the scalar oracle walks
 def _chunked_attempts(index: int, total: int) -> int:
     """Indices ruled out up to the end of the scan chunk holding ``index``."""
     return min((index - 1) // _CHUNK * _CHUNK + _CHUNK, total - 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_orthogonality_system_matches_scalar_oracle(data):
+    q = data.draw(st.sampled_from((2, 3, 4, 5, 7, 9, 32)))
+    field = make_quadratic_field(q)
+    k = data.draw(st.integers(1, min(q, 5)))
+    pts = data.draw(st.lists(st.integers(0, field.order - 1), unique=True, max_size=40))
+    problem = MultiplierProblem(field, tuple(pts), k, extended=data.draw(st.booleans()))
+    system = _orthogonality_system(problem).data
+    assert system.shape == (2 * k * k, len(pts) + problem.extended)
+    assert system.tolist() == orthogonality_system(problem)
 
 
 @st.composite
@@ -293,6 +312,16 @@ def test_trace_eval_sets(gf9):
         warnings.simplefilter("always")
         empty = trace_nonzero_eval_set(gf9, [0])
     assert empty == () and caught
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_trace_eval_set_matches_scalar_oracle(data):
+    field = make_quadratic_field(data.draw(st.sampled_from((2, 3, 4, 8, 37))))
+    g = data.draw(st.lists(st.integers(0, field.order - 1), max_size=6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # g + g^q may vanish everywhere
+        assert trace_nonzero_eval_set(field, g) == trace_nonzero_points(field, g)
 
 
 def test_norm_substituted_polys_shapes(gf9):
