@@ -14,11 +14,9 @@ from .errors import (
     BadPermutationError,
     BadTargetError,
     CapExceededError,
-    DimensionTooLargeError,
     DuplicateEvalPointsError,
     HulldialError,
     HullMismatchError,
-    LengthTooShortError,
     MalformedCodeError,
     NoSuchElementError,
     NotADivisorError,
@@ -49,7 +47,6 @@ from .code import (
     LinearCode,
     dual_min_distance,
     euclidean_dual,
-    galois_dual,
     hermitian_dual,
     hull,
     is_galois_self_orthogonal,
@@ -58,17 +55,13 @@ from .code import (
     min_distance,
     permute,
     scale,
-    shorten,
 )
 from .dial import (
     DialResult,
     arrange_p1_nonsingular,
     dial_galois_hull,
     dial_hull,
-    dual_block_generator,
     reduce_hull,
-    seeded_lambda_source,
-    verify_standard_form_gram,
 )
 from .grs import (
     GrsSpec,

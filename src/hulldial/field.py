@@ -363,14 +363,6 @@ class Field:
             )
         return tuple(found[i % len(found)] for i in range(count))
 
-    def find_norm_non_one(self, count: int) -> tuple[int, ...]:
-        """First ``count`` nonzero elements whose norm differs from 1.
-
-        For GF(4) (q = 2) every nonzero element has norm 1, so
-        NoSuchElementError is raised.
-        """
-        return self.find_power_non_one(self.subfield_order + 1, count)
-
     def norm_preimage(self, w: int) -> int:
         """First element v in canonical order with v^(q+1) = w.
 

@@ -50,15 +50,6 @@ class FieldMatrix:
     def identity(cls, field: Field, n: int) -> "FieldMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence[int]], cols: int | None = None):
-        rows = [list(r) for r in rows]
-        if not rows:
-            if cols is None:
-                raise ShapeMismatchError("empty matrix needs an explicit column count")
-            return cls(field, np.zeros((0, cols), dtype=np.int64))
-        return cls(field, rows)
-
     # -- basics ----------------------------------------------------------------
 
     @property
@@ -86,9 +77,6 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols} over GF({self.field.order}))"
-
-    def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        return matmul(self, other)
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.data[i])

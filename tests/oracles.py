@@ -129,6 +129,39 @@ def brute_hull_dim(code: LinearCode, kind: str = "hermitian", l: int | None = No
     return dim
 
 
+def weight_vector_inverse_conj(field: Field, v) -> tuple[int, ...]:
+    """Entrywise v -> v^(-q); conj(inv(x)) and inv(conj(x)) agree."""
+    return tuple(field.conj(field.inv(int(x))) for x in v)
+
+
+def dual_block_generator(arranged: LinearCode, v) -> list[list[int]]:
+    """The paper's block generator of the Hermitian dual of scale(arranged, v).
+
+    ``arranged`` is Hermitian self-orthogonal with generator (I_k | P1 | P2),
+    and ``v`` is all ones past its first k coordinates.  With
+    D = diag(v)^(-q) the rows are
+
+        [ D                  P1   P2         ]
+        [ -conj(P2)^T @ D    0    I_(n - 2k) ]
+
+    and rows k-h .. k-1 of the top block coincide with the scaled
+    generator's rows whenever v is 1 there.
+    """
+    field, k, n = arranged.field, arranged.k, arranged.n
+    rows = [arranged.gen.row(i) for i in range(k)]
+    assert all(row[:k] == tuple(int(i == j) for j in range(k)) for i, row in enumerate(rows))
+    assert len(v) == n and all(x == 1 for x in v[k:])
+    d = weight_vector_inverse_conj(field, v[:k])
+    top = [[d[i] if j == i else 0 for j in range(k)] + list(rows[i][k:]) for i in range(k)]
+    bottom = [
+        [field.neg(field.mul(field.conj(rows[j][2 * k + i]), d[j])) for j in range(k)]
+        + [0] * k
+        + [int(i == j) for j in range(n - 2 * k)]
+        for i in range(n - 2 * k)
+    ]
+    return top + bottom
+
+
 def laplace_det(field: Field, m: list[list[int]]) -> int:
     n = len(m)
     if n == 1:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from hulldial.field import make_field, make_quadratic_field
-from hulldial.matrix import FieldMatrix, conj_transpose, matmul, rank
+from hulldial.matrix import FieldMatrix, conj_transpose, matmul, rank, standard_form
 from hulldial.code import (
     LinearCode,
     hermitian_dual,
@@ -24,9 +24,8 @@ from hulldial.code import (
     is_hermitian_self_orthogonal,
     min_distance,
     scale,
-    weight_vector_inverse_conj,
 )
-from hulldial.dial import dial_hull, verify_standard_form_gram
+from hulldial.dial import dial_hull
 from hulldial.eaqec import eaqec_from_dial, eaqec_sweep, enumerate_table1
 from hulldial.grs import (
     MultiplierProblem,
@@ -34,7 +33,7 @@ from hulldial.grs import (
     full_field_rs,
     solve_multipliers,
 )
-from oracles import brute_hull_dim
+from oracles import brute_hull_dim, weight_vector_inverse_conj
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_counts.json"
 
@@ -71,8 +70,9 @@ def test_criterion_1_dial_exactness():
 def test_criterion_2_standard_form_gram(self_orthogonal_corpus):
     with criterion(2, "standard-form P satisfies P conj(P)^T = -I exactly"):
         for tag, code in self_orthogonal_corpus:
-            P = verify_standard_form_gram(code)  # raises unless bit-exact
             field = code.field
+            sf, _ = standard_form(code.gen)
+            P = FieldMatrix(field, sf.data[:, code.k :])
             gram = matmul(P, conj_transpose(P))
             neg_eye = np.vectorize(field.neg, otypes=[np.int64])(
                 np.eye(code.k, dtype=np.int64)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hulldial import cli
+from hulldial import cli, eaqec
 from hulldial.cli import main
 
 
@@ -136,6 +136,26 @@ def test_table_large_q_costs_only_the_rows_it_prints(capsys, table_draws, extra)
     assert all(line.startswith("1009\t1018082\t") for line in lines[1:])
     assert peak < 2 * 2**20, f"peak {peak} bytes"
     assert list(table_draws) == ["q2plus1"] and len(table_draws["q2plus1"]) <= 5
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-generic"], ["--max-rows", "1000000000"]])
+def test_table_stops_one_row_past_the_cap(capsys, monkeypatch, extra):
+    # without the cap, q = 1009 would build about 10^9 rows until memory ran out
+    monkeypatch.setattr(eaqec, "TABLE_ROW_CAP", 2000)
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "table", "--q", "1009", *extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert "q = 1009 table has over 2000 rows" in err
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
+
+
+def test_table_row_cap_holds_the_full_q16_table():
+    rows = eaqec.enumerate_table1(16)
+    assert len(rows) == 732_032 <= eaqec.TABLE_ROW_CAP
 
 
 def test_table_negative_max_rows_exits_1(capsys):

@@ -15,7 +15,7 @@ from hulldial.errors import (
 )
 from hulldial.field import make_field, make_quadratic_field
 from hulldial.grs import GrsSpec
-from hulldial.matrix import FieldMatrix, conj_transpose, row_space_contains, rref
+from hulldial.matrix import FieldMatrix, conj_transpose, row_space_contains, rref, standard_form
 from hulldial.code import (
     _CHUNK,
     SUPPORT_SEARCH_BUDGET,
@@ -24,7 +24,6 @@ from hulldial.code import (
     dual_of_kind,
     enumeration_cap,
     euclidean_dual,
-    galois_dual,
     gram_matrix,
     hermitian_dual,
     hull,
@@ -33,8 +32,6 @@ from hulldial.code import (
     min_distance,
     permute,
     scale,
-    shorten,
-    weight_vector_inverse_conj,
 )
 from oracles import (
     all_codewords,
@@ -42,6 +39,7 @@ from oracles import (
     brute_hull_dim,
     brute_min_distance,
     in_twisted_dual,
+    weight_vector_inverse_conj,
 )
 
 
@@ -79,10 +77,8 @@ def test_hermitian_dual_structure(gf9, rs92):
     assert hd.k == 7
     assert hermitian_dual(hd).same_code(rs92)
     # standard-form structural containment: rowspace(-conj(P)^T | I) in the dual
-    from hulldial.code import code_standard_form
-
-    sf, perm = code_standard_form(rs92)
-    P = FieldMatrix(gf9, sf.gen.data[:, 2:])
+    sf, perm = standard_form(rs92.gen)
+    P = FieldMatrix(gf9, sf.data[:, 2:])
     neg = np.vectorize(gf9.neg, otypes=[np.int64])
     block = np.hstack([neg(conj_transpose(P).data), np.eye(7, dtype=np.int64)])
     dual_of_sf = hermitian_dual(permute(rs92, perm))
@@ -95,11 +91,11 @@ def test_hermitian_dual_distance(rs92):
 
 
 def test_galois_dual_reductions(gf9, rs92):
-    assert galois_dual(rs92, 0).same_code(euclidean_dual(rs92))
-    assert galois_dual(rs92, 1).same_code(hermitian_dual(rs92))
-    assert galois_dual(rs92, 1).k == 7
+    assert dual_of_kind(rs92, "galois", 0).same_code(euclidean_dual(rs92))
+    assert dual_of_kind(rs92, "galois", 1).same_code(hermitian_dual(rs92))
+    assert dual_of_kind(rs92, "galois", 1).k == 7
     with pytest.raises(BadGaloisIndexError):
-        galois_dual(rs92, 2)
+        dual_of_kind(rs92, "galois", 2)
 
 
 @pytest.mark.parametrize("kind,l", [("euclidean", None), ("hermitian", None), ("galois", 1)])
@@ -217,9 +213,8 @@ def test_permute_examples(gf9, rs92):
     ident = list(range(9))
     assert permute(rs92, ident).same_code(rs92)
     perm = [8, 0, 1, 2, 3, 4, 5, 6, 7]
-    from hulldial.code import inverse_permutation
-
-    roundtrip = permute(permute(rs92, perm), inverse_permutation(perm))
+    inverse = sorted(range(9), key=perm.__getitem__)
+    roundtrip = permute(permute(rs92, perm), inverse)
     assert roundtrip.gen == rs92.gen
     assert min_distance(permute(rs92, perm)) == 8
 
@@ -410,21 +405,6 @@ def test_dual_min_distance_matches_minor_oracle(code):
     expected = brute_dual_distance(code)
     assert dual_min_distance(code, cap=1) == expected  # support search only
     assert dual_min_distance(code) == expected
-
-
-def test_shorten(gf9, rs92):
-    full = LinearCode.full(gf9, 4)
-    sh = shorten(full, 1)
-    assert (sh.n, sh.k) == (3, 3)
-    ones = LinearCode(gf9, [[1] * 7])
-    assert shorten(ones, 3).k == 0
-    sh92 = shorten(rs92, 4)
-    assert (sh92.n, sh92.k) == (8, 1)
-    # against brute enumeration
-    kept = {w[:4] + w[5:] for w in all_codewords(rs92) if w[4] == 0}
-    assert gf9.order**sh92.k == len(kept)
-    with pytest.raises(IndexError):
-        shorten(rs92, 9)
 
 
 def test_zero_code_round_trip(gf9):

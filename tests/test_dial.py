@@ -1,37 +1,68 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from hulldial.errors import (
-    BadTargetError,
-    DimensionTooLargeError,
-    NotSelfOrthogonalError,
-    SmallFieldError,
-)
+from hulldial.errors import BadTargetError, NotSelfOrthogonalError, SmallFieldError
 from hulldial.field import make_field, make_quadratic_field
-from hulldial.matrix import FieldMatrix, matmul, conj_transpose, rank, same_row_space
+from hulldial.matrix import (
+    FieldMatrix,
+    conj_transpose,
+    matmul,
+    rank,
+    same_row_space,
+    standard_form,
+)
 from hulldial.code import (
     LinearCode,
+    dual_min_distance,
     hermitian_dual,
     hull,
     is_galois_self_orthogonal,
     min_distance,
+    permute,
     scale,
 )
-from hulldial.dial import (
-    arrange_p1_nonsingular,
-    dial_galois_hull,
-    dial_hull,
-    dual_block_generator,
-    reduce_hull,
-    seeded_lambda_source,
-    verify_standard_form_gram,
-)
+from hulldial.dial import arrange_p1_nonsingular, dial_galois_hull, dial_hull, reduce_hull
 from hulldial.grs import MultiplierProblem, full_field_rs, solve_multipliers
-from oracles import brute_hull_dim
+from oracles import brute_hull_dim, dual_block_generator
+
+
+def _g83(gf9):
+    """An [8, 3] code over GF(9) that is not self-orthogonal; its hull has dimension 1."""
+    pts = list(range(1, 9))
+    return LinearCode(gf9, [[gf9.pow(a, i) for a in pts] for i in range(3)])
+
+
+def _check_scaled_down(c, res, start, target, distances):
+    """res is c with its hull scaled from dimension start down to target.
+
+    The constants are the first start - target elements of norm != 1 in
+    canonical order, on the leading coordinates; the output is the input
+    permuted and scaled by ``v``, so both distances, given for c as
+    ``distances``, are unchanged.  The brute-force hull and the message
+    enumeration run where they take well under a second.
+    """
+    field = c.field
+    m = start - target
+    qualifying = [a for a in range(1, field.order) if field.norm(a) != 1]
+    assert res.lambdas == tuple(qualifying[:m])
+    assert res.v == res.lambdas + (1,) * (c.n - m)
+    assert res.code.same_code(scale(permute(c, res.perm), res.v))
+    assert res.target_h == res.achieved_h == target
+    if field.order**c.k * c.n * c.k <= 4 * 10**4:
+        assert brute_hull_dim(res.code) == target
+    assert _distances(res.code) == distances
+
+
+def _distances(c):
+    """(d, dual d), with d None where the message space exceeds 10^5."""
+    d = min_distance(c) if c.field.order**c.k <= 10**5 else None
+    return d, dual_min_distance(c)
 
 
 def test_standard_form_gram_identity(rs92, gf9):
-    P = verify_standard_form_gram(rs92)
+    sf, _ = standard_form(rs92.gen)
+    P = FieldMatrix(gf9, sf.data[:, 2:])
     assert P.shape == (2, 7)
     gram = matmul(P, conj_transpose(P))
     neg = np.vectorize(gf9.neg, otypes=[np.int64])
@@ -40,37 +71,40 @@ def test_standard_form_gram_identity(rs92, gf9):
 
 
 def test_standard_form_gram_for_corpus(self_orthogonal_corpus):
+    # the arranged P = (P1 | P2) keeps P conj(P)^T = -I, and P1 is nonsingular
     for tag, code in self_orthogonal_corpus:
-        P = verify_standard_form_gram(code)
-        assert P.shape == (code.k, code.n - code.k), tag
-
-
-def test_standard_form_gram_rejections(gf9):
-    with pytest.raises(NotSelfOrthogonalError):
-        verify_standard_form_gram(LinearCode(gf9, [[1, 0]]))
-    zero = LinearCode.zero(gf9, 4)
-    assert verify_standard_form_gram(zero).shape == (0, 4)
-
-
-def test_dimension_too_large_is_reported(gf9):
-    # k > n/2 with a vanishing Gram is impossible for genuine inputs, but the
-    # dedicated error fires before any Gram inspection when k > n - k fails
-    big = LinearCode.full(gf9, 2)
-    with pytest.raises((NotSelfOrthogonalError, DimensionTooLargeError)):
-        verify_standard_form_gram(big)
+        arranged, _ = arrange_p1_nonsingular(code, code.gen)
+        field, k = code.field, code.k
+        P = FieldMatrix(field, arranged.gen.data[:, k:])
+        minus_identity = field.neg_array(np.eye(k, dtype=np.int64))
+        assert np.array_equal(matmul(P, conj_transpose(P)).data, minus_identity), tag
+        assert rank(FieldMatrix(field, P.data[:, :k])) == k, tag
 
 
 def test_arrange_p1(rs92, gf9):
-    arranged, perm = arrange_p1_nonsingular(rs92)
+    arranged, perm = arrange_p1_nonsingular(rs92, rs92.gen)
     k = rs92.k
     assert np.array_equal(arranged.gen.data[:, :k], np.eye(k, dtype=np.int64))
     p1 = FieldMatrix(gf9, arranged.gen.data[:, k : 2 * k])
     assert rank(p1) == k
     assert sorted(perm) == list(range(rs92.n))
+    assert arranged.same_code(permute(rs92, perm))
     # feeding the arranged code back gives the identity permutation
-    again, perm2 = arrange_p1_nonsingular(arranged)
+    again, perm2 = arrange_p1_nonsingular(arranged, arranged.gen)
     assert perm2 == tuple(range(rs92.n))
     assert again.gen == arranged.gen
+
+    # a hull basis smaller than k: the rows completing it vanish on its pivots
+    g83 = _g83(gf9)
+    basis = hull(g83).basis
+    h = basis.rows
+    arranged, perm = arrange_p1_nonsingular(g83, basis)
+    gen = arranged.gen.data
+    assert np.array_equal(gen[:h, :h], np.eye(h, dtype=np.int64))
+    assert not gen[h:, :h].any()
+    assert rank(FieldMatrix(gf9, gen[:h, h : 2 * h])) == h
+    assert arranged.same_code(permute(g83, perm))
+    assert same_row_space(FieldMatrix(gf9, gen[:h]), permute(LinearCode(gf9, basis), perm).gen)
 
 
 def test_arrange_p1_self_dual_case(gf9):
@@ -78,7 +112,7 @@ def test_arrange_p1_self_dual_case(gf9):
     res = solve_multipliers(MultiplierProblem(gf9, (0, 1), 1))
     assert res.found
     c = res.grs.code()
-    arranged, _ = arrange_p1_nonsingular(c)
+    arranged, _ = arrange_p1_nonsingular(c, c.gen)
     assert arranged.n == 2 * arranged.k
 
 
@@ -91,10 +125,10 @@ def test_dial_self_dual_length(gf9):
         out = dial_hull(c, h)
         assert out.achieved_h == h
         assert min_distance(out.code) == min_distance(c)
-    arranged, _ = arrange_p1_nonsingular(c)
-    lam = gf9.find_norm_non_one(1)
-    B = dual_block_generator(arranged, lam + (1,))
-    assert same_row_space(B, hermitian_dual(scale(arranged, lam + (1,))).gen)
+    arranged, _ = arrange_p1_nonsingular(c, c.gen)
+    v = gf9.find_power_non_one(3 + 1, 1) + (1,)
+    B = FieldMatrix(gf9, dual_block_generator(arranged, v))
+    assert same_row_space(B, hermitian_dual(scale(arranged, v)).gen)
 
 
 def test_dial_identity_case(rs92):
@@ -178,26 +212,18 @@ def test_dial_determinism(rs92):
     assert a.code.gen == b.code.gen and a.v == b.v and a.perm == b.perm
 
 
-def test_seeded_lambda_source(rs92, gf9):
-    src = seeded_lambda_source(42)
-    res = dial_hull(rs92, 0, lambda_source=src)
-    assert res.achieved_h == 0
-    again = dial_hull(rs92, 0, lambda_source=seeded_lambda_source(42))
-    assert res.v == again.v
-
-
 def test_dual_block_generator_mechanics(rs92, gf9):
-    arranged, _ = arrange_p1_nonsingular(rs92)
+    arranged, _ = arrange_p1_nonsingular(rs92, rs92.gen)
     for h in (0, 1):
         m = rs92.k - h
-        lambdas = gf9.find_norm_non_one(m)
+        lambdas = gf9.find_power_non_one(3 + 1, m)
         v = lambdas + (1,) * (rs92.n - m)
         B = dual_block_generator(arranged, v)
         dual = hermitian_dual(scale(arranged, v))
-        assert same_row_space(B, dual.gen)
+        assert same_row_space(FieldMatrix(gf9, B), dual.gen)
         scaled = scale(arranged, v)
         for i in range(rs92.k - h, rs92.k):
-            assert scaled.gen.row(i) == B.row(i)
+            assert scaled.gen.row(i) == tuple(B[i])
 
 
 def test_galois_dial_matches_hermitian(rs92):
@@ -216,8 +242,7 @@ def test_galois_dial_euclidean(gf9):
 
 
 def test_reduce_hull_identity_and_targets(gf9):
-    pts = list(range(1, 9))
-    g83 = LinearCode(gf9, [[gf9.pow(a, i) for a in pts] for i in range(3)])
+    g83 = _g83(gf9)
     m = hull(g83).dim
     assert m == 1
     same = reduce_hull(g83, m)
@@ -229,11 +254,42 @@ def test_reduce_hull_identity_and_targets(gf9):
         reduce_hull(g83, m + 1)
 
 
-def test_reduce_hull_equals_dial_on_self_orthogonal(rs92):
-    for h in (0, 1, 2):
-        r = reduce_hull(rs92, h)
-        d = dial_hull(rs92, h)
-        assert r.code.gen == d.code.gen and r.v == d.v and r.perm == d.perm
+def test_reduce_hull_equals_dial_on_self_orthogonal(self_orthogonal_corpus):
+    for tag, c in self_orthogonal_corpus:
+        distances = _distances(c)
+        for h in range(c.k + 1):
+            r = reduce_hull(c, h)
+            d = dial_hull(c, h)
+            assert r.code.gen == d.code.gen and r.v == d.v and r.perm == d.perm, (tag, h)
+            _check_scaled_down(c, d, c.k, h, distances)
+
+
+_FIELDS = {q: make_quadratic_field(q) for q in (3, 4, 5)}
+
+
+@st.composite
+def _codes_with_hull(draw):
+    """Random [n, k] codes over GF(9), GF(16) or GF(25) with a nonzero hull."""
+    field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, min(n, 3 if field.order < 25 else 2)))
+    entries = draw(st.lists(st.integers(0, field.order - 1), min_size=k * n, max_size=k * n))
+    gen = FieldMatrix(field, np.array(entries, dtype=np.int64).reshape(k, n))
+    assume(rank(gen) == k)
+    code = LinearCode(field, gen, check=False)
+    assume(hull(code).dim > 0)
+    return code
+
+
+@settings(
+    max_examples=40, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_codes_with_hull())
+def test_reduce_hull_reaches_every_target_exactly(code):
+    start, distances = hull(code).dim, _distances(code)
+    for target in range(start + 1):
+        _check_scaled_down(code, reduce_hull(code, target), start, target, distances)
 
 
 def test_reduce_hull_across_corpus_hulls(gf9, gf25):

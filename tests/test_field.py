@@ -128,7 +128,7 @@ def test_norm_fibers_have_size_q_plus_one(q):
 
 def test_find_norm_non_one_gf9():
     f = make_field(3, 2)
-    picks = f.find_norm_non_one(1)
+    picks = f.find_power_non_one(3 + 1, 1)
     assert picks == (4,)  # omega + 1 is the first qualifying element
     assert f.norm(picks[0]) != 1
 
@@ -136,12 +136,12 @@ def test_find_norm_non_one_gf9():
 def test_find_norm_non_one_gf4_fails():
     f = make_field(2, 2)
     with pytest.raises(NoSuchElementError):
-        f.find_norm_non_one(1)
+        f.find_power_non_one(2 + 1, 1)
 
 
 def test_find_norm_non_one_gf25_count():
     f = make_quadratic_field(5)
-    picks = f.find_norm_non_one(3)
+    picks = f.find_power_non_one(5 + 1, 3)
     assert len(picks) == 3
     assert all(f.norm(x) != 1 for x in picks)
 
@@ -149,7 +149,7 @@ def test_find_norm_non_one_gf25_count():
 def test_find_norm_non_one_cycles_when_exhausted():
     f = make_field(3, 2)
     qualifiers = [a for a in range(1, 9) if f.norm(a) != 1]
-    picks = f.find_norm_non_one(len(qualifiers) + 2)
+    picks = f.find_power_non_one(3 + 1, len(qualifiers) + 2)
     assert picks[: len(qualifiers)] == tuple(qualifiers)
     assert picks[len(qualifiers)] == qualifiers[0]
 
