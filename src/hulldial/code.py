@@ -35,7 +35,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import FIELD_ORDER_CAP, Field, ensure_same_field
+from .field import FIELD_ORDER_CAP, Field, digit_columns, ensure_same_field
 from .matrix import (
     FieldMatrix,
     batch_column_deficient,
@@ -283,16 +283,15 @@ def permute(c: LinearCode, perm: Sequence[int]) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 
-def _message_chunks(order: int, k: int, total: int) -> Iterator[np.ndarray]:
-    """Yield (chunk, k) arrays of base-`order` digit rows for messages 1..total-1."""
+def _message_chunks(field: Field, k: int, total: int) -> Iterator[FieldMatrix]:
+    """Yield (chunk, k) matrices whose rows are the messages 1..total-1, in base-order digits."""
     start = 1
     while start < total:
         stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, k), dtype=np.int64)
-        for j in range(k):
-            idx, digits[:, j] = np.divmod(idx, order)
-        yield digits
+        # no local keeps the digits alive beside their copy while the caller works
+        yield FieldMatrix(
+            field, digit_columns(np.arange(start, stop, dtype=np.int64), field.order, k)
+        )
         start = stop
 
 
@@ -310,13 +309,10 @@ def min_distance(c: LinearCode, cap: int | None = None) -> int:
         raise TooLargeToEnumerateError(
             f"{total} codewords exceed the enumeration cap {enumeration_cap(cap)}"
         )
-    G = c.gen.data
     best = c.n + 1
-    for digits in _message_chunks(field.order, c.k, total):
-        cw = np.zeros((digits.shape[0], c.n), dtype=np.int64)
-        for j in range(c.k):
-            cw = field.add_array(cw, field.mul_array(digits[:, j][:, None], G[j][None, :]))
-        best = min(best, int(np.count_nonzero(cw, axis=1).min()))
+    for messages in _message_chunks(field, c.k, total):
+        weights = np.count_nonzero(matmul(messages, c.gen).data, axis=1)
+        best = min(best, int(weights.min()))
     return best
 
 

@@ -181,6 +181,15 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     )  # pragma: no cover
 
 
+def digit_columns(values, base: int, width: int) -> np.ndarray:
+    """(len(values), width) array of each value's base-``base`` digits, least significant first."""
+    values = np.asarray(values, dtype=np.int64)
+    out = np.empty((values.size, width), dtype=np.int64)
+    for j in range(width):
+        values, out[:, j] = np.divmod(values, base)
+    return out
+
+
 def _lookup(fn, *shape):
     """fn evaluated at every index of a grid of that shape, then read back."""
     table = fn(*np.indices(shape, sparse=True))

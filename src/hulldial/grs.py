@@ -40,9 +40,9 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import Field
+from .field import Field, digit_columns
 from .code import LinearCode, is_hermitian_self_orthogonal, is_mds
-from .matrix import FieldMatrix, null_space
+from .matrix import FieldMatrix, matmul, null_space
 
 DEFAULT_SEED = 1
 
@@ -59,6 +59,15 @@ RANDOM_BUDGET = 10**5
 #: Longest code the solver takes on, since its dense null-space basis has
 #: up to n^2 entries: 32^2 + 1, the q2plus1 length over GF(32^2).
 MAX_SOLVER_LENGTH = 1025
+
+#: Most Horner work, (deg g + 1) times the field order, that evaluating a
+#: trace polynomial g at every field element may take.  A g of degree
+#: d < q gives g + g^q of degree dq, so a set within MAX_SOLVER_LENGTH
+#: needs dq >= q^2 - 1025, i.e. d >= q - 1 at q = 1024.  This budget
+#: allows deg g <= 1023 there (about 2 minutes, at 0.1 s per step over the
+#: 2^20 elements), deg g <= 4095 at q = 512 and every degree the family
+#: allows at q <= 128.
+HORNER_BUDGET = 2**30
 
 _CHUNK = 4096
 
@@ -172,6 +181,14 @@ def full_field_rs(field: Field, k: int) -> GrsSpec:
 # ---------------------------------------------------------------------------
 
 
+def _coefficients(g: Sequence[int]) -> list[int]:
+    """g's coefficients as ints, lowest degree first, without zero leading ones."""
+    coeffs = [int(c) for c in g]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     """Points x of GF(q^2) where g(x) + g(x)^q is nonzero.
 
@@ -179,12 +196,19 @@ def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     g + g^q vanishes on exactly q^2 - n points certifies that an
     [n, k] Hermitian self-orthogonal MDS code exists on the complement.
     The zero polynomial yields an empty set (returned with a warning).
-    g is evaluated at every element at once, by Horner steps on arrays.
+    g is evaluated at every element at once, by Horner steps on arrays;
+    their work is checked against ``HORNER_BUDGET`` before the first.
     """
+    coeffs = _coefficients(g)
+    if len(coeffs) * field.order > HORNER_BUDGET:
+        raise CapExceededError(
+            f"evaluating g of degree {len(coeffs) - 1} at {field.order} points takes "
+            f"{len(coeffs) * field.order} Horner steps, over the budget {HORNER_BUDGET}"
+        )
     xs = np.arange(field.order, dtype=np.int64)
     gx = np.zeros_like(xs)
-    for c in reversed(list(g)):
-        gx = field.add_array(field.mul_array(gx, xs), field._check(int(c)))
+    for c in reversed(coeffs):
+        gx = field.add_array(field.mul_array(gx, xs), field._check(c))
     points = tuple(np.flatnonzero(field.add_array(gx, field.conj_array(gx))).tolist())
     if not points:
         warnings.warn("g + g^q vanishes everywhere; evaluation set is empty", stacklevel=2)
@@ -304,14 +328,12 @@ def _all_nonzero_combination(
     if not np.array_equal(basis[:, free], np.eye(nu, dtype=np.int64)):
         raise VerificationFailedError("null-space basis is not the identity on its free columns")
     bound = np.setdiff1d(np.arange(ncols), free)
-    bound_rows = basis[:, bound]
+    bound_rows = FieldMatrix(field, basis[:, bound])
 
     def evaluate(digits: np.ndarray) -> tuple[int, np.ndarray] | None:
         """First row of all-nonzero digits whose combination has no zero entry."""
         coeff = subfield_els[digits]
-        w = field.mul_array(coeff[:, :1], bound_rows[:1])
-        for t in range(1, nu):
-            w = field.add_array(w, field.mul_array(coeff[:, t : t + 1], bound_rows[t : t + 1]))
+        w = matmul(FieldMatrix(field, coeff), bound_rows).data
         hits = np.flatnonzero(np.all(w != 0, axis=1))
         if not hits.size:
             return None
@@ -327,10 +349,7 @@ def _all_nonzero_combination(
         count = (q_sub - 1) ** nu
         for j0 in range(0, count, _CHUNK):
             rem = np.arange(j0, min(j0 + _CHUNK, count), dtype=np.int64)
-            digits = np.empty((len(rem), nu), dtype=np.int64)
-            for t in range(nu):
-                rem, digits[:, t] = np.divmod(rem, q_sub - 1)
-            digits += 1
+            digits = digit_columns(rem, q_sub - 1, nu) + 1
             idx = digits @ weights
             keep = idx < stop
             found = evaluate(digits[keep])
@@ -457,9 +476,7 @@ def construct_family(
             raise BadFamilyParamsError("trace-poly needs the polynomial g")
         if k > q - 1:
             raise BadFamilyParamsError(f"needs k <= q-1 = {q - 1}")
-        deg = len([c for c in g]) - 1
-        while deg >= 0 and int(g[deg]) == 0:
-            deg -= 1
+        deg = len(_coefficients(g)) - 1
         if deg > (q - k) * q - 1:
             raise BadFamilyParamsError(f"deg g = {deg} exceeds (q-k)q-1 = {(q - k) * q - 1}")
         pts = trace_nonzero_eval_set(field, g)

@@ -6,6 +6,12 @@ transpose are all exact; pivoting is positional (first nonzero entry
 top-to-bottom in the leftmost unscanned column), so every result is
 deterministic.  Matrices with zero rows are legal values and
 represent the zero subspace.
+
+Products go through one kernel, ``matmul``: a single ``mul_array`` gather
+forms the (rows, slice, cols) tensor of products a[i, t] * b[t, j] for a
+slice of the inner index t, and a pairwise tree of ``add_array`` calls
+sums it over t.  Slices hold at most ``_PRODUCT_BUDGET`` entries, so the
+memory a product needs does not grow with its inner dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from .field import Field, ensure_same_field
+from .field import Field, digit_columns, ensure_same_field
 
 
 class FieldMatrix:
@@ -41,6 +47,15 @@ class FieldMatrix:
         self.data = arr
 
     # -- construction -----------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field: Field, arr: np.ndarray) -> "FieldMatrix":
+        """Wrap a 2-D int64 array of valid entries as it is, without copying or scanning it."""
+        m = cls.__new__(cls)
+        arr.setflags(write=False)
+        m.field = field
+        m.data = arr
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
@@ -85,8 +100,8 @@ class FieldMatrix:
         return self.data.tolist()
 
     def to_dict(self) -> dict:
-        coeffs = [list(self.field.coeffs(int(x))) for x in self.data.reshape(-1)]
-        return {"rows": self.rows, "cols": self.cols, "entries": coeffs}
+        coeffs = digit_columns(self.data.reshape(-1), self.field.p, self.field.e)
+        return {"rows": self.rows, "cols": self.cols, "entries": coeffs.tolist()}
 
     @classmethod
     def from_dict(cls, field: Field, d: dict) -> "FieldMatrix":
@@ -146,16 +161,39 @@ def hstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 # ---------------------------------------------------------------------------
 
 
+#: Most entries of the product tensor that ``matmul`` forms at once.
+_PRODUCT_BUDGET = 1 << 16
+
+
 def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Matrix product over the shared field."""
+    """Matrix product over the shared field.
+
+    The inner index t is taken in slices of max(1, _PRODUCT_BUDGET //
+    (rows * cols)) values.  One ``mul_array`` call forms the (rows, slice,
+    cols) tensor of a slice's products, and halving it pairwise sums them
+    in ceil(log2(slice)) ``add_array`` calls; zero is the additive
+    identity, so the middle layer of an odd length is carried up a level
+    as it is.  One more ``add_array`` call adds each later slice's sum to
+    the first.  So the calls grow with inner only once it passes a slice,
+    and the tensor held at once never exceeds the budget, or one rows x
+    cols layer when that alone is larger.  The sums are valid entries by
+    construction, so the result is wrapped without re-validating it.
+    """
     ensure_same_field(a.field, b.field)
     if a.cols != b.rows:
         raise ShapeMismatchError(f"cannot multiply {a.shape} by {b.shape}")
     field = a.field
+    step = max(1, _PRODUCT_BUDGET // max(1, a.rows * b.cols))
     out = np.zeros((a.rows, b.cols), dtype=np.int64)
-    for t in range(a.cols):
-        out = field.add_array(out, field.mul_array(a.data[:, t][:, None], b.data[t, :][None, :]))
-    return FieldMatrix(field, out)
+    for s in range(0, a.cols, step):
+        t = field.mul_array(a.data[:, s : s + step, None], b.data[None, s : s + step, :])
+        while t.shape[1] > 1:
+            half = (t.shape[1] + 1) // 2
+            t[:, : t.shape[1] - half] = field.add_array(t[:, : t.shape[1] - half], t[:, half:])
+            t = t[:, :half]
+        out = t[:, 0] if s == 0 else field.add_array(out, t[:, 0])
+    # a view into the tensor would keep all of it alive
+    return FieldMatrix._trusted(field, np.ascontiguousarray(out))
 
 
 def transpose(m: FieldMatrix) -> FieldMatrix:
@@ -244,14 +282,11 @@ def null_space(m: FieldMatrix) -> FieldMatrix:
     """Basis (as rows) of {x : m @ x^T = 0}; cols - rank(m) rows."""
     field = m.field
     R, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for pr, pc in enumerate(pivots):
-            val = int(R.data[pr, fc])
-            if val:
-                basis[i, pc] = field.neg(val)
+    basis[range(len(free)), free] = 1
+    basis[:, list(pivots)] = field.neg_array(R.data[: len(pivots), free]).T
     return FieldMatrix(field, basis)
 
 

@@ -69,6 +69,18 @@ def poly_inv(field: Field, a: int) -> int:
     return poly_pow(field, a, field.order - 2)
 
 
+def poly_matmul(field: Field, a, b) -> list[list[int]]:
+    """a @ b for 2-D arrays of element codes, each entry summed term by term."""
+    (rows, inner), cols = a.shape, b.shape[1]
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for t in range(inner):
+                term = poly_mul(field, int(a[i, t]), int(b[t, j]))
+                out[i][j] = poly_add(field, out[i][j], term)
+    return out
+
+
 def codeword(field: Field, message, gen_rows) -> tuple[int, ...]:
     n = len(gen_rows[0]) if gen_rows else 0
     out = []

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -119,6 +120,18 @@ def test_hostile_field_size_exits_1(capsys):
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == ""
         assert "exceeds the field order cap" in err
+
+
+def test_trace_poly_horner_work_is_budgeted(capsys):
+    # deg g may reach (q - k)q - 1, about 10^6 at q = 1024, and each Horner
+    # step over the 2^20 field elements takes about 0.1 s
+    g = ",".join(["0"] * 100_000 + ["1"])
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "construct", "--q", "1024", "--family", "trace-poly",
+                          "--k", "1", "--g", g)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("hulldial: error: ") and err.count("\n") == 1 and "Horner" in err
 
 
 @pytest.mark.parametrize("extra", [[], ["--no-generic"]])

@@ -314,6 +314,36 @@ def test_trace_eval_sets(gf9):
     assert empty == () and caught
 
 
+def test_trace_eval_set_horner_budget(gf9, monkeypatch):
+    # the budget counts (deg g + 1) * order; zero leading coefficients are free
+    monkeypatch.setattr(grs, "HORNER_BUDGET", 2 * gf9.order)
+    assert trace_nonzero_eval_set(gf9, [0, 1, 0, 0]) == (1, 2, 4, 5, 7, 8)
+    with pytest.raises(CapExceededError, match="Horner"):
+        trace_nonzero_eval_set(gf9, [0, 0, 1])
+
+
+class _HornerStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("q, top", [(1024, 1023), (512, 4095), (128, 127 * 128 - 1)])
+def test_trace_eval_set_horner_budget_admits_useful_degrees(monkeypatch, q, top):
+    # a g of degree d < q leaves a set within the solver's length bound only if
+    # dq >= q^2 - 1025, so deg g = q - 1 must pass at every q; at q = 128 the
+    # family's whole degree range, up to (q - 1)q - 1, passes
+    field = make_quadratic_field(q)
+
+    def started(*args):
+        raise _HornerStarted
+
+    monkeypatch.setattr(field, "mul_array", started)
+    with pytest.raises(_HornerStarted):
+        trace_nonzero_eval_set(field, [0] * top + [1])
+    if q > 128:
+        with pytest.raises(CapExceededError, match="Horner"):
+            trace_nonzero_eval_set(field, [0] * (top + 1) + [1])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_trace_eval_set_matches_scalar_oracle(data):

@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hulldial.errors import (
     BadPermutationError,
@@ -8,7 +13,10 @@ from hulldial.errors import (
     ShapeMismatchError,
     SpecMismatchError,
 )
+from hulldial import matrix
+from hulldial.code import gram_matrix
 from hulldial.field import make_field, make_quadratic_field
+from hulldial.grs import full_field_rs
 from hulldial.matrix import (
     FieldMatrix,
     batch_column_deficient,
@@ -27,7 +35,7 @@ from hulldial.matrix import (
     transpose,
     vstack,
 )
-from oracles import minor_rank
+from oracles import minor_rank, poly_matmul
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +65,61 @@ def test_matmul_shape_and_spec_errors(gf9, gf3, gf25):
         matmul(FieldMatrix.zeros(gf9, 2, 3), FieldMatrix.zeros(gf9, 2, 3))
     with pytest.raises(SpecMismatchError):
         matmul(FieldMatrix.zeros(gf9, 2, 3), FieldMatrix.zeros(gf25, 3, 2))
+
+
+# p = 2 and odd p, on both sides of TABLE_LIMIT
+_MATMUL_FIELDS = [make_field(2, 2), make_field(3, 2), make_field(2, 8),
+                  make_quadratic_field(37), make_field(2, 12), make_quadratic_field(101)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(_MATMUL_FIELDS),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    # small budgets cut the inner axis into slices of every length
+    budget=st.sampled_from([1, 2, 3, 5, 8, 13, matrix._PRODUCT_BUDGET]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_matches_scalar_oracle(field, shape, budget, seed):
+    rows, inner, cols = shape
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, field.order, size=(rows, inner))
+    b = rng.integers(0, field.order, size=(inner, cols))
+    a[rng.random(a.shape) < 0.3] = 0
+    b[rng.random(b.shape) < 0.3] = 0
+    with mock.patch.object(matrix, "_PRODUCT_BUDGET", budget):
+        out = matmul(FieldMatrix(field, a), FieldMatrix(field, b))
+    assert out.shape == (rows, cols)
+    assert out.tolist() == poly_matmul(field, a, b)
+
+
+def test_matmul_memory_does_not_grow_with_the_inner_dimension():
+    # entries in the prime subfield GF(13), so plain integer products mod 13 check it
+    field = make_quadratic_field(13)
+    rng = np.random.default_rng(17)
+    a = FieldMatrix(field, rng.integers(0, 13, size=(3, 2**17)))
+    b = FieldMatrix(field, rng.integers(0, 13, size=(2**17, 3)))
+    matmul(a, b)  # builds the field's tables before tracing
+    tracemalloc.start()
+    try:
+        out = matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.data, a.data @ b.data % 13)
+    # the whole product tensor would take 3 * 2^17 * 3 * 8 bytes, about 9.4 MB
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
+
+
+def test_matmul_sums_the_inner_axis_in_logarithmic_calls(monkeypatch):
+    field = make_quadratic_field(13)
+    code = full_field_rs(field, 6).code()
+    calls = []
+    add_array = field.add_array
+    monkeypatch.setattr(field, "add_array", lambda a, b: calls.append(1) or add_array(a, b))
+    gram = gram_matrix(code)
+    assert not np.any(gram.data)  # the [169, 6] full-field code is self-orthogonal
+    assert 0 < len(calls) <= math.ceil(math.log2(code.n)) + 2
 
 
 def test_conj_transpose_examples(gf9):
@@ -141,6 +204,9 @@ def test_null_space_examples(gf3, gf9):
         if ns.rows:
             prod = matmul(m, transpose(ns))
             assert not np.any(prod.data)
+        # the identity on the free columns pins the basis down to the entry
+        free = [c for c in range(m.cols) if c not in rref(m)[1]]
+        assert np.array_equal(ns.data[:, free], np.eye(len(free), dtype=np.int64))
 
 
 def test_null_space_of_empty_matrix(gf9):
@@ -193,8 +259,13 @@ def test_stacking(gf9):
 
 def test_matrix_json_round_trip(gf9):
     rng = np.random.default_rng(9)
-    m = _random_matrix(gf9, rng, 2, 3)
-    assert FieldMatrix.from_dict(gf9, m.to_dict()) == m
+    for field in (gf9, make_field(2, 8), make_quadratic_field(37)):
+        m = _random_matrix(field, rng, 2, 3)
+        d = m.to_dict()
+        assert d["entries"] == [list(field.coeffs(x)) for x in m.data.reshape(-1).tolist()]
+        assert all(type(c) is int for entry in d["entries"] for c in entry)
+        assert FieldMatrix.from_dict(field, d) == m
+    assert FieldMatrix.zeros(gf9, 0, 3).to_dict() == {"rows": 0, "cols": 3, "entries": []}
 
 
 def test_frobenius_entrywise(gf9):
