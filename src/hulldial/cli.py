@@ -10,24 +10,26 @@ seed produce byte-identical output.  Exit codes: 0 success, 1 error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import HulldialError, MalformedCodeError
 from .field import make_quadratic_field
-from .code import LinearCode, enumeration_cap, hull, is_hermitian_self_orthogonal, min_distance
-from .dial import dial_galois_hull, dial_hull, reduce_hull
+from .code import LinearCode, enumeration_cap, hull, min_distance
+from .dial import _hermitian_dials, dial_galois_hull
 from .grs import DEFAULT_SEED, FAMILIES, construct_family
 from .eaqec import (
+    TSV_HEADER,
     EaqecParams,
     Table1Limits,
     claim,
     eaqec_from_dial,
     eaqec_sweep,
     enumerate_table1,
-    tsv_lines,
+    tsv_row,
     verify_claim,
 )
 
@@ -45,13 +47,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces in order to stdout, or atomically to ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     tmp = out + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     os.replace(tmp, out)
 
 
@@ -74,17 +77,27 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _records_text(records: list[EaqecParams], fmt: str) -> str:
+#: Lines per piece of TSV or pretty output: the text is never held whole.
+_LINE_BATCH = 4096
+
+
+def _pretty_row(r: EaqecParams) -> str:
+    mds = "gate-failed" if r.mds is None else ("MDS" if r.mds else "not MDS")
+    fam = ",".join(r.families) or "-"
+    return f"[[{r.n}, {r.k_q}, {r.d}, {r.c}]]_{r.q}  {mds}  family={fam}"
+
+
+def _records_text(records: list[EaqecParams], fmt: str) -> Iterator[str]:
+    """The records as text, in pieces of at most _LINE_BATCH lines."""
     if fmt == "json":
-        return _json_text([r.to_dict() for r in records])
+        yield _json_text([r.to_dict() for r in records])
+        return
     if fmt == "tsv":
-        return "\n".join(tsv_lines(records)) + "\n"
-    lines = []
-    for r in records:
-        mds = "gate-failed" if r.mds is None else ("MDS" if r.mds else "not MDS")
-        fam = ",".join(r.families) or "-"
-        lines.append(f"[[{r.n}, {r.k_q}, {r.d}, {r.c}]]_{r.q}  {mds}  family={fam}")
-    return "\n".join(lines) + "\n"
+        lines = itertools.chain([TSV_HEADER], map(tsv_row, records))
+    else:  # no records print as one empty line
+        lines = map(_pretty_row, records) if records else iter([""])
+    while batch := list(itertools.islice(lines, _LINE_BATCH)):
+        yield "\n".join(batch) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +126,7 @@ def _cmd_construct(args) -> int:
         "grs": result.grs.to_dict() if result.found else None,
         "code": result.grs.code().to_dict() if result.found else None,
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 
@@ -121,11 +134,9 @@ def _cmd_dial(args) -> int:
     code = _load_code(args.codefile)
     if args.galois_l is not None:
         result = dial_galois_hull(code, args.target, args.galois_l)
-    elif is_hermitian_self_orthogonal(code):
-        result = dial_hull(code, args.target)
     else:
-        result = reduce_hull(code, args.target)
-    _emit(_json_text(result.to_dict()), args.out)
+        (result,) = _hermitian_dials(code, [args.target])
+    _emit([_json_text(result.to_dict())], args.out)
     return EXIT_OK
 
 
@@ -153,7 +164,7 @@ def _cmd_verify(args) -> int:
     n, k_q, d, c = params
     witness = _load_code(args.witness) if args.witness else None
     verdict = verify_claim(claim(args.q, n, k_q, d, c), witness, cap=args.cap)
-    _emit(_json_text(verdict.to_dict()), args.out)
+    _emit([_json_text(verdict.to_dict())], args.out)
     return EXIT_OK
 
 
@@ -161,7 +172,7 @@ def _cmd_distance(args) -> int:
     code = _load_code(args.codefile)
     d = min_distance(code, cap=args.cap)
     payload = {"n": code.n, "k": code.k, "d": d, "mds": d == code.n - code.k + 1}
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 
@@ -174,7 +185,7 @@ def _cmd_hull(args) -> int:
         "dim": report.dim,
         "basis": report.basis.to_dict(),
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 

@@ -10,13 +10,15 @@ value, so the hull drops to exactly the target.
 
 dial_hull and dial_galois_hull start from a self-orthogonal code, whose
 hull is the whole code; reduce_hull starts from the measured hull of any
-code.  Each transform re-measures the hull of its output and refuses to
-return a result that misses the target.
+code.  One core serves them and the EAQEC sweep: one arrangement of the
+basis serves every target, and each output's hull dimension is measured
+on itself as k - rank(G sigma(G)^T); a missed target is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -29,12 +31,14 @@ from .errors import (
 )
 from .code import (
     LinearCode,
+    gram_matrix,
     hull,
     is_galois_self_orthogonal,
     is_hermitian_self_orthogonal,
     scale,
 )
-from .matrix import FieldMatrix, matmul, rref, standard_form
+from .field import digit_columns
+from .matrix import FieldMatrix, matmul, rank, rref, standard_form
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class DialResult:
     def to_dict(self) -> dict:
         return {
             "code": self.code.to_dict(),
-            "v": [list(self.code.field.coeffs(x)) for x in self.v],
+            "v": digit_columns(self.v, self.code.field.p, self.code.field.e).tolist(),
             "perm": list(self.perm),
             "target_h": self.target_h,
             "achieved_h": self.achieved_h,
@@ -100,29 +104,47 @@ def arrange_p1_nonsingular(
     )
 
 
+def _hull_dim(c: LinearCode, l: int | None) -> int:
+    """k - rank(G sigma(G)^T), the dimension hull() asserts (l None: Hermitian)."""
+    return c.k - rank(gram_matrix(c, l))
+
+
 def _scale_down(
-    c: LinearCode, basis: FieldMatrix, target: int, kind: str, l: int | None, exponent: int
-) -> DialResult:
-    """Scale c so that its hull, spanned by ``basis``, drops to ``target``."""
-    h = basis.rows
-    if not 0 <= target <= h:
-        raise BadTargetError(f"target hull dimension {target} outside [0, {h}]")
-    if target == h:
-        # Already verified: dial_hull and dial_galois_hull ran their
-        # self-orthogonality gate, and a zero Gram matrix means the hull
-        # dimension is exactly k; reduce_hull measured h just now.
-        return DialResult(c, (1,) * c.n, tuple(range(c.n)), target, h, ())
-    if kind == "hermitian" and c.field.subfield_order == 2:
-        raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
-    m = h - target
-    arranged, perm = arrange_p1_nonsingular(c, basis)
-    lambdas = c.field.find_power_non_one(exponent, m)
-    v = lambdas + (1,) * (c.n - m)
-    out = scale(arranged, v)
-    achieved = hull(out, kind, l).dim
-    if achieved != target:
-        raise VerificationFailedError(f"scaling reached hull dimension {achieved}, wanted {target}")
-    return DialResult(out, v, perm, target, achieved, lambdas)
+    c: LinearCode, basis: FieldMatrix, targets: Iterable[int], l: int | None, exponent: int
+) -> list[DialResult]:
+    """Scale c so that its hull, spanned by ``basis``, drops to each target in turn.
+
+    Target t takes the first h - t of one prefix-stable run of constants.
+    """
+    h, n = basis.rows, c.n
+    targets = list(targets)
+    for target in targets:
+        if not 0 <= target <= h:
+            raise BadTargetError(f"target hull dimension {target} outside [0, {h}]")
+    most = h - min(targets, default=h)
+    if most:
+        if l is None and c.field.subfield_order == 2:
+            raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
+        arranged, perm = arrange_p1_nonsingular(c, basis)
+        constants = c.field.find_power_non_one(exponent, most)
+    results = []
+    for target in targets:
+        if target == h:
+            # Already verified: dial_hull and dial_galois_hull ran their
+            # self-orthogonality gate, and a zero Gram matrix means the hull
+            # dimension is exactly k; reduce_hull measured h just now.
+            results.append(DialResult(c, (1,) * n, tuple(range(n)), target, h, ()))
+            continue
+        lambdas = constants[: h - target]
+        v = lambdas + (1,) * (n - len(lambdas))
+        out = scale(arranged, v)
+        achieved = _hull_dim(out, l)
+        if achieved != target:
+            raise VerificationFailedError(
+                f"scaling reached hull dimension {achieved}, wanted {target}"
+            )
+        results.append(DialResult(out, v, perm, target, achieved, lambdas))
+    return results
 
 
 def dial_hull(c: LinearCode, h: int) -> DialResult:
@@ -135,7 +157,7 @@ def dial_hull(c: LinearCode, h: int) -> DialResult:
     """
     if not is_hermitian_self_orthogonal(c):
         raise NotSelfOrthogonalError("dial_hull needs a Hermitian self-orthogonal code")
-    return _scale_down(c, c.gen, h, "hermitian", None, c.field.subfield_order + 1)
+    return _scale_down(c, c.gen, [h], None, c.field.subfield_order + 1)[0]
 
 
 def dial_galois_hull(c: LinearCode, h: int, l: int) -> DialResult:
@@ -147,7 +169,7 @@ def dial_galois_hull(c: LinearCode, h: int, l: int) -> DialResult:
     """
     if not is_galois_self_orthogonal(c, l):
         raise NotSelfOrthogonalError(f"dial_galois_hull needs C inside its {l}-Galois dual")
-    return _scale_down(c, c.gen, h, "galois", l, c.field.p**l + 1)
+    return _scale_down(c, c.gen, [h], l, c.field.p**l + 1)[0]
 
 
 def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
@@ -158,6 +180,14 @@ def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
     place of the whole code.  On a self-orthogonal code the two give the
     same result.
     """
-    return _scale_down(
-        c, hull(c, "hermitian").basis, l_prime, "hermitian", None, c.field.subfield_order + 1
-    )
+    basis = hull(c, "hermitian").basis
+    return _scale_down(c, basis, [l_prime], None, c.field.subfield_order + 1)[0]
+
+
+def _hermitian_dials(c: LinearCode, targets: Iterable[int] | None = None) -> list[DialResult]:
+    """dial_hull's result for each target if c is Hermitian self-orthogonal,
+    else reduce_hull's; by default every target from 0 to the hull dimension."""
+    basis = c.gen if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").basis
+    if targets is None:
+        targets = range(basis.rows + 1)
+    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1)

@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     BadFieldError,
@@ -42,7 +42,7 @@ from .code import (
     is_hermitian_self_orthogonal,
     min_distance,
 )
-from .dial import dial_hull, reduce_hull
+from .dial import _hermitian_dials
 
 
 def _divisors(n: int) -> list[int]:
@@ -127,21 +127,9 @@ def tsv_row(rec: EaqecParams) -> str:
     return f"{q}\t{n}\t{k_q}\t{d}\t{c}\t{fam}\t{wit}\t{mds}\t{gate}"
 
 
-def tsv_lines(records: Iterable[EaqecParams]) -> list[str]:
-    return [TSV_HEADER] + [tsv_row(r) for r in records]
-
-
 # ---------------------------------------------------------------------------
 # witnessed derivations
 # ---------------------------------------------------------------------------
-
-
-def _measured_hull_dim(c: LinearCode, asserted: int | None) -> int:
-    """Fresh Hermitian hull dimension; an asserted value is only cross-checked."""
-    h = hull(c, "hermitian").dim
-    if asserted is not None and asserted != h:
-        raise HullMismatchError(f"asserted hull dim {asserted}, measured {h}")
-    return h
 
 
 def _assisted_record(c: LinearCode, h: int, dd: int, digest: str) -> EaqecParams:
@@ -161,7 +149,9 @@ def eaqec_from_code(
     cross-checked (HullMismatchError on disagreement).  Distances are exact:
     d from the code, the dual distance from its Hermitian dual.
     """
-    h = _measured_hull_dim(c, use_hull_dim)
+    h = hull(c, "hermitian").dim
+    if use_hull_dim is not None and use_hull_dim != h:
+        raise HullMismatchError(f"asserted hull dim {use_hull_dim}, measured {h}")
     d = min_distance(c, cap)
     dd = dual_min_distance(c, cap)
     digest = witness_digest(c)
@@ -172,18 +162,6 @@ def eaqec_from_code(
     return first, _assisted_record(c, h, dd, digest)
 
 
-def _dialed_code(c: LinearCode, l: int) -> LinearCode:
-    if l < 0:
-        raise BadTargetError("l must be nonnegative")
-    dial = dial_hull if is_hermitian_self_orthogonal(c) else reduce_hull
-    return dial(c, l).code
-
-
-def _dialed_record(dialed: LinearCode, l: int, dd: int) -> EaqecParams:
-    h = _measured_hull_dim(dialed, l)
-    return _assisted_record(dialed, h, dd, witness_digest(dialed))
-
-
 def eaqec_from_dial(c: LinearCode, l: int, cap: int | None = None) -> EaqecParams:
     """Dial the hull of c down to l and derive [[n, n-k-l, d_dual, k-l]]_q.
 
@@ -191,22 +169,26 @@ def eaqec_from_dial(c: LinearCode, l: int, cap: int | None = None) -> EaqecParam
     l up to their measured hull dimension.  Only the dual distance is
     measured, since the record does not carry d.
     """
-    dialed = _dialed_code(c, l)
-    return _dialed_record(dialed, l, dual_min_distance(dialed, cap))
+    if l < 0:
+        raise BadTargetError("l must be nonnegative")
+    (res,) = _hermitian_dials(c, [l])
+    dd = dual_min_distance(res.code, cap)
+    return _assisted_record(res.code, res.achieved_h, dd, witness_digest(res.code))
 
 
 def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
     """All records for l = 0 .. hull ceiling (k for self-orthogonal inputs).
 
-    Every dialed code is the input with its coordinates permuted and scaled
-    by nonzero constants, which preserves the dual distance, so it is
-    measured once, on the input.  Each record gets a fresh hull
-    measurement and its own witness digest.
+    One self-orthogonality check (or, failing it, one hull measurement)
+    picks the basis, and one arrangement of it serves every l.  Each dialed
+    code has its hull dimension measured by Gram rank on itself, and gets
+    its own witness digest.  Every dialed code is the input with its
+    coordinates permuted and scaled by nonzero constants, which preserves
+    the dual distance, so it is measured once, on the input.
     """
-    top = c.k if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").dim
-    dialed = [_dialed_code(c, l) for l in range(top + 1)]
+    dials = _hermitian_dials(c)
     dd = dual_min_distance(c, cap)
-    return [_dialed_record(code, l, dd) for l, code in enumerate(dialed)]
+    return [_assisted_record(r.code, r.achieved_h, dd, witness_digest(r.code)) for r in dials]
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,11 @@ class GrsSpec:
         return grs_generator(self)
 
     def to_dict(self) -> dict:
-        f = self.field
+        f, split = self.field, len(self.eval_points)
+        digits = digit_columns(self.eval_points + self.multipliers, f.p, f.e).tolist()
         return {
-            "eval_points": [list(f.coeffs(a)) for a in self.eval_points],
-            "multipliers": [list(f.coeffs(v)) for v in self.multipliers],
+            "eval_points": digits[:split],
+            "multipliers": digits[split:],
             "k": self.k,
             "extended": self.extended,
         }

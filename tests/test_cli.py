@@ -333,6 +333,39 @@ def test_golden_cli_bytes(capsys, name, tag, argv):
     assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("tag,argv", [
+    ("q8_full", ["--q", "8"]),
+    ("q9_rows300", ["--q", "9", "--max-rows", "300", "--format", "pretty"]),
+    ("q9_nogeneric", ["--q", "9", "--no-generic", "--format", "pretty"]),
+])
+def test_table_text_is_written_in_line_batches(capsys, monkeypatch, tmp_path, tag, argv):
+    # the text is never formatted whole; its pieces still add up to the golden bytes
+    monkeypatch.setattr(cli, "_LINE_BATCH", 7)
+    pieces = []
+    emit = cli._emit
+
+    def recording(texts, out):
+        texts = list(texts)
+        pieces.append(texts)
+        emit(texts, out)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    golden = (GOLDEN_CLI / f"table_{tag}.{'pretty' if 'pretty' in argv else 'tsv'}").read_bytes()
+    out = tmp_path / "table.txt"
+    assert _run(capsys, "table", *argv)[1].encode() == golden
+    assert _run(capsys, "table", *argv, "--out", str(out))[1] == ""
+    assert out.read_bytes() == golden and not (tmp_path / "table.txt.tmp").exists()
+    assert pieces[0] == pieces[1] and len(pieces[0]) == -(-golden.count(b"\n") // 7)
+    assert all(piece.count("\n") <= 7 for piece in pieces[0])
+
+
+def test_empty_table_text(capsys):
+    header = "q\tn\tk_q\td\tc\tfamily\twitnessed\tmds\tgate\n"
+    assert _run(capsys, "table", "--q", "3", "--max-rows", "0")[1] == header
+    assert _run(capsys, "table", "--q", "3", "--max-rows", "0", "--format", "pretty")[1] == "\n"
+    assert _run(capsys, "table", "--q", "3", "--max-rows", "0", "--format", "json")[1] == "[]\n"
+
+
 # Malformed code files: every path of the code JSON layout with the JSON
 # type it needs.  Each mutation below leaves a file that is not a code.
 _LAYOUT = {

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from hulldial.errors import BadTargetError, NotSelfOrthogonalError, SmallFieldError
-from hulldial.field import make_field, make_quadratic_field
+from hulldial import dial
+from hulldial.eaqec import eaqec_sweep
+from hulldial.errors import (
+    BadTargetError,
+    NotSelfOrthogonalError,
+    SmallFieldError,
+    VerificationFailedError,
+)
+from hulldial.field import Field, make_field, make_quadratic_field
 from hulldial.matrix import (
     FieldMatrix,
     conj_transpose,
@@ -22,7 +29,13 @@ from hulldial.code import (
     permute,
     scale,
 )
-from hulldial.dial import arrange_p1_nonsingular, dial_galois_hull, dial_hull, reduce_hull
+from hulldial.dial import (
+    _hull_dim,
+    arrange_p1_nonsingular,
+    dial_galois_hull,
+    dial_hull,
+    reduce_hull,
+)
 from hulldial.grs import MultiplierProblem, full_field_rs, solve_multipliers
 from oracles import brute_hull_dim, dual_block_generator
 
@@ -318,3 +331,66 @@ def test_dial_result_serialization(rs92):
     assert set(d) == {"code", "v", "perm", "target_h", "achieved_h"}
     assert d["achieved_h"] == 1
     assert len(d["v"]) == 9 and all(len(c) == 2 for c in d["v"])
+
+
+@settings(
+    max_examples=40, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(st.data())
+def test_gram_rank_hull_dim_matches_brute_force(data):
+    # the dial's check measures k - rank(G sigma(G)^T); count the hull instead
+    field = _FIELDS[data.draw(st.sampled_from(sorted(_FIELDS)))]
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, min(n, 2)))
+    entries = data.draw(st.lists(st.integers(0, field.order - 1), min_size=k * n, max_size=k * n))
+    gen = FieldMatrix(field, np.array(entries, dtype=np.int64).reshape(k, n))
+    assume(rank(gen) == k)
+    code = LinearCode(field, gen, check=False)
+    cases = [("hermitian", None, None), ("euclidean", None, 0)]
+    cases += [("galois", l, l) for l in range(field.e)]
+    for kind, l, index in cases:
+        assert _hull_dim(code, index) == brute_hull_dim(code, kind, l) == hull(code, kind, l).dim
+
+
+def _dials(code):
+    """Every strictly lower target of each single-target transform, and the sweep."""
+    k = code.k
+    for h in range(k):
+        yield lambda: dial_hull(code, h)
+        yield lambda: reduce_hull(code, h)
+        yield lambda: dial_galois_hull(code, h, code.field.e // 2)
+    yield lambda: eaqec_sweep(code)
+
+
+def test_norm_one_constants_are_refused(monkeypatch, self_orthogonal_corpus):
+    # constants with x^e = 1 leave every Gram entry as it was: the hull
+    # does not drop, and the Gram-rank check must notice
+    def norm_one(self, exponent, count):
+        return tuple(x for x in range(1, self.order) if self.pow(x, exponent) == 1)[:1] * count
+
+    monkeypatch.setattr(Field, "find_power_non_one", norm_one)
+    for tag, code in self_orthogonal_corpus:
+        for run in _dials(code):
+            with pytest.raises(VerificationFailedError):
+                run()
+
+
+@pytest.mark.parametrize("unit", [1, 2])
+def test_corrupted_output_entry_is_refused(monkeypatch, self_orthogonal_corpus, unit):
+    # putting back a norm-1 entry (the first such unit, or the second) in
+    # place of the first scaled coordinate of row 0 makes that row
+    # self-orthogonal again: the hull of the returned code is one too big
+    def corrupted(c, v):
+        out = scale(c, v)
+        data = out.gen.data.copy()
+        field = c.field
+        exponent = field.subfield_order + 1
+        data[0, 0] = [x for x in range(1, field.order) if field.pow(x, exponent) == 1][unit - 1]
+        return LinearCode(field, FieldMatrix(field, data), check=False)
+
+    monkeypatch.setattr(dial, "scale", corrupted)
+    for tag, code in self_orthogonal_corpus:
+        for run in _dials(code):
+            with pytest.raises(VerificationFailedError):
+                run()

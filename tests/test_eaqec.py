@@ -1,12 +1,14 @@
+import collections
 import functools
 import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from hulldial import eaqec
+from hulldial import code as code_module, dial, eaqec
 from hulldial.errors import (
     BadFieldError,
     BadTargetError,
@@ -21,10 +23,13 @@ from hulldial.code import (
     hull,
     is_hermitian_self_orthogonal,
     min_distance,
+    permute,
+    scale,
 )
 from hulldial.dial import dial_hull, reduce_hull
 from hulldial.grs import full_field_rs
 from hulldial.eaqec import (
+    TSV_HEADER,
     EaqecParams,
     Table1Limits,
     claim,
@@ -34,9 +39,11 @@ from hulldial.eaqec import (
     eaqec_sweep,
     enumerate_table1,
     qecc_from_self_orthogonal,
-    tsv_lines,
+    tsv_row,
     verify_claim,
+    witness_digest,
 )
+from hulldial.matrix import FieldMatrix, rank
 
 from oracles import brute_table1, brute_table1_tags
 
@@ -121,6 +128,112 @@ def test_dialing_preserves_both_distances(make_code):
     for l, (out, rec) in enumerate(zip(dialed, records)):
         assert (min_distance(out), dual_min_distance(out)) == (d, dd), l
         assert (rec.d, rec.hull_dim, rec.c) == (dd, l, code.k - l)
+
+
+_FIELDS = {q: make_quadratic_field(q) for q in (3, 4, 5)}
+
+
+@st.composite
+def _equivalent_full_field_codes(draw):
+    """A full-field code, q in {3, 4, 5}, with its columns permuted and
+    scaled by norm-1 elements: still Hermitian self-orthogonal."""
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    field = _FIELDS[q]
+    code = full_field_rs(field, draw(st.integers(1, min(q - 1, 3)))).code()
+    units = [x for x in range(1, field.order) if field.pow(x, q + 1) == 1]
+    perm = draw(st.permutations(range(code.n)))
+    scales = draw(st.lists(st.sampled_from(units), min_size=code.n, max_size=code.n))
+    return scale(permute(code, perm), scales)
+
+
+@st.composite
+def _codes_with_hull(draw):
+    """A random [n, k] code that is not self-orthogonal, with a nonzero hull."""
+    field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, min(n - 1, 3)))
+    entries = draw(st.lists(st.integers(0, field.order - 1), min_size=k * n, max_size=k * n))
+    gen = FieldMatrix(field, np.array(entries, dtype=np.int64).reshape(k, n))
+    assume(rank(gen) == k)
+    code = LinearCode(field, gen, check=False)
+    assume(not is_hermitian_self_orthogonal(code) and hull(code).dim > 0)
+    return code
+
+
+def _sweep_codes(monkeypatch, code):
+    """eaqec_sweep(code) and the dialed code behind each record, in order."""
+    codes = []
+
+    def digest(c):
+        codes.append(c)
+        return witness_digest(c)
+
+    with monkeypatch.context() as m:
+        m.setattr(eaqec, "witness_digest", digest)
+        records = eaqec_sweep(code)
+    return records, codes
+
+
+def _check_sweep_matches_single_targets(monkeypatch, code, single):
+    records, codes = _sweep_codes(monkeypatch, code)
+    for l, (rec, out) in enumerate(zip(records, codes, strict=True)):
+        assert rec == eaqec_from_dial(code, l), l
+        alone = single(code, l).code
+        assert out.gen.shape == alone.gen.shape
+        assert out.gen.data.tobytes() == alone.gen.data.tobytes()
+        assert rec.witness_digest == witness_digest(alone)
+    return records
+
+
+_SWEEP_SETTINGS = settings(
+    max_examples=25, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                           HealthCheck.function_scoped_fixture],
+)
+
+
+@_SWEEP_SETTINGS
+@given(_equivalent_full_field_codes())
+def test_sweep_matches_dial_hull_for_every_target(monkeypatch, code):
+    records = _check_sweep_matches_single_targets(monkeypatch, code, dial_hull)
+    assert len(records) == code.k + 1
+
+
+@_SWEEP_SETTINGS
+@given(_codes_with_hull())
+def test_sweep_matches_reduce_hull_for_every_target(monkeypatch, code):
+    records = _check_sweep_matches_single_targets(monkeypatch, code, reduce_hull)
+    assert len(records) == hull(code).dim + 1
+
+
+def _counting(monkeypatch, module, name, counts, code):
+    """Count the calls of module.name whose first argument is ``code``."""
+    original = getattr(module, name)
+
+    def wrapper(c, *args, **kwargs):
+        counts[name] += c is code
+        return original(c, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("self_orthogonal", [True, False], ids=["dial", "reduce"])
+def test_sweep_arranges_once_and_checks_its_input_once(monkeypatch, gf9, self_orthogonal):
+    if self_orthogonal:
+        code = full_field_rs(make_quadratic_field(4), 3).code()
+    else:
+        code = LinearCode(gf9, [[gf9.pow(a, i) for a in range(1, 9)] for i in range(3)])
+    counts = collections.Counter()
+    for module, name in ((dial, "arrange_p1_nonsingular"), (dial, "hull"),
+                         (code_module, "gram_matrix"), (dial, "gram_matrix")):
+        _counting(monkeypatch, module, name, counts, code)
+    records = eaqec_sweep(code)
+    assert len(records) == (code.k + 1 if self_orthogonal else 2)
+    # one Gram check of the input, and (failing it) one hull measurement;
+    # the dialed codes are measured on themselves
+    assert counts == collections.Counter(
+        arrange_p1_nonsingular=1, gram_matrix=1, hull=0 if self_orthogonal else 1
+    )
 
 
 def test_sweep_singleton_law_across_corpus(self_orthogonal_corpus):
@@ -384,7 +497,7 @@ def test_verify_claim_propagates_programming_errors(monkeypatch, rs92):
 
 
 def test_tsv_shape(rs92):
-    lines = tsv_lines(eaqec_sweep(rs92))
+    lines = [TSV_HEADER] + [tsv_row(r) for r in eaqec_sweep(rs92)]
     assert lines[0].split("\t") == ["q", "n", "k_q", "d", "c", "family", "witnessed", "mds", "gate"]
     assert len(lines) == 4
     assert all(len(line.split("\t")) == 9 for line in lines)

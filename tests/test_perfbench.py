@@ -49,3 +49,27 @@ def test_workloads_resolve_on_hulldial():
     assert imported
     for module, name in imported:
         assert _resolves(module, name), (module, name)
+
+
+TRACER = WORKLOADS.parent / "tracer.py"
+
+#: Traced names that are gone on purpose: hulls now come from one Gram
+#: matrix, not from intersecting two row spaces.
+RETIRED = {("matrix", "intersect_row_spaces")}
+
+
+def test_traced_layers_resolve_on_hulldial():
+    # a traced name that no longer resolves would read 0 in its layer row
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {(module, attr) for _, module, attr, _ in tracer.FUNCTIONS}
+    assert ("dial", "arrange_p1_nonsingular") in traced
+    missing = {
+        (module, attr)
+        for module, attr in traced
+        if not hasattr(importlib.import_module(f"hulldial.{module}"), attr)
+    }
+    assert missing == RETIRED
+    methods = {attr for _, attr, _ in tracer.FIELD_METHODS}
+    assert sorted(m for m in methods if not hasattr(hd.Field, m)) == []
