@@ -144,8 +144,9 @@ class LinearCode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearCode":
-        """Load the to_dict layout.  Keys, JSON types and sizes (n at most
-        MAX_CODE_LENGTH) are checked before any entry is converted."""
+        """Load the to_dict layout.  Keys, JSON types, sizes (n at most
+        MAX_CODE_LENGTH) and coefficient ranges [0, p) are checked before any
+        entry is converted."""
         spec, gen = _json_value(d, "field", dict), _json_value(d, "generator", dict)
         n, k = _json_value(d, "n", int), _json_value(d, "k", int)
         rows, cols = _json_value(gen, "rows", int), _json_value(gen, "cols", int)
@@ -158,7 +159,10 @@ class LinearCode:
         arrays = (modulus, *entries)
         if not all(type(cs) is list and all(type(x) is int for x in cs) for cs in arrays):
             raise MalformedCodeError("coefficient arrays must be lists of integers")
-        field = Field(_json_value(spec, "p", int), _json_value(spec, "e", int), modulus)
+        p = _json_value(spec, "p", int)
+        if not all(0 <= x < p for cs in arrays for x in cs):
+            raise MalformedCodeError(f"coefficients must lie in [0, p) = [0, {p})")
+        field = Field(p, _json_value(spec, "e", int), modulus)
         return cls(field, FieldMatrix.from_dict(field, gen))
 
 

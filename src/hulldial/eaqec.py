@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadFieldError,
@@ -43,6 +43,7 @@ from .code import (
     min_distance,
 )
 from .dial import _hermitian_dials
+from .grs import _even_subgroup_bound
 
 
 def _divisors(n: int) -> list[int]:
@@ -249,6 +250,9 @@ class _Family(NamedTuple):
     ``pairs()`` yields its (n, k) pairs in emission order; pair (n, k)
     stands for the rows (n, n-k-h, k+1, k-h), h = 0..k.  ``has(n, k)`` is
     true exactly on the pairs ``pairs()`` yields, decided in closed form.
+    Every family but coset-trim is one length-and-dimension rule (see
+    _ranged), which gives both.  Coset-trim walks k-major within each t,
+    with n falling as u rises, and the table's row order follows that walk.
     """
 
     name: str
@@ -256,29 +260,32 @@ class _Family(NamedTuple):
     has: Callable[[int, int], bool]
 
 
-def _q2plus1(q: int) -> _Family:
-    """Length q^2 + 1, any k <= q except q - 1."""
-    n = q * q + 1
+def _ranged(name: str, lengths: Collection[int], dims: Callable[[int], Sequence[int]]) -> _Family:
+    """The pairs with n in ``lengths``, in order, and k in ``dims(n)``, ascending.
+
+    ``lengths`` is a range, a dict or a short list, and ``dims(n)`` a range
+    or a list built once per family, so ``has`` costs O(1) or close to it.
+    """
 
     def pairs():
-        for k in range(1, q + 1):
-            if k != q - 1:
+        for n in lengths:
+            for k in dims(n):
                 yield n, k
 
-    return _Family("q2plus1", pairs, lambda nn, k: nn == n and 1 <= k <= q and k != q - 1)
+    return _Family(name, pairs, lambda n, k: n in lengths and k in dims(n))
+
+
+def _q2plus1(q: int) -> _Family:
+    """Length q^2 + 1, any k <= q except q - 1."""
+    ks = [*range(1, q - 1), q]
+    return _ranged("q2plus1", [q * q + 1], lambda n: ks)
 
 
 def _q2plus1_char2(q: int) -> _Family:
     """Length q^2 + 1 with k = q - 1, for q = 2^r with r >= 3 odd."""
     ((p, r),) = factorize(q).items()
     on = p == 2 and r >= 3 and r % 2 == 1
-    n = q * q + 1
-
-    def pairs():
-        if on:
-            yield n, q - 1
-
-    return _Family("q2plus1-char2", pairs, lambda nn, k: on and nn == n and k == q - 1)
+    return _ranged("q2plus1-char2", [q * q + 1] if on else [], lambda n: range(q - 1, q))
 
 
 def _coset_trim(q: int) -> _Family:
@@ -312,98 +319,48 @@ def _coset_trim(q: int) -> _Family:
 
 def _near_full(q: int) -> _Family:
     """Lengths q^2 - s for 2s <= q - 2, with q/2 <= k <= q - s - 1."""
-
-    def pairs():
-        for s in range((q - 2) // 2 + 1):
-            for k in range((q + 1) // 2, q - s):
-                yield q * q - s, k
-
-    def has(n: int, k: int) -> bool:
-        s = q * q - n
-        return 0 <= 2 * s <= q - 2 and q <= 2 * k and k <= q - s - 1
-
-    return _Family("near-full", pairs, has)
+    lengths = range(q * q, q * q - (q - 2) // 2 - 1, -1)
+    return _ranged("near-full", lengths, lambda n: range((q + 1) // 2, n - q * q + q))
 
 
 def _fifth_length(q: int) -> _Family:
     """Length (q^2 + 1)/5 for q = 3, 7 mod 20, with k <= (q + 3)/2."""
-    on = q % 20 in (3, 7)
-    n = (q * q + 1) // 5
-    top = min((q + 3) // 2, n)
-
-    def pairs():
-        if on:
-            for k in range(1, top + 1):
-                yield n, k
-
-    return _Family("fifth-length", pairs, lambda nn, k: on and nn == n and 1 <= k <= top)
+    lengths = [(q * q + 1) // 5] if q % 20 in (3, 7) else []
+    return _ranged("fifth-length", lengths, lambda n: range(1, min((q + 3) // 2, n) + 1))
 
 
 def _two_t_subgroup(q: int) -> _Family:
     """Lengths 2t(q-1) for odd t | q + 1, 8 | q + 1, with k <= 6t - 2."""
     ts = [t for t in _divisors(q + 1) if t % 2 == 1] if (q + 1) % 8 == 0 else []
-
-    def pairs():
-        for t in ts:
-            n = 2 * t * (q - 1)
-            for k in range(1, min(6 * t - 2, n) + 1):
-                yield n, k
-
-    def has(n: int, k: int) -> bool:
-        t, rest = divmod(n, 2 * (q - 1))
-        return rest == 0 and t in ts and 1 <= k <= min(6 * t - 2, n)
-
-    return _Family("two-t-subgroup", pairs, has)
+    lengths = {2 * t * (q - 1): t for t in ts}
+    return _ranged("two-t-subgroup", lengths, lambda n: range(1, min(6 * lengths[n] - 2, n) + 1))
 
 
 def _subgroup_union(q: int) -> _Family:
     """Unions of two coprime odd-index subgroups, with 2k <= q - 1."""
     odd = [m for m in _divisors(q + 1) if m % 2 == 1]
-    lengths = [
+    lengths = dict.fromkeys(  # m1 = 1 gives q^2 - 1 for every m2
         (q * q - 1) // m1 + (q * q - 1) // m2 - (q * q - 1) // (m1 * m2)
         for i, m1 in enumerate(odd)
         for m2 in odd[i:]
         if gcd(m1, m2) == 1
-    ]
-    top = (q - 1) // 2
-
-    def pairs():
-        for n in lengths:
-            for k in range(1, min(top, n) + 1):
-                yield n, k
-
-    return _Family("subgroup-union", pairs, lambda n, k: n in lengths and 1 <= k <= min(top, n))
+    )
+    return _ranged("subgroup-union", lengths, lambda n: range(1, min((q - 1) // 2, n) + 1))
 
 
 def _subgroup_quotient(q: int) -> _Family:
     """Lengths (q^2 - 1)/m for even m >= 6 dividing q - 1 (q odd)."""
-    tops: dict[int, int] = {}  # length -> largest k
-    if q % 2 == 1:
-        big_h = ((q - 1) & -(q - 1)).bit_length() - 1
-        a = (q - 1) >> big_h
-        for m in _divisors(q - 1):
-            h1 = (m & -m).bit_length() - 1
-            if m % 2 == 0 and m >= 6 and a % (m >> h1) == 0:
-                n = (q * q - 1) // m
-                tops[n] = min((q + 1) // 2 + 2 ** (big_h - h1) * (a // (m >> h1)) - 1, n)
-
-    def pairs():
-        for n, top in tops.items():
-            for k in range(1, top + 1):
-                yield n, k
-
-    return _Family("subgroup-quotient", pairs, lambda n, k: 1 <= k <= tops.get(n, 0))
+    tops = {
+        (q * q - 1) // m: _even_subgroup_bound(q, m)
+        for m in (_divisors(q - 1) if q % 2 == 1 else [])
+        if m % 2 == 0 and m >= 6
+    }
+    return _ranged("subgroup-quotient", tops, lambda n: range(1, min(tops[n], n) + 1))
 
 
 def _generic(q: int) -> _Family:
     """Every length 2 <= n <= q^2 + 1 with k <= n/2."""
-
-    def pairs():
-        for n in range(2, q * q + 2):
-            for k in range(1, n // 2 + 1):
-                yield n, k
-
-    return _Family("generic", pairs, lambda n, k: 2 <= n <= q * q + 1 and 1 <= k <= n // 2)
+    return _ranged("generic", range(2, q * q + 2), lambda n: range(1, n // 2 + 1))
 
 
 def _families(q: int, include_generic: bool) -> list[_Family]:
@@ -442,8 +399,10 @@ def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecPa
     """Formula-level records for every parameter family admissible at q.
 
     Records are deduplicated on (n, k_q, d, c).  Families are walked in
-    order, the generic any-length family last, each lazily; a row is
-    recorded where it is first met, and its tags are that family and
+    order, the generic any-length family last, each lazily.  Eight are one
+    length-and-dimension rule each (lengths in order, dimensions rising);
+    coset-trim keeps its own k-major walk, and its rows keep that order.
+    A row is recorded where it is first met, and its tags are that family and
     every later family whose closed-form membership test holds for it.
     The walk stops once ``max_rows`` records exist, so time and memory
     grow with the rows emitted, not with the families' size (about q^3

@@ -440,6 +440,14 @@ FAMILIES = (
 )
 
 
+def _even_subgroup_bound(q: int, m: int) -> int:
+    """Largest k of the even-subgroup family, (q+1)/2 + 2^(H-h1) (a/a1) - 1,
+    where q - 1 = 2^H a and m = 2^h1 a1 with a, a1 odd; m | q - 1."""
+    big_h = ((q - 1) & -(q - 1)).bit_length() - 1  # the 2-adic valuations H and h1
+    h1 = (m & -m).bit_length() - 1
+    return (q + 1) // 2 + 2 ** (big_h - h1) * (((q - 1) >> big_h) // (m >> h1)) - 1
+
+
 def construct_family(
     field: Field,
     family: str,
@@ -450,14 +458,13 @@ def construct_family(
     m2: int | None = None,
     g: Sequence[int] | None = None,
     seed: int = DEFAULT_SEED,
-    verify_mds: bool = True,
     cap: int | None = None,
 ) -> MultiplierSearch:
     """Build the evaluation set for a named family and run the solver.
 
     Family parameters are validated against the family's constraints
     before any search starts.  A found code is re-verified Hermitian
-    self-orthogonal always, and MDS (dual distance k + 1) whenever
+    self-orthogonal and MDS (dual distance k + 1), the latter whenever
     dual_min_distance is feasible; ``cap`` bounds only its dual
     enumeration route.
     """
@@ -516,11 +523,7 @@ def construct_family(
             raise BadFamilyParamsError(
                 f"m = {m} must be an even divisor >= 6 of q-1 = {q - 1} with q odd"
             )
-        big_h = ((q - 1) & -(q - 1)).bit_length() - 1  # 2-adic valuation of q-1
-        h1 = (m & -m).bit_length() - 1
-        a = (q - 1) >> big_h
-        a1 = m >> h1
-        bound = (q + 1) // 2 + 2 ** (big_h - h1) * (a // a1) - 1
+        bound = _even_subgroup_bound(q, m)
         if k > bound:
             raise BadFamilyParamsError(f"needs k <= {bound}")
         pts = subgroup_eval_set(field, m)
@@ -528,7 +531,7 @@ def construct_family(
     else:
         raise BadFamilyParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
 
-    if result.found and verify_mds:
+    if result.found:
         try:
             if not is_mds(result.grs.code(), cap):
                 raise VerificationFailedError("family output is not MDS")  # pragma: no cover

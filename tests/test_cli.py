@@ -395,7 +395,7 @@ def _walk(doc, path):
 def _malformed_code_text(draw) -> bytes:
     doc = json.loads((GOLDEN_CLI / "gf9_code.json").read_text())  # [7, 3] over GF(9)
     kind = draw(st.sampled_from(
-        ["delete", "retype", "resize", "entry", "coefficient", "text", "long"]))
+        ["delete", "retype", "resize", "entry", "coefficient", "range", "text", "long"]))
     if kind == "text":
         return draw(st.sampled_from([b"", b"{", b"\xff\xfe", b"[" * 100_000, b'"code"', b"7"]))
     if kind == "delete":
@@ -427,11 +427,15 @@ def _malformed_code_text(draw) -> bytes:
         else:
             entries[i] = draw(_JSON.filter(lambda v: not isinstance(v, list))
                               | st.lists(st.integers(), min_size=3, max_size=4))
-    else:  # a coefficient array holding a non-integer
+    else:  # a coefficient array holding a non-integer, or an integer outside [0, p)
         arrays = [doc["field"]["modulus"], *doc["generator"]["entries"]]
         array = arrays[draw(st.integers(0, len(arrays) - 1))]
-        array[draw(st.integers(0, len(array) - 1))] = draw(
-            _JSON.filter(lambda v: not _is_json_type(v, int)))
+        i = draw(st.integers(0, len(array) - 1))
+        if kind == "range":  # same residue mod p, so only the range check refuses it
+            shift = draw(st.integers(-(10**20), 10**20).filter(lambda j: j != 0))
+            array[i] += doc["field"]["p"] * shift
+        else:
+            array[i] = draw(_JSON.filter(lambda v: not _is_json_type(v, int)))
     if draw(st.booleans()) and isinstance(doc, dict):
         doc = {"code": doc}  # as the construct payload wraps it
     return json.dumps(doc).encode()

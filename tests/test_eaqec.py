@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -48,6 +49,7 @@ from hulldial.matrix import FieldMatrix, rank
 from oracles import brute_table1, brute_table1_tags
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_counts.json"
+GOLDEN_NAMED = Path(__file__).parent / "golden" / "table1_named_digests.json"
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 
@@ -326,6 +328,18 @@ def test_table_row_counts_golden():
     golden = json.loads(GOLDEN.read_text())
     for q_str, count in golden.items():
         assert len(enumerate_table1(int(q_str))) == count, f"q = {q_str}"
+
+
+def test_named_family_tables_match_frozen_digests():
+    # every prime power 3 <= q <= 49: reaches two-t-subgroup at t = 3 (q = 23,
+    # 47) and q2plus1-char2 at q = 32, which no byte-level golden covers
+    golden = json.loads(GOLDEN_NAMED.read_text())
+    assert [int(q) for q in golden] == [q for q in range(3, 50) if eaqec.is_prime_power(q)]
+    for q_str, want in golden.items():
+        rows = enumerate_table1(int(q_str), Table1Limits(include_generic=False))
+        text = "".join(tsv_row(r) + "\n" for r in rows)
+        got = {"rows": len(rows), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        assert got == want, f"q = {q_str}"
 
 
 def test_table_limits_and_errors():
