@@ -7,11 +7,17 @@ transforms deliberately produce different generators for the same code.
 
 Minimum distance is exact or an error: the message space is enumerated in
 deterministic chunks, and anything past the enumeration cap raises rather
-than estimating.  For duals of low-dimensional codes an exact
-column-dependency search is available: for each weight w <= k it tests
-chunks of w-column subsets of the generator in one batched elimination,
-and it needs no scan at weight k+1, where every column set is dependent.
-Its budget counts the subsets of weight at most k before any work starts.
+than estimating.  The dual distance has three exact routes, in turn:
+- an MDS certificate.  The systematic form (I | A) of a GRS code is a
+  generalized Cauchy matrix (Roth-Seroussi 1985) whose points can be read
+  back from A (Sidelnikov-Shestakov 1992); once they check on every entry,
+  every square submatrix of A is a scaled Cauchy matrix, so every minor is
+  nonzero and the answer is k + 1.  Any other outcome claims nothing;
+- a column-dependency search: for each weight w <= k it tests chunks of
+  w-column subsets of the generator in one batched elimination, and needs
+  no scan at weight k+1.  Its budget counts the subsets of weight at most k
+  before any work starts;
+- enumeration of the dual's messages, under the enumeration cap.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .matrix import (
     rref,
     same_row_space,
     scale_columns,
+    standard_form,
     transpose,
 )
 
@@ -311,7 +318,7 @@ def min_distance(c: LinearCode, cap: int | None = None) -> int:
     total = field.order**c.k
     if total > enumeration_cap(cap):
         raise TooLargeToEnumerateError(
-            f"{total} codewords exceed the enumeration cap {enumeration_cap(cap)}"
+            f"{field.order}^{c.k} codewords exceed the enumeration cap {enumeration_cap(cap)}"
         )
     best = c.n + 1
     for messages in _message_chunks(field, c.k, total):
@@ -338,21 +345,54 @@ def _smallest_dependent_set(gen: FieldMatrix) -> int:
     return k + 1
 
 
+def _mds_certificate(gen: FieldMatrix) -> bool:
+    """True only when every k columns of the rank-k generator are proved independent.
+
+    With (I_k | A) the standard form, A must have no zero entry and, when k
+    and n - k are both at least 2, the ratios R[i, j] = A[0, j] / A[i, j]
+    (rows i >= 1) must read R[i, j] = a_i (y_j - x_i), with y_j = R[1, j]
+    distinct, every a_i nonzero and the x_i distinct.  Then every square
+    submatrix of A is a scaled Cauchy matrix, row 0's point at infinity, so
+    every minor is nonzero.  Every GRS code passes, extended or not: R[i, j]
+    is affine in 1/(x_0 - y_j), or in y_j when x_0 is infinite.
+    """
+    field, (k, n) = gen.field, gen.shape
+    a = standard_form(gen)[0].data[:, k:]
+    if k == 1 or n - k == 1 or not a.all():
+        return bool(a.all())
+    sub = lambda u, v: field.add_array(u, field.neg_array(v))  # noqa: E731
+    ratio = field.mul_array(a[0], field.inv_array(a[1:]))
+    y = ratio[0]
+    if np.unique(y).size < y.size:
+        return False
+    # a_i and -a_i x_i from columns 0 and 1, then checked on every column
+    slope = field.mul_array(sub(ratio[:, 0], ratio[:, 1]), field.inv_array(sub(y[0], y[1])))
+    offset = sub(ratio[:, 0], field.mul_array(slope, y[0]))
+    fitted = field.add_array(field.mul_array(slope[:, None], y), offset[:, None])
+    if not slope.all() or np.any(fitted != ratio):
+        return False
+    points = field.mul_array(field.neg_array(offset), field.inv_array(slope))
+    return np.unique(points).size == points.size
+
+
 def dual_min_distance(c: LinearCode, cap: int | None = None) -> int:
     """Exact minimum distance of the dual of c (all dual kinds share it).
 
-    Two exact routes: message-space enumeration of the dual, or an
-    exhaustive search for the smallest linearly dependent column set of
-    the generator (a weight-w dual codeword exists iff some w columns are
-    dependent).  The search tests each weight w <= k in batched chunks of
-    column subsets and answers k+1 when none is dependent; its budget
-    counts those subsets, checked before any work starts.  The cheaper
-    feasible route is taken; both are enumeration-exact, never estimates.
+    Three exact routes, never estimates.  First the MDS certificate, which
+    answers k + 1 for every GRS code and claims nothing otherwise.  Then the
+    cheaper feasible one of an exhaustive search for the smallest linearly
+    dependent column set of the generator (a weight-w dual codeword exists
+    iff some w columns are dependent; it tests each weight w <= k in batched
+    chunks and answers k+1 when none is dependent) and message-space
+    enumeration of the dual.  The search's budget counts those subsets and
+    the cap counts the dual's messages, both checked before any work starts.
     """
     if c.k == c.n:
         raise ValueError("the dual of the full space is the zero code")
     if c.k == 0:
         return 1  # dual is the full space
+    if _mds_certificate(c.gen):
+        return c.k + 1
     field = c.field
     dual_total = field.order ** (c.n - c.k)
     subsets = sum(math.comb(c.n, w) for w in range(1, c.k + 1))
@@ -363,7 +403,7 @@ def dual_min_distance(c: LinearCode, cap: int | None = None) -> int:
     if enum_ok:
         return min_distance(euclidean_dual(c), cap)
     raise TooLargeToEnumerateError(
-        f"dual enumeration ({dual_total} messages) and support search "
+        f"dual enumeration ({field.order}^{c.n - c.k} messages) and support search "
         f"({subsets} subsets) both exceed their budgets"
     )
 
@@ -372,9 +412,10 @@ def is_mds(c: LinearCode, cap: int | None = None) -> bool:
     """True iff the minimum distance meets the Singleton bound n - k + 1.
 
     A code is MDS iff every k columns of its generator are independent,
-    that is iff its dual distance is k + 1, so no message is enumerated
-    unless dual_min_distance takes its enumeration route, which ``cap``
-    bounds.  A code with k = n is MDS outright.
+    that is iff its dual distance is k + 1.  dual_min_distance decides that:
+    its Cauchy-structure certificate answers every GRS code in one echelon
+    form, other codes go to the column-subset search or, bounded by
+    ``cap``, to enumeration of the dual.  A code with k = n is MDS outright.
     """
     if c.k < 1:
         raise ValueError("the zero code has no nonzero codeword")

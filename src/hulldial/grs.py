@@ -36,7 +36,6 @@ from .errors import (
     DuplicateEvalPointsError,
     NotADivisorError,
     ShapeMismatchError,
-    TooLargeToEnumerateError,
     VerificationFailedError,
     ZeroMultiplierError,
 )
@@ -464,9 +463,11 @@ def construct_family(
 
     Family parameters are validated against the family's constraints
     before any search starts.  A found code is re-verified Hermitian
-    self-orthogonal and MDS (dual distance k + 1), the latter whenever
-    dual_min_distance is feasible; ``cap`` bounds only its dual
-    enumeration route.
+    self-orthogonal and MDS (dual distance k + 1).  Every family output is
+    GRS, so dual_min_distance's Cauchy-structure certificate answers the MDS
+    check; were it ever to refuse, the column-subset search or the dual
+    enumeration (bounded by ``cap``) would decide, and a check that cannot
+    finish raises TooLargeToEnumerateError rather than being skipped.
     """
     q = field.subfield_order
     if k < 1:
@@ -531,10 +532,6 @@ def construct_family(
     else:
         raise BadFamilyParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
 
-    if result.found:
-        try:
-            if not is_mds(result.grs.code(), cap):
-                raise VerificationFailedError("family output is not MDS")  # pragma: no cover
-        except TooLargeToEnumerateError:
-            pass
+    if result.found and not is_mds(result.grs.code(), cap):
+        raise VerificationFailedError("family output is not MDS")  # pragma: no cover
     return result

@@ -75,6 +75,19 @@ def test_eaqec_sweep_on_witness(tmp_path, capsys):
     ]
 
 
+def test_construct_eaqec_round_trip_at_q16(tmp_path, capsys):
+    codefile = tmp_path / "code.json"
+    assert _run(capsys, "construct", "--q", "16", "--family", "full-field", "--k", "3",
+                "--out", str(codefile))[0] == 0
+    code, out, _ = _run(capsys, "eaqec", str(codefile), "--format", "json")
+    assert code == 0
+    recs = json.loads(out)
+    assert [(r["n"], r["k_q"], r["d"], r["c"]) for r in recs] == [
+        (256, 253 - l, 4, 3 - l) for l in range(4)
+    ]
+    assert all(r["witnessed"] and r["mds"] for r in recs)
+
+
 def test_eaqec_single_l_json(tmp_path, capsys):
     codefile = tmp_path / "code.json"
     _run(capsys, "construct", "--q", "3", "--family", "full-field", "--k", "2",

@@ -20,6 +20,8 @@ from hulldial.code import (
     _CHUNK,
     SUPPORT_SEARCH_BUDGET,
     LinearCode,
+    _mds_certificate,
+    _smallest_dependent_set,
     dual_min_distance,
     dual_of_kind,
     enumeration_cap,
@@ -231,6 +233,23 @@ def test_min_distance_cap(rs92):
         min_distance(rs92, cap=10)
 
 
+def test_budget_errors_on_huge_counts_are_typed():
+    # 2^20 to the power 797 or 750 has more than the 4,300 digits Python
+    # will print as one int, so each count is written as a power
+    field = make_field(2, 20)
+    rng = np.random.default_rng(17)
+
+    def systematic(k, n):  # (I | A) with a zero in A, so no certificate applies
+        a = rng.integers(1, field.order, size=(k, n - k))
+        a[0, 0] = 0
+        return LinearCode(field, np.hstack([np.eye(k, dtype=np.int64), a]), check=False)
+
+    with pytest.raises(TooLargeToEnumerateError, match=r"1048576\^797 messages"):
+        dual_min_distance(systematic(3, 800))
+    with pytest.raises(TooLargeToEnumerateError, match=r"1048576\^750 codewords"):
+        min_distance(systematic(750, 760))
+
+
 def test_min_distance_env_cap(rs92, monkeypatch):
     monkeypatch.setenv("HULLDIAL_ENUM_CAP", "10")
     with pytest.raises(TooLargeToEnumerateError):
@@ -315,34 +334,46 @@ def _mds_candidates(draw):
 def test_is_mds_matches_singleton_equality(code):
     expected = min_distance(code) == code.n - code.k + 1
     assert is_mds(code) == expected
-    assert is_mds(code, cap=1) == expected  # support search only
+    assert is_mds(code, cap=1) == expected  # certificate or support search, no enumeration
+    if code.k < code.n:  # each dual-distance route on its own
+        assert (_smallest_dependent_set(code.gen) == code.k + 1) == expected
+        if code.field.order ** (code.n - code.k) <= 10**5:
+            assert (min_distance(euclidean_dual(code)) == code.k + 1) == expected
 
 
 def test_dual_min_distance_matches_enumeration(gf9, rs92):
     assert dual_min_distance(rs92) == min_distance(hermitian_dual(rs92)) == 3
     c = LinearCode(gf9, [[1] * 5])
     assert dual_min_distance(c) == min_distance(euclidean_dual(c)) == 2
-    # the support search path must agree where both are feasible
+    # both codes are GRS, so the certificate answers; the support search
+    # must agree where both it and enumeration are feasible
     assert dual_min_distance(rs92, cap=10) == 3
+    assert _smallest_dependent_set(rs92.gen) == 3
+    assert _smallest_dependent_set(c.gen) == 2
 
 
 def test_dual_min_distance_support_search(gf25):
-    # dual dimension 22 is far beyond the cap; the support search must agree
-    # with the Singleton value for an MDS code
+    # dual dimension 22 is far beyond the cap, so dual enumeration cannot
+    # run; the certificate and the support search must each agree with the
+    # Singleton value for an MDS code
     pts = list(range(25))
     rows = [[gf25.pow(a, i) for a in pts] for i in range(3)]
     c = LinearCode(gf25, rows)
     assert dual_min_distance(c, cap=10**5) == 4
+    assert _smallest_dependent_set(c.gen) == 4
 
 
 def test_support_budget_counts_weights_up_to_k():
     # [100, 3] RS-type code over GF(121): the search scans weights 1..3
-    # (166,750 subsets); weight 4 = k + 1 needs no scan
+    # (166,750 subsets); weight 4 = k + 1 needs no scan.  The code is GRS,
+    # so dual_min_distance answers by certificate and the search is called
+    # directly; 121^97 dual messages rule out enumeration
     field = make_quadratic_field(11)
     c = GrsSpec(field, tuple(range(100)), (1,) * 100, 3).code()
     assert sum(math.comb(100, w) for w in range(1, 4)) <= SUPPORT_SEARCH_BUDGET
     assert sum(math.comb(100, w) for w in range(1, 5)) > SUPPORT_SEARCH_BUDGET
     assert dual_min_distance(c) == 4
+    assert _smallest_dependent_set(c.gen) == 4
 
 
 def test_support_search_finds_dependency_past_first_chunk():
@@ -403,7 +434,68 @@ def _column_codes(draw):
 @given(_column_codes())
 def test_dual_min_distance_matches_minor_oracle(code):
     expected = brute_dual_distance(code)
-    assert dual_min_distance(code, cap=1) == expected  # support search only
+    assert dual_min_distance(code, cap=1) == expected  # certificate or support search
+    assert dual_min_distance(code) == expected
+    assert _smallest_dependent_set(code.gen) == expected
+    if code.field.order ** (code.n - code.k) <= 10**5:
+        assert min_distance(euclidean_dual(code)) == expected
+
+
+CERTIFICATE_FIELDS = ((2, 2), (3, 2), (2, 4), (5, 2))
+
+
+@st.composite
+def _grs_and_mutants(draw):
+    """A permuted, scaled GRS code (extended or not), or a mutant of its
+    systematic form (I | A): one entry of A corrupted, a column of A copied
+    over another (a repeated point) or a column of A zeroed (a zero
+    multiplier).  A mutant may be replaced by its dual, arranged as
+    (I | -A^T), so that its repeated points fall in the rows of the new A.
+    Returns (code, mutated)."""
+    field = make_field(*draw(st.sampled_from(CERTIFICATE_FIELDS)))
+    extended = draw(st.booleans())
+    longest = min(8, field.order + extended)
+    shape = draw(st.sampled_from(("k = 1", "n - k = 1", "longest", "longest", "any")))
+    n = longest if shape == "longest" else draw(st.integers(2, longest))
+    k = {"k = 1": 1, "n - k = 1": n - 1, "longest": n // 2}.get(shape)
+    k = k or draw(st.integers(1, n - 1))
+    nonzero = st.integers(1, field.order - 1)
+    pts = draw(st.lists(
+        st.integers(0, field.order - 1), min_size=n - extended, max_size=n - extended, unique=True
+    ))
+    mults = draw(st.lists(nonzero, min_size=n, max_size=n))
+    code = permute(GrsSpec(field, tuple(pts), tuple(mults), k, extended).code(),
+                   draw(st.permutations(range(n))))
+    damage = draw(st.sampled_from(("none", "entry", "entry", "copy", "copy", "zero")))
+    if damage == "none":
+        return code, False
+    data = standard_form(code.gen)[0].data.copy()
+    i, (j, other) = draw(st.integers(0, k - 1)), draw(st.tuples(*[st.integers(k, n - 1)] * 2))
+    if damage == "entry":
+        data[i, j] = (data[i, j] + draw(nonzero)) % field.order
+    elif damage == "copy":
+        assume(j != other)
+        data[:, j] = data[:, other]
+    else:
+        data[:, j] = 0
+    if draw(st.booleans()):
+        data = np.hstack([np.eye(n - k, dtype=np.int64), field.neg_array(data[:, k:].T)])
+    return LinearCode(field, FieldMatrix(field, data)), True
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_grs_and_mutants())
+def test_mds_certificate_is_sound_and_certifies_every_grs_code(case):
+    code, mutated = case
+    certified = _mds_certificate(code.gen)
+    expected = brute_dual_distance(code)
+    if certified:
+        assert expected == code.k + 1
+    if not mutated:
+        assert certified
     assert dual_min_distance(code) == expected
 
 

@@ -254,6 +254,19 @@ def test_sweep_singleton_law_across_corpus(self_orthogonal_corpus):
             assert rec.mds, (tag, rec)
 
 
+@pytest.mark.parametrize("q, k", [(7, 5), (16, 3), (32, 3)])
+def test_full_field_sweep_at_paper_scale(q, k):
+    # [49, 5], [256, 3] and [1024, 3]: the column-subset search and the dual
+    # enumeration are both past their budgets, and the MDS certificate
+    # answers the dual distance
+    code = full_field_rs(make_quadratic_field(q), k).code()
+    records = eaqec_sweep(code)
+    n = q * q
+    assert [r.params for r in records] == [(n, n - k - l, k + 1, k - l) for l in range(k + 1)]
+    assert [r.hull_dim for r in records] == list(range(k + 1))
+    assert all(r.witnessed and r.witness_digest and r.gate and r.mds for r in records)
+
+
 def test_qecc_from_self_orthogonal(rs92, gf9):
     rec = qecc_from_self_orthogonal(rs92)
     assert (rec.n, rec.k_q, rec.d) == (9, 5, 3)

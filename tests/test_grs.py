@@ -10,6 +10,7 @@ from hulldial.errors import (
     CapExceededError,
     DuplicateEvalPointsError,
     NotADivisorError,
+    TooLargeToEnumerateError,
     VerificationFailedError,
     ZeroMultiplierError,
 )
@@ -263,14 +264,34 @@ def test_construct_family_passes_cap_to_mds_check(monkeypatch, gf9):
 
 
 def test_construct_family_mds_check_uses_column_subsets(monkeypatch, gf25):
-    # q2plus1 at q = 5, k = 5: 25^5 messages, but only the C(26, w <= 5)
-    # column subsets of the dual distance search
+    # q2plus1 at q = 5, k = 5: 25^5 messages; the check never enumerates
+    # them (the certificate answers this GRS code before the C(26, w <= 5)
+    # column subsets of the dual distance search would be needed)
     def no_enumeration(code, cap=None):
         raise AssertionError("the MDS check enumerated messages")
 
     monkeypatch.setattr(code_module, "min_distance", no_enumeration)
     res = construct_family(gf25, "q2plus1", k=5)
     assert res.found and res.grs.code().n == 26
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the MDS check left the certificate")
+
+
+def test_construct_family_mds_check_is_answered_by_certificate(monkeypatch):
+    # [256, 3] at q = 16: 2.8 million column subsets and 256^253 dual
+    # messages, both past their budgets; the certificate alone decides
+    monkeypatch.setattr(code_module, "_smallest_dependent_set", _must_not_run)
+    monkeypatch.setattr(code_module, "min_distance", _must_not_run)
+    res = construct_family(make_quadratic_field(16), "full-field", k=3)
+    assert res.found and res.grs.code().n == 256
+
+
+def test_construct_family_mds_check_that_cannot_finish_raises(monkeypatch):
+    monkeypatch.setattr(code_module, "_mds_certificate", lambda gen: False)
+    with pytest.raises(TooLargeToEnumerateError):
+        construct_family(make_quadratic_field(16), "full-field", k=3)
 
 
 def test_solver_refuses_long_codes_before_building_system(monkeypatch):
