@@ -16,7 +16,6 @@ from .errors import (
     CapExceededError,
     DuplicateEvalPointsError,
     HulldialError,
-    HullMismatchError,
     MalformedCodeError,
     NoSuchElementError,
     NotADivisorError,
@@ -77,15 +76,12 @@ from .grs import (
 )
 from .eaqec import (
     EaqecParams,
-    QeccParams,
-    Table1Limits,
     Verdict,
     claim,
     eaqec_from_code,
     eaqec_from_dial,
     eaqec_sweep,
     enumerate_table1,
-    qecc_from_self_orthogonal,
     verify_claim,
 )
 

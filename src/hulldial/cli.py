@@ -10,6 +10,7 @@ seed produce byte-identical output.  Exit codes: 0 success, 1 error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -24,7 +25,6 @@ from .grs import DEFAULT_SEED, FAMILIES, construct_family
 from .eaqec import (
     TSV_HEADER,
     EaqecParams,
-    Table1Limits,
     claim,
     eaqec_from_dial,
     eaqec_sweep,
@@ -116,7 +116,6 @@ def _cmd_construct(args) -> int:
         m2=args.m2,
         g=_int_list(args.g) if args.g else None,
         seed=args.seed,
-        cap=args.cap,
     )
     payload = {
         "status": result.status,
@@ -151,8 +150,7 @@ def _cmd_eaqec(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    limits = Table1Limits(max_rows=args.max_rows, include_generic=not args.no_generic)
-    records = enumerate_table1(args.q, limits)
+    records = enumerate_table1(args.q, max_rows=args.max_rows, include_generic=not args.no_generic)
     _emit(_records_text(records, args.format), args.out)
     return EXIT_OK
 
@@ -161,6 +159,8 @@ def _cmd_verify(args) -> int:
     params = _int_list(args.params)
     if len(params) != 4:
         raise HulldialError("--params must be n,k,d,c")
+    if args.cap is not None and not args.witness:
+        raise HulldialError("--cap bounds only the witness check; it needs --witness")
     n, k_q, d, c = params
     witness = _load_code(args.witness) if args.witness else None
     verdict = verify_claim(claim(args.q, n, k_q, d, c), witness, cap=args.cap)
@@ -194,7 +194,9 @@ def _cmd_hull(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     parser = _Parser(prog="hulldial", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=int, help="second subgroup index (two-subgroup)")
     p.add_argument("--g", help="polynomial g as comma-separated element codes, low degree first")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="search seed")
-    add_common(p)
+    add_out(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("dial", help="transform a code to a target hull dimension")
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hull", help="hull basis and dimension")
     p.add_argument("codefile", help="code JSON file")
     p.add_argument("--kind", choices=("euclidean", "hermitian", "galois"), default="hermitian")
-    p.add_argument("--l", type=int, default=None, help="galois index")
+    p.add_argument("--l", type=int, default=None, help="galois index (--kind galois only)")
     add_out(p)
     p.set_defaults(fn=_cmd_hull)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -61,9 +60,6 @@ from .matrix import (
 #: Default cap on exact codeword enumeration (number of messages).
 DEFAULT_ENUM_CAP = 10**7
 
-#: Environment variable overriding the enumeration cap.
-ENUM_CAP_ENV = "HULLDIAL_ENUM_CAP"
-
 #: Budget for the column-dependency dual-distance search (subsets of weight <= k).
 SUPPORT_SEARCH_BUDGET = 2 * 10**6
 
@@ -75,10 +71,9 @@ MAX_ENUM_CAP = 2**63 - 1
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    """The cap argument, else the environment override, else the default."""
+    """The cap argument, else DEFAULT_ENUM_CAP; past int64 it raises."""
     if cap is None:
-        env = os.environ.get(ENUM_CAP_ENV)
-        cap = int(env) if env else DEFAULT_ENUM_CAP
+        return DEFAULT_ENUM_CAP
     if cap > MAX_ENUM_CAP:
         raise CapExceededError(f"enumeration cap {cap} exceeds the int64 limit {MAX_ENUM_CAP}")
     return cap
@@ -190,7 +185,10 @@ class HullReport:
 
 def _frobenius_index(field: Field, kind: str, l: int | None) -> int:
     """The l for which the named dual is {x : x . sigma(c) = 0 for all c in C},
-    with sigma(a) = a^(p^l): 0 for Euclidean, e/2 for Hermitian."""
+    with sigma(a) = a^(p^l): 0 for Euclidean, e/2 for Hermitian.  Only the
+    galois kind takes an l."""
+    if kind in ("euclidean", "hermitian") and l is not None:
+        raise BadGaloisIndexError(f"the {kind} dual takes no index l (got {l}); use galois")
     if kind == "euclidean":
         return 0
     if kind == "hermitian":
@@ -243,7 +241,7 @@ def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullRe
         raise VerificationFailedError(
             "hull basis is not the left null space of the Gram matrix"
         )  # pragma: no cover
-    return HullReport(kind=kind, l=(l if kind == "galois" else None), basis=basis, dim=basis.rows)
+    return HullReport(kind=kind, l=l, basis=basis, dim=basis.rows)
 
 
 def gram_matrix(c: LinearCode, l: int | None = None) -> FieldMatrix:

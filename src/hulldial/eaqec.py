@@ -30,18 +30,10 @@ from .errors import (
     BadTargetError,
     CapExceededError,
     HulldialError,
-    HullMismatchError,
-    NotSelfOrthogonalError,
     VerificationFailedError,
 )
 from .field import FIELD_ORDER_CAP, factorize
-from .code import (
-    LinearCode,
-    dual_min_distance,
-    hull,
-    is_hermitian_self_orthogonal,
-    min_distance,
-)
+from .code import LinearCode, dual_min_distance, hull, min_distance
 from .dial import _hermitian_dials
 from .grs import _even_subgroup_bound
 
@@ -141,18 +133,13 @@ def _assisted_record(c: LinearCode, h: int, dd: int, digest: str) -> EaqecParams
     )
 
 
-def eaqec_from_code(
-    c: LinearCode, use_hull_dim: int | None = None, cap: int | None = None
-) -> tuple[EaqecParams, EaqecParams]:
-    """Both parameter sets derived from a code with measured hull dimension.
+def eaqec_from_code(c: LinearCode, cap: int | None = None) -> tuple[EaqecParams, EaqecParams]:
+    """Both parameter sets derived from a code and its measured hull dimension.
 
-    The hull dimension is always measured; a caller-asserted value is only
-    cross-checked (HullMismatchError on disagreement).  Distances are exact:
-    d from the code, the dual distance from its Hermitian dual.
+    Distances are exact: d from the code, the dual distance from its
+    Hermitian dual, each enumerated under ``cap`` when it must be.
     """
     h = hull(c, "hermitian").dim
-    if use_hull_dim is not None and use_hull_dim != h:
-        raise HullMismatchError(f"asserted hull dim {use_hull_dim}, measured {h}")
     d = min_distance(c, cap)
     dd = dual_min_distance(c, cap)
     digest = witness_digest(c)
@@ -192,30 +179,6 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
     return [_assisted_record(r.code, r.achieved_h, dd, witness_digest(r.code)) for r in dials]
 
 
-@dataclass(frozen=True)
-class QeccParams:
-    """A plain (unassisted) [[n, n-2k, d]]_q record from a self-orthogonal code."""
-
-    q: int
-    n: int
-    k_q: int
-    d: int
-    mds: bool
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "n": self.n, "k_q": self.k_q, "d": self.d, "mds": self.mds}
-
-
-def qecc_from_self_orthogonal(c: LinearCode, cap: int | None = None) -> QeccParams:
-    """[[n, n-2k, d_dual]]_q from a Hermitian self-orthogonal [n, k] code."""
-    if not is_hermitian_self_orthogonal(c):
-        raise NotSelfOrthogonalError("QECC derivation needs a Hermitian self-orthogonal code")
-    q = c.field.subfield_order
-    d = 1 if c.k == 0 else dual_min_distance(c, cap)
-    k_q = c.n - 2 * c.k
-    return QeccParams(q=q, n=c.n, k_q=k_q, d=d, mds=(2 * d + k_q == c.n + 2))
-
-
 # ---------------------------------------------------------------------------
 # the parameter table
 # ---------------------------------------------------------------------------
@@ -225,23 +188,6 @@ def qecc_from_self_orthogonal(c: LinearCode, cap: int | None = None) -> QeccPara
 #: CapExceededError.  The full q = 16 table fits (732,032 rows, built in
 #: about 1.5 s and 150 MB).
 TABLE_ROW_CAP = 750_000
-
-
-@dataclass(frozen=True)
-class Table1Limits:
-    """Bounds for the table enumerator.
-
-    ``max_rows`` truncates the deduplicated output; ``include_generic``
-    controls the open-ended any-length family, which dominates the row
-    count for larger q.
-    """
-
-    max_rows: int | None = None
-    include_generic: bool = True
-
-    def __post_init__(self):
-        if self.max_rows is not None and self.max_rows < 0:
-            raise BadTargetError(f"max_rows = {self.max_rows} must be nonnegative")
 
 
 class _Family(NamedTuple):
@@ -395,7 +341,9 @@ def _table_records(q: int, families: list[_Family]) -> Iterator[EaqecParams]:
                 yield EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
 
 
-def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecParams]:
+def enumerate_table1(
+    q: int, *, max_rows: int | None = None, include_generic: bool = True
+) -> list[EaqecParams]:
     """Formula-level records for every parameter family admissible at q.
 
     Records are deduplicated on (n, k_q, d, c).  Families are walked in
@@ -404,22 +352,24 @@ def enumerate_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecPa
     coset-trim keeps its own k-major walk, and its rows keep that order.
     A row is recorded where it is first met, and its tags are that family and
     every later family whose closed-form membership test holds for it.
-    The walk stops once ``max_rows`` records exist, so time and memory
-    grow with the rows emitted, not with the families' size (about q^3
-    named rows, about q^6/24 generic ones).  A table that would hold more
-    than TABLE_ROW_CAP records raises CapExceededError after walking one
-    past the cap.  Every record meets the distance gate and the Singleton
-    bound with equality.
+    ``include_generic`` False leaves out the generic family, which holds
+    most rows for larger q.  The walk stops once ``max_rows`` (nonnegative)
+    records exist, so time and memory grow with the rows emitted, not with
+    the families' size (about q^3 named rows, about q^6/24 generic ones).
+    A table that would hold more than TABLE_ROW_CAP records raises
+    CapExceededError after walking one past the cap.  Every record meets
+    the distance gate and the Singleton bound with equality.
     """
-    limits = limits or Table1Limits()
+    if max_rows is not None and max_rows < 0:
+        raise BadTargetError(f"max_rows = {max_rows} must be nonnegative")
     if q * q > FIELD_ORDER_CAP:
         raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
     if q < 3 or not is_prime_power(q):
         raise BadFieldError(f"q = {q} must be a prime power with q >= 3")
-    records = _table_records(q, _families(q, limits.include_generic))
+    records = _table_records(q, _families(q, include_generic))
     wanted = TABLE_ROW_CAP + 1
-    if limits.max_rows is not None:
-        wanted = min(wanted, limits.max_rows)
+    if max_rows is not None:
+        wanted = min(wanted, max_rows)
     rows = list(itertools.islice(records, wanted))
     if len(rows) > TABLE_ROW_CAP:
         raise CapExceededError(

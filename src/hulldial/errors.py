@@ -93,9 +93,5 @@ class BadFamilyParamsError(HulldialError):
     """Family parameters violate the family's stated constraints."""
 
 
-class HullMismatchError(HulldialError):
-    """Caller-asserted hull dimension disagrees with the measured one."""
-
-
 class BadFieldError(HulldialError):
     """Base field size is not an admissible prime power."""

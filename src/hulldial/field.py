@@ -522,10 +522,6 @@ class Field:
     def to_dict(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Field":
-        return cls(int(d["p"]), int(d["e"]), [int(c) for c in d["modulus"]])
-
 
 def make_field(p: int, e: int) -> Field:
     """GF(p^e) with the canonical (lexicographically smallest) modulus."""

@@ -110,10 +110,6 @@ class GrsSpec:
             raise BadDimensionError(f"k = {self.k} outside [1, {self.length}]")
 
     @property
-    def n_points(self) -> int:
-        return len(self.eval_points)
-
-    @property
     def length(self) -> int:
         return len(self.eval_points) + (1 if self.extended else 0)
 
@@ -129,16 +125,6 @@ class GrsSpec:
             "k": self.k,
             "extended": self.extended,
         }
-
-    @classmethod
-    def from_dict(cls, field: Field, d: dict) -> "GrsSpec":
-        return cls(
-            field=field,
-            eval_points=tuple(field.element(c) for c in d["eval_points"]),
-            multipliers=tuple(field.element(c) for c in d["multipliers"]),
-            k=int(d["k"]),
-            extended=bool(d["extended"]),
-        )
 
 
 def grs_generator(spec: GrsSpec) -> LinearCode:
@@ -457,7 +443,6 @@ def construct_family(
     m2: int | None = None,
     g: Sequence[int] | None = None,
     seed: int = DEFAULT_SEED,
-    cap: int | None = None,
 ) -> MultiplierSearch:
     """Build the evaluation set for a named family and run the solver.
 
@@ -466,8 +451,8 @@ def construct_family(
     self-orthogonal and MDS (dual distance k + 1).  Every family output is
     GRS, so dual_min_distance's Cauchy-structure certificate answers the MDS
     check; were it ever to refuse, the column-subset search or the dual
-    enumeration (bounded by ``cap``) would decide, and a check that cannot
-    finish raises TooLargeToEnumerateError rather than being skipped.
+    enumeration (under the default cap) would decide, and a check that
+    cannot finish raises TooLargeToEnumerateError rather than being skipped.
     """
     q = field.subfield_order
     if k < 1:
@@ -532,6 +517,6 @@ def construct_family(
     else:
         raise BadFamilyParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
 
-    if result.found and not is_mds(result.grs.code(), cap):
+    if result.found and not is_mds(result.grs.code()):
         raise VerificationFailedError("family output is not MDS")  # pragma: no cover
     return result

@@ -149,13 +149,6 @@ def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(a.field, np.vstack([a.data, b.data]))
 
 
-def hstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    ensure_same_field(a.field, b.field)
-    if a.rows != b.rows:
-        raise ShapeMismatchError(f"row counts differ: {a.rows} vs {b.rows}")
-    return FieldMatrix(a.field, np.hstack([a.data, b.data]))
-
-
 # ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 from hulldial.field import Field
 from hulldial.code import LinearCode
 from hulldial.grs import MultiplierProblem
-from hulldial.eaqec import EaqecParams, Table1Limits, _families, classified
+from hulldial.eaqec import EaqecParams, _families, classified
 
 
 def _poly_digits(field: Field, a: int) -> list[int]:
@@ -332,7 +332,9 @@ def brute_table1_tags(q: int, include_generic: bool) -> dict[tuple[int, int, int
     return {key: tuple(tags) for key, tags in families.items()}
 
 
-def brute_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecParams]:
+def brute_table1(
+    q: int, *, max_rows: int | None = None, include_generic: bool = True
+) -> list[EaqecParams]:
     """The table by walking every family row, the generic family included.
 
     Rows of every family pass through one dedup dict in family order, so a
@@ -340,9 +342,8 @@ def brute_table1(q: int, limits: Table1Limits | None = None) -> list[EaqecParams
     become records through ``classified``.  The walk is cached per
     (q, include_generic), since it does not depend on ``max_rows``.
     """
-    limits = limits or Table1Limits()
-    families = brute_table1_tags(q, limits.include_generic)
+    families = brute_table1_tags(q, include_generic)
     return [
         classified(q, *key, families=families[key], witnessed=False)
-        for key in itertools.islice(families, limits.max_rows)
+        for key in itertools.islice(families, max_rows)
     ]

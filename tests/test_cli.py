@@ -199,6 +199,7 @@ def test_table_rejects_flags_it_would_ignore(capsys):
         (["eaqec", "code.json"], ("--seed",)),
         (["verify", "--q", "3", "--params", "9,6,3,1"], ("--seed",)),
         (["distance", "code.json"], ("--seed",)),
+        (["construct", "--q", "3", "--family", "full-field", "--k", "1"], ("--cap",)),
     ):
         for flag in flags:
             with pytest.raises(SystemExit) as exc:
@@ -217,12 +218,9 @@ def test_enumeration_cap_past_int64_exits_1(tmp_path, capsys, monkeypatch):
          "--out", str(codefile))
     code, out, err = _run(capsys, "distance", str(codefile), "--cap", str(2**64))
     assert code == 1 and out == "" and "int64" in err
-    monkeypatch.setenv("HULLDIAL_ENUM_CAP", str(2**64))
-    monkeypatch.setattr(cli, "construct_family", _must_not_run)
-    for argv in (["distance", str(codefile)], ["eaqec", str(codefile)],
-                 ["construct", "--q", "3", "--family", "q2plus1", "--k", "1"]):
-        code, out, err = _run(capsys, *argv)
-        assert code == 1 and out == "" and "int64" in err
+    monkeypatch.setattr(cli, "eaqec_sweep", _must_not_run)
+    code, out, err = _run(capsys, "eaqec", str(codefile), "--cap", str(2**64))
+    assert code == 1 and out == "" and "int64" in err
 
 
 def test_table_q8_includes_char2_row(capsys):
@@ -247,6 +245,13 @@ def test_verify_command(tmp_path, capsys):
     assert json.loads(out)["passed"] is False
 
 
+def test_verify_cap_needs_witness(capsys):
+    # the cap bounds only the witness check; alone it would be ignored
+    code, out, err = _run(capsys, "verify", "--q", "3", "--params", "9,6,3,1", "--cap", "10")
+    assert code == 1 and out == ""
+    assert err.count("hulldial: error:") == 1 and "--witness" in err
+
+
 def test_distance_and_hull_commands(tmp_path, capsys):
     codefile = tmp_path / "code.json"
     _run(capsys, "construct", "--q", "3", "--family", "full-field", "--k", "2",
@@ -261,6 +266,16 @@ def test_distance_and_hull_commands(tmp_path, capsys):
     code, out, _ = _run(capsys, "hull", str(codefile), "--kind", "galois", "--l", "0")
     assert code == 0
     assert json.loads(out)["kind"] == "galois"
+
+
+def test_hull_l_needs_galois_kind(tmp_path, capsys):
+    codefile = tmp_path / "code.json"
+    _run(capsys, "construct", "--q", "3", "--family", "full-field", "--k", "2",
+         "--out", str(codefile))
+    for kind in ("euclidean", "hermitian"):
+        code, out, err = _run(capsys, "hull", str(codefile), "--kind", kind, "--l", "1")
+        assert code == 1 and out == ""
+        assert err.count("hulldial: error:") == 1 and "galois" in err
 
 
 def test_search_miss_exit_2(tmp_path, capsys):

@@ -14,8 +14,6 @@ from hulldial.errors import (
     BadFieldError,
     BadTargetError,
     CapExceededError,
-    HullMismatchError,
-    NotSelfOrthogonalError,
 )
 from hulldial.field import make_field, make_quadratic_field
 from hulldial.code import (
@@ -32,14 +30,12 @@ from hulldial.grs import full_field_rs
 from hulldial.eaqec import (
     TSV_HEADER,
     EaqecParams,
-    Table1Limits,
     claim,
     classified,
     eaqec_from_code,
     eaqec_from_dial,
     eaqec_sweep,
     enumerate_table1,
-    qecc_from_self_orthogonal,
     tsv_row,
     verify_claim,
     witness_digest,
@@ -70,12 +66,6 @@ def test_first_form_after_dialing_to_zero(rs92):
     assert first.mds is None  # d = 8 > (9+2)/2: bound not applicable
     assert second.params == (9, 7, 3, 2)
     assert second.mds
-
-
-def test_hull_mismatch_detected(rs92):
-    with pytest.raises(HullMismatchError):
-        eaqec_from_code(rs92, use_hull_dim=1)
-    eaqec_from_code(rs92, use_hull_dim=2)
 
 
 def test_sweep_cardinality_and_bounds(rs92):
@@ -268,14 +258,16 @@ def test_full_field_sweep_at_paper_scale(q, k):
 
 
 def test_qecc_from_self_orthogonal(rs92, gf9):
-    rec = qecc_from_self_orthogonal(rs92)
-    assert (rec.n, rec.k_q, rec.d) == (9, 5, 3)
+    # the unassisted [[n, n-2k, d]] code is the sweep's l = k record, c = 0
+    rec = eaqec_from_dial(rs92, rs92.k)
+    assert rec.params == (9, 5, 3, 0)
     assert rec.mds
     zero = LinearCode.zero(gf9, 4)
-    degenerate = qecc_from_self_orthogonal(zero)
-    assert (degenerate.n, degenerate.k_q, degenerate.d) == (4, 4, 1)
-    with pytest.raises(NotSelfOrthogonalError):
-        qecc_from_self_orthogonal(LinearCode(gf9, [[1, 0]]))
+    degenerate = eaqec_from_dial(zero, zero.k)
+    assert degenerate.params == (4, 4, 1, 0)
+    assert degenerate.mds
+    with pytest.raises(BadTargetError):
+        eaqec_from_dial(LinearCode(gf9, [[1, 0]]), 1)
 
 
 def test_classified_rejects_bound_violations():
@@ -349,15 +341,15 @@ def test_named_family_tables_match_frozen_digests():
     golden = json.loads(GOLDEN_NAMED.read_text())
     assert [int(q) for q in golden] == [q for q in range(3, 50) if eaqec.is_prime_power(q)]
     for q_str, want in golden.items():
-        rows = enumerate_table1(int(q_str), Table1Limits(include_generic=False))
+        rows = enumerate_table1(int(q_str), include_generic=False)
         text = "".join(tsv_row(r) + "\n" for r in rows)
         got = {"rows": len(rows), "sha256": hashlib.sha256(text.encode()).hexdigest()}
         assert got == want, f"q = {q_str}"
 
 
 def test_table_limits_and_errors():
-    assert len(enumerate_table1(3, Table1Limits(max_rows=7))) == 7
-    no_generic = enumerate_table1(3, Table1Limits(include_generic=False))
+    assert len(enumerate_table1(3, max_rows=7)) == 7
+    no_generic = enumerate_table1(3, include_generic=False)
     assert all("generic" not in r.families for r in no_generic)
     with pytest.raises(BadFieldError):
         enumerate_table1(2)
@@ -365,18 +357,18 @@ def test_table_limits_and_errors():
         enumerate_table1(6)
     with pytest.raises(CapExceededError):
         enumerate_table1(10**18 + 3)  # rejected before factorizing q
-    assert enumerate_table1(3, Table1Limits(max_rows=0)) == []
+    assert enumerate_table1(3, max_rows=0) == []
     with pytest.raises(BadTargetError):
-        Table1Limits(max_rows=-1)  # a slice would silently drop the last row
+        enumerate_table1(3, max_rows=-1)  # a slice would silently drop the last row
 
 
 def test_table_truncation_keeps_tags_merged_later():
     full = enumerate_table1(5)
     for max_rows in (1, 17, len(full) - 1, len(full) + 5):
-        assert enumerate_table1(5, Table1Limits(max_rows=max_rows)) == full[:max_rows]
+        assert enumerate_table1(5, max_rows=max_rows) == full[:max_rows]
     # named-family rows come first; the generic family enumerated after
     # them still adds its tag to rows kept by a short limit
-    first = enumerate_table1(5, Table1Limits(max_rows=3))
+    first = enumerate_table1(5, max_rows=3)
     assert any("generic" in r.families and len(r.families) > 1 for r in first)
 
 
@@ -389,14 +381,14 @@ def _table_limits(draw):
     include_generic = draw(st.booleans())
     total = len(brute_table1_tags(q, include_generic))
     max_rows = draw(st.one_of(st.none(), st.integers(0, total + 5)))
-    return q, Table1Limits(max_rows=max_rows, include_generic=include_generic)
+    return q, {"max_rows": max_rows, "include_generic": include_generic}
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(_table_limits())
 def test_table_matches_full_walk_oracle(case):
     q, limits = case
-    assert enumerate_table1(q, limits) == brute_table1(q, limits)
+    assert enumerate_table1(q, **limits) == brute_table1(q, **limits)
 
 
 def _rows_before_last(pairs) -> int:
@@ -406,22 +398,22 @@ def _rows_before_last(pairs) -> int:
 
 def test_table_draws_generic_rows_only_as_needed(request):
     # at q = 32 every named row has n >= 403, so the first generic rows are new
-    named = len(enumerate_table1(32, Table1Limits(include_generic=False)))
+    named = len(enumerate_table1(32, include_generic=False))
     drawn = request.getfixturevalue("table_draws")
-    rows = enumerate_table1(32, Table1Limits(max_rows=10))
+    rows = enumerate_table1(32, max_rows=10)
     assert len(rows) == 10 and "generic" not in drawn
-    rows = enumerate_table1(32, Table1Limits(max_rows=named + 10))
+    rows = enumerate_table1(32, max_rows=named + 10)
     assert [r.families for r in rows[named:]] == [("generic",)] * 10
     assert _rows_before_last(drawn["generic"]) < 10, "walked generic rows past max_rows"
 
 
 def test_table_draws_named_rows_only_as_needed(table_draws):
-    assert len(enumerate_table1(1009, Table1Limits(max_rows=5))) == 5
+    assert len(enumerate_table1(1009, max_rows=5)) == 5
     assert set(table_draws) == {"q2plus1"} and _rows_before_last(table_draws["q2plus1"]) < 5
     # a limit ending inside coset-trim, the third family at q = 31
     table_draws.clear()
     first = sum(k + 1 for _, k in eaqec._q2plus1(31).pairs())
-    rows = enumerate_table1(31, Table1Limits(max_rows=first + 10, include_generic=False))
+    rows = enumerate_table1(31, max_rows=first + 10, include_generic=False)
     assert [r.families[0] for r in rows[first:]] == ["coset-trim"] * 10
     assert set(table_draws) == {"q2plus1", "coset-trim"}
     assert _rows_before_last(table_draws["coset-trim"]) < 10, "walked named rows past max_rows"
@@ -456,7 +448,7 @@ def test_family_membership_is_exact_around_every_length():
 def test_table_tags_are_every_family_holding_the_row():
     for q in MEMBERSHIP_QS:
         families = eaqec._families(q, include_generic=True)
-        for r in enumerate_table1(q, Table1Limits(include_generic=False)):
+        for r in enumerate_table1(q, include_generic=False):
             k = r.d - 1
             assert r.params == (r.n, r.n - 2 * k + r.c, k + 1, r.c) and 0 <= r.c <= k
             assert r.families + ("generic",) == tuple(

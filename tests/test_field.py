@@ -280,11 +280,6 @@ def test_subfield_coordinates_recompose():
             assert f.add(z0, f.mul(z1, beta)) == z
 
 
-def test_serialization_round_trip():
-    f = make_quadratic_field(4)
-    assert Field.from_dict(f.to_dict()) == f
-
-
 def test_smallest_irreducible_matches_root_check_gf5():
     # independent oracle: first monic quadratic over GF(5) without roots,
     # scanning constant-term-first lexicographic order

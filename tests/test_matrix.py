@@ -22,7 +22,6 @@ from hulldial.matrix import (
     batch_column_deficient,
     conj_transpose,
     frobenius_entrywise,
-    hstack,
     matmul,
     null_space,
     permute_columns,
@@ -254,7 +253,6 @@ def test_stacking(gf9):
     a = FieldMatrix(gf9, [[1, 2]])
     b = FieldMatrix(gf9, [[3, 4]])
     assert vstack(a, b) == FieldMatrix(gf9, [[1, 2], [3, 4]])
-    assert hstack(a, b) == FieldMatrix(gf9, [[1, 2, 3, 4]])
 
 
 def test_matrix_json_round_trip(gf9):

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import hulldial as hd
+from hulldial.cli import build_parser
 from hulldial.field import make_quadratic_field
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -49,6 +50,27 @@ def test_workloads_resolve_on_hulldial():
     assert imported
     for module, name in imported:
         assert _resolves(module, name), (module, name)
+
+
+def _cli_argvs(tree: ast.AST, commands: set[str]) -> list[list[str]]:
+    """Every list literal that starts with a subcommand name; names stand for "1"."""
+    return [
+        [elt.value if isinstance(elt, ast.Constant) else "1" for elt in node.elts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.List)
+        and node.elts
+        and isinstance(node.elts[0], ast.Constant)
+        and node.elts[0].value in commands
+    ]
+
+
+def test_workload_command_lines_parse():
+    # a flag dropped from the CLI would otherwise fail only in the benchmark
+    commands = {"construct", "dial", "eaqec", "table", "verify", "distance", "hull"}
+    argvs = _cli_argvs(ast.parse(WORKLOADS.read_text()), commands)
+    assert {"construct", "table"} <= {argv[0] for argv in argvs}
+    for argv in argvs:
+        assert build_parser().parse_args(argv).command == argv[0], argv
 
 
 TRACER = WORKLOADS.parent / "tracer.py"
