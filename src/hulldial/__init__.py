@@ -45,7 +45,6 @@ from .code import (
     HullReport,
     LinearCode,
     dual_min_distance,
-    euclidean_dual,
     hermitian_dual,
     hull,
     is_galois_self_orthogonal,

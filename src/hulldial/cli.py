@@ -114,7 +114,7 @@ def _cmd_construct(args) -> int:
         m=args.m,
         m1=args.m1,
         m2=args.m2,
-        g=_int_list(args.g) if args.g else None,
+        g=None if args.g is None else _int_list(args.g),
         seed=args.seed,
     )
     payload = {

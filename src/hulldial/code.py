@@ -5,19 +5,16 @@ Codes are stored non-canonically (the generator as given); code equality
 is row-space equality, tested by mutual rank checks, because equivalence
 transforms deliberately produce different generators for the same code.
 
-Minimum distance is exact or an error: the message space is enumerated in
-deterministic chunks, and anything past the enumeration cap raises rather
-than estimating.  The dual distance has three exact routes, in turn:
+Both distances are exact or an error, and share three routes:
 - an MDS certificate.  The systematic form (I | A) of a GRS code is a
   generalized Cauchy matrix (Roth-Seroussi 1985) whose points can be read
   back from A (Sidelnikov-Shestakov 1992); once they check on every entry,
   every square submatrix of A is a scaled Cauchy matrix, so every minor is
-  nonzero and the answer is k + 1.  Any other outcome claims nothing;
-- a column-dependency search: for each weight w <= k it tests chunks of
-  w-column subsets of the generator in one batched elimination, and needs
-  no scan at weight k+1.  Its budget counts the subsets of weight at most k
-  before any work starts;
-- enumeration of the dual's messages, under the enumeration cap.
+  nonzero and the code and its dual are both MDS.  Any other outcome
+  claims nothing;
+- a column-dependency search over the parity-check matrix of the code
+  measured, in batched eliminations over chunks of column subsets;
+- enumeration of that code's messages, under the enumeration cap.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +57,7 @@ from .matrix import (
 #: Default cap on exact codeword enumeration (number of messages).
 DEFAULT_ENUM_CAP = 10**7
 
-#: Budget for the column-dependency dual-distance search (subsets of weight <= k).
+#: Budget for the column-dependency search, in column subsets.
 SUPPORT_SEARCH_BUDGET = 2 * 10**6
 
 _CHUNK = 1 << 15
@@ -210,11 +207,6 @@ def dual_of_kind(c: LinearCode, kind: str, l: int | None = None) -> LinearCode:
     return LinearCode(c.field, frobenius_entrywise(null_space(c.gen), sigma), check=False)
 
 
-def euclidean_dual(c: LinearCode) -> LinearCode:
-    """The dual under the standard inner product; dimension n - k."""
-    return dual_of_kind(c, "euclidean")
-
-
 def hermitian_dual(c: LinearCode) -> LinearCode:
     """The dual under the Hermitian form; equals the entrywise q-th power
     of the Euclidean dual."""
@@ -292,41 +284,21 @@ def permute(c: LinearCode, perm: Sequence[int]) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 
-def _message_chunks(field: Field, k: int, total: int) -> Iterator[FieldMatrix]:
-    """Yield (chunk, k) matrices whose rows are the messages 1..total-1, in base-order digits."""
-    start = 1
-    while start < total:
-        stop = min(start + _CHUNK, total)
-        # no local keeps the digits alive beside their copy while the caller works
-        yield FieldMatrix(
-            field, digit_columns(np.arange(start, stop, dtype=np.int64), field.order, k)
-        )
-        start = stop
-
-
-def min_distance(c: LinearCode, cap: int | None = None) -> int:
-    """Exact minimum Hamming weight via message-space enumeration.
-
-    Raises TooLargeToEnumerateError when order^k exceeds the cap; never
-    returns an estimate.
-    """
-    if c.k < 1:
-        raise ValueError("the zero code has no nonzero codeword")
-    field = c.field
-    total = field.order**c.k
-    if total > enumeration_cap(cap):
-        raise TooLargeToEnumerateError(
-            f"{field.order}^{c.k} codewords exceed the enumeration cap {enumeration_cap(cap)}"
-        )
-    best = c.n + 1
-    for messages in _message_chunks(field, c.k, total):
-        weights = np.count_nonzero(matmul(messages, c.gen).data, axis=1)
-        best = min(best, int(weights.min()))
+def _enumerated_distance(gen: FieldMatrix) -> int:
+    """Smallest weight of a nonzero codeword of a rank-k generator, every
+    message encoded in base-order digit order, _CHUNK at a time."""
+    field, (k, n) = gen.field, gen.shape
+    total = field.order**k
+    best = n
+    for start in range(1, total, _CHUNK):
+        digits = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        messages = FieldMatrix(field, digit_columns(digits, field.order, k))
+        best = min(best, int(np.count_nonzero(matmul(messages, gen).data, axis=1).min()))
     return best
 
 
 def _smallest_dependent_set(gen: FieldMatrix) -> int:
-    """Smallest w such that some w columns of a rank-k generator are dependent.
+    """Smallest w such that some w columns of a rank-k matrix are dependent.
 
     Column subsets are taken in lexicographic order, _CHUNK at a time, and
     each chunk is tested in one batched elimination; the scan stops at the
@@ -373,47 +345,61 @@ def _mds_certificate(gen: FieldMatrix) -> bool:
     return np.unique(points).size == points.size
 
 
-def dual_min_distance(c: LinearCode, cap: int | None = None) -> int:
-    """Exact minimum distance of the dual of c (all dual kinds share it).
+def _distance(c: LinearCode, dual: bool, cap: int | None) -> int:
+    """Exact minimum distance of c, or of its dual when ``dual``.
 
-    Three exact routes, never estimates.  First the MDS certificate, which
-    answers k + 1 for every GRS code and claims nothing otherwise.  Then the
-    cheaper feasible one of an exhaustive search for the smallest linearly
-    dependent column set of the generator (a weight-w dual codeword exists
-    iff some w columns are dependent; it tests each weight w <= k in batched
-    chunks and answers k+1 when none is dependent) and message-space
-    enumeration of the dual.  The search's budget counts those subsets and
-    the cap counts the dual's messages, both checked before any work starts.
+    A code is MDS iff its dual is, so the certificate on c.gen answers
+    either distance as n - dim + 1, dim the dimension of the code measured.
+    Otherwise it picks between the column-dependency search over that
+    code's parity-check matrix (c.gen for the dual, null_space(c.gen) for
+    c) and enumeration of its messages, preferring enumeration up to 10^5
+    messages.  The search's budget counts column subsets, adding only until
+    the count passes SUPPORT_SEARCH_BUDGET; the cap counts messages.
     """
+    dim = c.n - c.k if dual else c.k
+    if _mds_certificate(c.gen):
+        return c.n - dim + 1
+    total = c.field.order**dim
+    counts = itertools.accumulate(math.comb(c.n, w) for w in range(1, c.n - dim + 1))
+    support_ok = all(s <= SUPPORT_SEARCH_BUDGET for s in counts)
+    enum_ok = total <= enumeration_cap(cap)
+    if support_ok and (not enum_ok or total > 10**5):
+        return _smallest_dependent_set(c.gen if dual else null_space(c.gen))
+    if enum_ok:
+        return _enumerated_distance(null_space(c.gen) if dual else c.gen)
+    # only the dual gets here: min_distance refuses past the cap first
+    raise TooLargeToEnumerateError(
+        f"dual enumeration ({c.field.order}^{dim} messages) and support search "
+        f"(over {SUPPORT_SEARCH_BUDGET} subsets) both exceed their budgets"
+    )
+
+
+def min_distance(c: LinearCode, cap: int | None = None) -> int:
+    """Exact minimum Hamming weight.  When order^k exceeds the cap it raises
+    TooLargeToEnumerateError before any route runs, never estimating."""
+    if c.k < 1:
+        raise ValueError("the zero code has no nonzero codeword")
+    if c.field.order**c.k > enumeration_cap(cap):
+        raise TooLargeToEnumerateError(
+            f"{c.field.order}^{c.k} codewords exceed the enumeration cap {enumeration_cap(cap)}"
+        )
+    return 1 if c.k == c.n else _distance(c, False, cap)
+
+
+def dual_min_distance(c: LinearCode, cap: int | None = None) -> int:
+    """Exact minimum distance of the dual of c (all dual kinds share it);
+    past both the search budget and the cap it raises, never estimating."""
     if c.k == c.n:
         raise ValueError("the dual of the full space is the zero code")
-    if c.k == 0:
-        return 1  # dual is the full space
-    if _mds_certificate(c.gen):
-        return c.k + 1
-    field = c.field
-    dual_total = field.order ** (c.n - c.k)
-    subsets = sum(math.comb(c.n, w) for w in range(1, c.k + 1))
-    support_ok = subsets <= SUPPORT_SEARCH_BUDGET
-    enum_ok = dual_total <= enumeration_cap(cap)
-    if support_ok and (not enum_ok or dual_total > 10**5):
-        return _smallest_dependent_set(c.gen)
-    if enum_ok:
-        return min_distance(euclidean_dual(c), cap)
-    raise TooLargeToEnumerateError(
-        f"dual enumeration ({field.order}^{c.n - c.k} messages) and support search "
-        f"({subsets} subsets) both exceed their budgets"
-    )
+    return 1 if c.k == 0 else _distance(c, True, cap)
 
 
 def is_mds(c: LinearCode, cap: int | None = None) -> bool:
     """True iff the minimum distance meets the Singleton bound n - k + 1.
 
     A code is MDS iff every k columns of its generator are independent,
-    that is iff its dual distance is k + 1.  dual_min_distance decides that:
-    its Cauchy-structure certificate answers every GRS code in one echelon
-    form, other codes go to the column-subset search or, bounded by
-    ``cap``, to enumeration of the dual.  A code with k = n is MDS outright.
+    that is iff its dual distance is k + 1, which dual_min_distance decides
+    (``cap`` bounds only its enumeration).  A code with k = n is MDS outright.
     """
     if c.k < 1:
         raise ValueError("the zero code has no nonzero codeword")

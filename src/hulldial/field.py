@@ -229,13 +229,14 @@ class Field:
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         order = p**e
-        if modulus is None:
+        if modulus is None:  # already irreducible by construction
             modulus = smallest_irreducible(p, e)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e, constant term first")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree e, constant term first")
+            if not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.e = e
         self.order = order

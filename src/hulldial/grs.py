@@ -415,14 +415,16 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
 # family driver
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "full-field",
-    "q2plus1",
-    "trace-poly",
-    "subgroup",
-    "two-subgroup",
-    "even-subgroup",
-)
+#: Each family and the optional parameters it takes; giving it any other is an error.
+_FAMILY_PARAMS = {
+    "full-field": (),
+    "q2plus1": (),
+    "trace-poly": ("g",),
+    "subgroup": ("m",),
+    "two-subgroup": ("m1", "m2"),
+    "even-subgroup": ("m",),
+}
+FAMILIES = tuple(_FAMILY_PARAMS)
 
 
 def _even_subgroup_bound(q: int, m: int) -> int:
@@ -447,7 +449,8 @@ def construct_family(
     """Build the evaluation set for a named family and run the solver.
 
     Family parameters are validated against the family's constraints
-    before any search starts.  A found code is re-verified Hermitian
+    before any search starts; a parameter the family does not take is an
+    error.  A found code is re-verified Hermitian
     self-orthogonal and MDS (dual distance k + 1).  Every family output is
     GRS, so dual_min_distance's Cauchy-structure certificate answers the MDS
     check; were it ever to refuse, the column-subset search or the dual
@@ -457,6 +460,12 @@ def construct_family(
     q = field.subfield_order
     if k < 1:
         raise BadFamilyParamsError("k must be at least 1")
+    if family not in _FAMILY_PARAMS:
+        raise BadFamilyParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
+    given = {"m": m, "m1": m1, "m2": m2, "g": g}
+    foreign = [p for p, v in given.items() if v is not None and p not in _FAMILY_PARAMS[family]]
+    if foreign:
+        raise BadFamilyParamsError(f"the {family} family takes no {', '.join(foreign)}")
     if family == "full-field":
         spec = full_field_rs(field, k)
         result = MultiplierSearch(STATUS_FOUND, spec, 0, 0)
@@ -502,7 +511,7 @@ def construct_family(
             raise BadFamilyParamsError(f"needs k <= (q-1)/2 = {(q - 1) / 2:g}")
         pts = subgroup_union_eval_set(field, m1, m2)
         result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
-    elif family == "even-subgroup":
+    else:  # even-subgroup
         if m is None:
             raise BadFamilyParamsError("even-subgroup family needs m")
         if q % 2 == 0 or m % 2 != 0 or m < 6 or (q - 1) % m != 0:
@@ -514,8 +523,6 @@ def construct_family(
             raise BadFamilyParamsError(f"needs k <= {bound}")
         pts = subgroup_eval_set(field, m)
         result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
-    else:
-        raise BadFamilyParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
 
     if result.found and not is_mds(result.grs.code()):
         raise VerificationFailedError("family output is not MDS")  # pragma: no cover

@@ -208,6 +208,23 @@ def test_table_rejects_flags_it_would_ignore(capsys):
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["--q", "3", "--family", "full-field", "--k", "1", "--m", "3"], "m"),
+        (["--q", "3", "--family", "full-field", "--k", "1", "--g", "0,1"], "g"),
+        (["--q", "3", "--family", "full-field", "--k", "1", "--g", ""], "g"),
+        (["--q", "3", "--family", "full-field", "--k", "1", "--m1", "3", "--m2", "1"], "m1, m2"),
+        (["--q", "5", "--family", "subgroup", "--k", "2", "--m", "3", "--g", "0,1"], "g"),
+    ],
+)
+def test_construct_rejects_parameters_its_family_does_not_take(capsys, argv, foreign):
+    code, out, err = _run(capsys, "construct", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("hulldial: error: ") and err.count("\n") == 1
+    assert f"takes no {foreign}\n" in err
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the cap was checked")
 
@@ -243,6 +260,20 @@ def test_verify_command(tmp_path, capsys):
     code, out, _ = _run(capsys, "verify", "--q", "3", "--params", "9,7,3,1")
     assert code == 0
     assert json.loads(out)["passed"] is False
+
+
+def test_verify_witnesses_a_dialed_q7_code(tmp_path, capsys):
+    # [[49, 3, 46, 44]]_7 from the [49, 4] code dialed to hull dimension 1:
+    # the certificate answers d = 46 without enumerating 49^4 messages
+    codefile = tmp_path / "code.json"
+    dialfile = tmp_path / "dial.json"
+    _run(capsys, "construct", "--q", "7", "--family", "full-field", "--k", "4",
+         "--out", str(codefile))
+    _run(capsys, "dial", str(codefile), "--h", "1", "--out", str(dialfile))
+    code, out, _ = _run(capsys, "verify", "--q", "7", "--params", "49,3,46,44",
+                        "--witness", str(dialfile))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_verify_cap_needs_witness(capsys):

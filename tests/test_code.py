@@ -14,18 +14,26 @@ from hulldial.errors import (
     ZeroMultiplierError,
 )
 from hulldial.field import make_field, make_quadratic_field
-from hulldial.grs import GrsSpec
-from hulldial.matrix import FieldMatrix, conj_transpose, row_space_contains, rref, standard_form
+from hulldial.dial import dial_hull
+from hulldial.grs import GrsSpec, full_field_rs
+from hulldial.matrix import (
+    FieldMatrix,
+    conj_transpose,
+    null_space,
+    row_space_contains,
+    rref,
+    standard_form,
+)
 from hulldial.code import (
     _CHUNK,
     SUPPORT_SEARCH_BUDGET,
     LinearCode,
+    _enumerated_distance,
     _mds_certificate,
     _smallest_dependent_set,
     dual_min_distance,
     dual_of_kind,
     enumeration_cap,
-    euclidean_dual,
     gram_matrix,
     hermitian_dual,
     hull,
@@ -67,11 +75,11 @@ def test_json_round_trip(rs92):
 
 def test_euclidean_dual_dimensions(gf9, rs92):
     full = LinearCode.full(gf9, 4)
-    assert euclidean_dual(full).k == 0
+    assert dual_of_kind(full, "euclidean").k == 0
     zero = LinearCode.zero(gf9, 4)
-    assert euclidean_dual(zero).same_code(full)
-    assert euclidean_dual(rs92).k == 7
-    assert euclidean_dual(euclidean_dual(rs92)).same_code(rs92)
+    assert dual_of_kind(zero, "euclidean").same_code(full)
+    assert dual_of_kind(rs92, "euclidean").k == 7
+    assert dual_of_kind(dual_of_kind(rs92, "euclidean"), "euclidean").same_code(rs92)
 
 
 def test_hermitian_dual_structure(gf9, rs92):
@@ -93,7 +101,7 @@ def test_hermitian_dual_distance(rs92):
 
 
 def test_galois_dual_reductions(gf9, rs92):
-    assert dual_of_kind(rs92, "galois", 0).same_code(euclidean_dual(rs92))
+    assert dual_of_kind(rs92, "galois", 0).same_code(dual_of_kind(rs92, "euclidean"))
     assert dual_of_kind(rs92, "galois", 1).same_code(hermitian_dual(rs92))
     assert dual_of_kind(rs92, "galois", 1).k == 7
     with pytest.raises(BadGaloisIndexError):
@@ -241,6 +249,43 @@ def test_min_distance_cap(rs92):
         min_distance(rs92, cap=10)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a route ran that the test rules out")
+
+
+def test_min_distance_of_a_grs_code_is_answered_by_certificate(monkeypatch):
+    # a dialed [49, 4] code at q = 7 is still GRS: 49^4 messages are never enumerated
+    c = dial_hull(full_field_rs(make_quadratic_field(7), 4).code(), 1).code
+    monkeypatch.setattr(code_module, "_enumerated_distance", _must_not_run)
+    monkeypatch.setattr(code_module, "_smallest_dependent_set", _must_not_run)
+    assert (c.n, c.k, min_distance(c)) == (49, 4, 46)
+
+
+def test_min_distance_search_answers_past_the_enumeration_preference(monkeypatch, gf9):
+    # [12, 6] over GF(9): 9^6 messages are past 10^5 but within the cap, and
+    # the parity check has only 2,509 column subsets of weight at most 6
+    rng = np.random.default_rng(23)
+    a = rng.integers(1, gf9.order, size=(6, 6))
+    a[0, 0] = 0  # a zero in A: no certificate
+    c = LinearCode(gf9, np.hstack([np.eye(6, dtype=np.int64), a]))
+    expected = _enumerated_distance(c.gen)
+    assert expected < c.n - c.k + 1
+    monkeypatch.setattr(code_module, "_enumerated_distance", _must_not_run)
+    assert min_distance(c) == expected
+
+
+def test_subset_count_stops_once_past_the_budget(monkeypatch):
+    # [20000, 1] over GF(4) with one zero coordinate: summing C(20000, w) up
+    # to w = n - k would take thousands of huge binomials
+    field = make_field(2, 2)
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, w: calls.append(w) or comb(n, w))
+    c = LinearCode(field, [[0] + [1] * 19999])
+    assert min_distance(c) == 19999
+    assert len(calls) <= 3
+
+
 def test_budget_errors_on_huge_counts_are_typed():
     # 2^20 to the power 797 or 750 has more than the 4,300 digits Python
     # will print as one int, so each count is written as a power
@@ -331,19 +376,19 @@ def _mds_candidates(draw):
 )
 @given(_mds_candidates())
 def test_is_mds_matches_singleton_equality(code):
-    expected = min_distance(code) == code.n - code.k + 1
+    expected = _enumerated_distance(code.gen) == code.n - code.k + 1
     assert is_mds(code) == expected
     assert is_mds(code, cap=1) == expected  # certificate or support search, no enumeration
     if code.k < code.n:  # each dual-distance route on its own
         assert (_smallest_dependent_set(code.gen) == code.k + 1) == expected
         if code.field.order ** (code.n - code.k) <= 10**5:
-            assert (min_distance(euclidean_dual(code)) == code.k + 1) == expected
+            assert (_enumerated_distance(null_space(code.gen)) == code.k + 1) == expected
 
 
 def test_dual_min_distance_matches_enumeration(gf9, rs92):
-    assert dual_min_distance(rs92) == min_distance(hermitian_dual(rs92)) == 3
+    assert dual_min_distance(rs92) == _enumerated_distance(hermitian_dual(rs92).gen) == 3
     c = LinearCode(gf9, [[1] * 5])
-    assert dual_min_distance(c) == min_distance(euclidean_dual(c)) == 2
+    assert dual_min_distance(c) == _enumerated_distance(null_space(c.gen)) == 2
     # both codes are GRS, so the certificate answers; the support search
     # must agree where both it and enumeration are feasible
     assert dual_min_distance(rs92, cap=10) == 3
@@ -437,7 +482,19 @@ def test_dual_min_distance_matches_minor_oracle(code):
     assert dual_min_distance(code) == expected
     assert _smallest_dependent_set(code.gen) == expected
     if code.field.order ** (code.n - code.k) <= 10**5:
-        assert min_distance(euclidean_dual(code)) == expected
+        assert _enumerated_distance(null_space(code.gen)) == expected
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_column_codes())
+def test_min_distance_matches_codeword_oracle(code):
+    assume(code.field.order**code.k <= 2000)  # the oracle lists every codeword
+    expected = brute_min_distance(code)
+    assert _smallest_dependent_set(null_space(code.gen)) == expected
+    assert min_distance(code) == expected
 
 
 CERTIFICATE_FIELDS = ((2, 2), (3, 2), (2, 4), (5, 2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hulldial import field as field_module
 from hulldial.errors import (
     CapExceededError,
     NoSuchElementError,
@@ -57,6 +58,18 @@ def test_cap_enforced():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         Field(3, 2, (0, 0, 1))  # x^2 = x * x
+
+
+def test_found_modulus_is_not_tested_again(monkeypatch):
+    # the search's own Rabin tests are the only ones; a passed modulus is still checked
+    calls = []
+    rabin = field_module._is_irreducible
+    counted = lambda f, p: calls.append(f) or rabin(f, p)  # noqa: E731
+    monkeypatch.setattr(field_module, "_is_irreducible", counted)
+    modulus = smallest_irreducible(5, 2)
+    searched = len(calls)
+    assert Field(5, 2).modulus == modulus and len(calls) == 2 * searched
+    assert Field(5, 2, modulus).modulus == modulus and len(calls) == 2 * searched + 1
 
 
 def test_gf9_arithmetic_examples():

@@ -257,7 +257,7 @@ def test_construct_family_mds_check_uses_column_subsets(monkeypatch, gf25):
     def no_enumeration(code, cap=None):
         raise AssertionError("the MDS check enumerated messages")
 
-    monkeypatch.setattr(code_module, "min_distance", no_enumeration)
+    monkeypatch.setattr(code_module, "_enumerated_distance", no_enumeration)
     res = construct_family(gf25, "q2plus1", k=5)
     assert res.found and res.grs.code().n == 26
 
@@ -270,7 +270,7 @@ def test_construct_family_mds_check_is_answered_by_certificate(monkeypatch):
     # [256, 3] at q = 16: 2.8 million column subsets and 256^253 dual
     # messages, both past their budgets; the certificate alone decides
     monkeypatch.setattr(code_module, "_smallest_dependent_set", _must_not_run)
-    monkeypatch.setattr(code_module, "min_distance", _must_not_run)
+    monkeypatch.setattr(code_module, "_enumerated_distance", _must_not_run)
     res = construct_family(make_quadratic_field(16), "full-field", k=3)
     assert res.found and res.grs.code().n == 256
 
@@ -448,6 +448,25 @@ def test_construct_family_even_subgroup():
 def test_construct_family_unknown(gf9):
     with pytest.raises(BadFamilyParamsError):
         construct_family(gf9, "no-such-family", k=1)
+
+
+@pytest.mark.parametrize(
+    "family, params, foreign",
+    [
+        ("full-field", {"m": 3}, "m"),
+        ("full-field", {"g": [0, 1]}, "g"),
+        ("full-field", {"m1": 3, "m2": 1}, "m1, m2"),
+        ("q2plus1", {"m": 3, "g": [0, 1]}, "m, g"),
+        ("subgroup", {"m": 3, "g": [0, 1]}, "g"),
+        ("subgroup", {"m": 3, "m1": 3}, "m1"),
+        ("two-subgroup", {"m1": 1, "m2": 3, "m": 3}, "m"),
+        ("trace-poly", {"g": [0, 1], "m2": 3}, "m2"),
+        ("even-subgroup", {"m": 6, "g": [0, 1]}, "g"),
+    ],
+)
+def test_construct_family_rejects_parameters_its_family_does_not_take(family, params, foreign):
+    with pytest.raises(BadFamilyParamsError, match=f"the {family} family takes no {foreign}$"):
+        construct_family(make_quadratic_field(5), family, k=1, **params)
 
 
 def test_every_solver_output_is_verified(gf9, gf16, gf25, self_orthogonal_corpus):
