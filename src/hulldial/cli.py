@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("distance", help="exact minimum distance by enumeration")
+    p = sub.add_parser("distance", help="exact minimum distance")
     p.add_argument("codefile", help="code JSON file")
     add_common(p)
     p.set_defaults(fn=_cmd_distance)

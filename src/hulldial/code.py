@@ -14,7 +14,8 @@ Both distances are exact or an error, and share three routes:
   claims nothing;
 - a column-dependency search over the parity-check matrix of the code
   measured, in batched eliminations over chunks of column subsets;
-- enumeration of that code's messages, under the enumeration cap.
+- enumeration of that code's messages, under the enumeration cap; the cap
+  bounds only this route, so a code past it may still get its exact value.
 """
 
 from __future__ import annotations
@@ -354,35 +355,32 @@ def _distance(c: LinearCode, dual: bool, cap: int | None) -> int:
     code's parity-check matrix (c.gen for the dual, null_space(c.gen) for
     c) and enumeration of its messages, preferring enumeration up to 10^5
     messages.  The search's budget counts column subsets, adding only until
-    the count passes SUPPORT_SEARCH_BUDGET; the cap counts messages.
+    the count passes SUPPORT_SEARCH_BUDGET; the cap counts messages, bounds
+    only enumeration and is validated before any route runs.
     """
+    cap = enumeration_cap(cap)
     dim = c.n - c.k if dual else c.k
     if _mds_certificate(c.gen):
         return c.n - dim + 1
     total = c.field.order**dim
     counts = itertools.accumulate(math.comb(c.n, w) for w in range(1, c.n - dim + 1))
     support_ok = all(s <= SUPPORT_SEARCH_BUDGET for s in counts)
-    enum_ok = total <= enumeration_cap(cap)
+    enum_ok = total <= cap
     if support_ok and (not enum_ok or total > 10**5):
         return _smallest_dependent_set(c.gen if dual else null_space(c.gen))
     if enum_ok:
         return _enumerated_distance(null_space(c.gen) if dual else c.gen)
-    # only the dual gets here: min_distance refuses past the cap first
     raise TooLargeToEnumerateError(
-        f"dual enumeration ({c.field.order}^{dim} messages) and support search "
-        f"(over {SUPPORT_SEARCH_BUDGET} subsets) both exceed their budgets"
+        f"{'dual ' if dual else ''}enumeration ({c.field.order}^{dim} messages) and support "
+        f"search (over {SUPPORT_SEARCH_BUDGET} subsets) both exceed their budgets"
     )
 
 
 def min_distance(c: LinearCode, cap: int | None = None) -> int:
-    """Exact minimum Hamming weight.  When order^k exceeds the cap it raises
-    TooLargeToEnumerateError before any route runs, never estimating."""
+    """Exact minimum Hamming weight; past both the search budget and the
+    cap it raises, never estimating."""
     if c.k < 1:
         raise ValueError("the zero code has no nonzero codeword")
-    if c.field.order**c.k > enumeration_cap(cap):
-        raise TooLargeToEnumerateError(
-            f"{c.field.order}^{c.k} codewords exceed the enumeration cap {enumeration_cap(cap)}"
-        )
     return 1 if c.k == c.n else _distance(c, False, cap)
 
 

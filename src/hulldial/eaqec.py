@@ -32,7 +32,7 @@ from .errors import (
     HulldialError,
     VerificationFailedError,
 )
-from .field import FIELD_ORDER_CAP, factorize
+from .field import FIELD_ORDER_CAP, factorize, is_prime_power
 from .code import LinearCode, dual_min_distance, hull, min_distance
 from .dial import _hermitian_dials
 from .grs import _even_subgroup_bound
@@ -362,10 +362,7 @@ def enumerate_table1(
     """
     if max_rows is not None and max_rows < 0:
         raise BadTargetError(f"max_rows = {max_rows} must be nonnegative")
-    if q * q > FIELD_ORDER_CAP:
-        raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
-    if q < 3 or not is_prime_power(q):
-        raise BadFieldError(f"q = {q} must be a prime power with q >= 3")
+    _check_base_field(q, least=3)
     records = _table_records(q, _families(q, include_generic))
     wanted = TABLE_ROW_CAP + 1
     if max_rows is not None:
@@ -378,8 +375,13 @@ def enumerate_table1(
     return rows
 
 
-def is_prime_power(q: int) -> bool:
-    return q >= 2 and len(factorize(q)) == 1
+def _check_base_field(q: int, least: int) -> None:
+    """Refuse q whose GF(q^2) is past the field-order cap, before any
+    factorizing, then q that is not a prime power of at least ``least``."""
+    if q * q > FIELD_ORDER_CAP:
+        raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
+    if q < least or not is_prime_power(q):
+        raise BadFieldError(f"q = {q} must be a prime power with q >= {least}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +415,10 @@ def verify_claim(
     The Singleton bound is only enforced under its gate d <= (n+2)/2; a
     witness, when given, is fully re-measured (hull dimension and both
     distances) and must reproduce the claimed parameters through one of
-    the two derivations.
+    the two derivations.  A q that is not a prime power, or whose GF(q^2)
+    is past the field-order cap, raises before any check runs.
     """
+    _check_base_field(params.q, least=2)
     failures: list[str] = []
     checks: list[str] = []
     n, k_q, d, c, q = params.n, params.k_q, params.d, params.c, params.q

@@ -39,22 +39,6 @@ FIELD_ORDER_CAP = 2**20
 TABLE_LIMIT = 1024
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (fine below the cap)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation by trial division, as {prime: exponent}."""
     out: dict[int, int] = {}
@@ -67,6 +51,10 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime_power(q: int) -> bool:
+    return q >= 2 and len(factorize(q)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +208,15 @@ class Field:
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        # The cap comes first: trial division of a huge p, or p**e for a
-        # huge e, would not finish.  Past the bit length, even 2**e is over.
-        if e >= 1 and (e > FIELD_ORDER_CAP.bit_length() or abs(p) ** e > FIELD_ORDER_CAP):
-            raise CapExceededError(f"GF({p}^{e}) exceeds the field order cap {FIELD_ORDER_CAP}")
-        if not is_prime(p):
-            raise NotPrimeError(f"p = {p} is not prime")
+        # The degree and the cap come first: trial division of a huge p, or
+        # p**e for a huge e, would not finish.  Past the bit length, even
+        # 2**e is over.
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
+        if e > FIELD_ORDER_CAP.bit_length() or abs(p) ** e > FIELD_ORDER_CAP:
+            raise CapExceededError(f"GF({p}^{e}) exceeds the field order cap {FIELD_ORDER_CAP}")
+        if factorize(p) != {p: 1}:
+            raise NotPrimeError(f"p = {p} is not prime")
         order = p**e
         if modulus is None:  # already irreducible by construction
             modulus = smallest_irreducible(p, e)

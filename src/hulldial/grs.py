@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -201,13 +201,10 @@ def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     return points
 
 
-def subgroup_eval_set(field: Field, m: int, cosets: Iterable[int] = (0,)) -> tuple[int, ...]:
-    """Union of cosets of the index-m subgroup of the multiplicative group.
-
-    Coset j is g^j * H where g generates GF(q^2)* and H = {g^(m t)}; the
-    default is the subgroup itself, of size (q^2 - 1)/m.  Points come back
-    sorted in canonical element order.
-    """
+def subgroup_eval_set(field: Field, m: int) -> tuple[int, ...]:
+    """The index-m subgroup {g^(m t)} of the multiplicative group, g a
+    generator of GF(q^2)*: (q^2 - 1)/m points, sorted in canonical element
+    order."""
     o = field.order - 1
     if m < 1 or o % m != 0:
         raise NotADivisorError(f"m = {m} does not divide the group order {o}")
@@ -219,11 +216,7 @@ def subgroup_eval_set(field: Field, m: int, cosets: Iterable[int] = (0,)) -> tup
     for _ in range(size):
         subgroup.append(x)
         x = field.mul(x, gm)
-    points: set[int] = set()
-    for j in set(int(j) % m for j in cosets):
-        shift = field.pow(g, j)
-        points.update(field.mul(shift, s) for s in subgroup)
-    return tuple(sorted(points))
+    return tuple(sorted(subgroup))
 
 
 def subgroup_union_eval_set(field: Field, m1: int, m2: int) -> tuple[int, ...]:

@@ -129,7 +129,8 @@ def test_table_determinism_and_q2(capsys):
 
 def test_hostile_field_size_exits_1(capsys):
     for argv in (["table", "--q", "1000000000000000003"],
-                 ["construct", "--q", "1000000000000000003", "--family", "full-field", "--k", "1"]):
+                 ["construct", "--q", "1000000000000000003", "--family", "full-field", "--k", "1"],
+                 ["verify", "--q", "1000000000000000003", "--params", "5,1,3,0"]):
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == ""
         assert "exceeds the field order cap" in err
@@ -274,6 +275,35 @@ def test_verify_witnesses_a_dialed_q7_code(tmp_path, capsys):
                         "--witness", str(dialfile))
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_witnesses_a_dialed_q16_code_past_the_cap(tmp_path, capsys):
+    # 256^3 messages are past the enumeration cap: the certificate answers
+    codefile = tmp_path / "code.json"
+    dialfile = tmp_path / "dial.json"
+    _run(capsys, "construct", "--q", "16", "--family", "full-field", "--k", "3",
+         "--out", str(codefile))
+    _run(capsys, "dial", str(codefile), "--h", "1", "--out", str(dialfile))
+    code, out, _ = _run(capsys, "verify", "--q", "16", "--params", "256,252,4,2",
+                        "--witness", str(dialfile))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    code, out, _ = _run(capsys, "distance", str(dialfile))
+    assert code == 0
+    assert json.loads(out)["d"] == 254
+
+
+@pytest.mark.parametrize("q", ["6", "1", "0", "-3"])
+def test_verify_rejects_a_q_that_is_not_a_prime_power(capsys, q):
+    code, out, err = _run(capsys, "verify", "--q", q, "--params", "5,1,3,0")
+    assert code == 1 and out == ""
+    assert err.startswith("hulldial: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["2", "4"])
+def test_verify_accepts_prime_power_q(capsys, q):
+    code, out, _ = _run(capsys, "verify", "--q", q, "--params", "5,1,3,0")
+    assert code == 0 and "passed" in json.loads(out)
 
 
 def test_verify_cap_needs_witness(capsys):

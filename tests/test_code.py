@@ -244,13 +244,25 @@ def test_min_distance_examples(gf9, rs92):
     assert min_distance(rs92) == brute_min_distance(rs92)
 
 
-def test_min_distance_cap(rs92):
-    with pytest.raises(TooLargeToEnumerateError):
-        min_distance(rs92, cap=10)
-
-
 def _must_not_run(*args, **kwargs):
     raise AssertionError("a route ran that the test rules out")
+
+
+def test_min_distance_cap(monkeypatch, gf9, rs92):
+    # the cap bounds only enumeration: past it the other routes still answer
+    c = LinearCode(gf9, [[1, 0, 0, 0, 1, 2], [0, 1, 0, 1, 1, 1], [0, 0, 1, 3, 5, 7]])
+    assert not _mds_certificate(c.gen)  # a zero in A
+    expected = brute_min_distance(c)
+    monkeypatch.setattr(code_module, "_enumerated_distance", _must_not_run)
+    assert min_distance(c, cap=10) == expected
+    monkeypatch.setattr(code_module, "_smallest_dependent_set", _must_not_run)
+    assert min_distance(rs92, cap=10) == 8
+
+
+def test_cap_is_validated_whichever_route_answers(rs92):
+    for distance in (dual_min_distance, is_mds, min_distance):
+        with pytest.raises(CapExceededError):
+            distance(rs92, cap=2**64)
 
 
 def test_min_distance_of_a_grs_code_is_answered_by_certificate(monkeypatch):
@@ -299,7 +311,7 @@ def test_budget_errors_on_huge_counts_are_typed():
 
     with pytest.raises(TooLargeToEnumerateError, match=r"1048576\^797 messages"):
         dual_min_distance(systematic(3, 800))
-    with pytest.raises(TooLargeToEnumerateError, match=r"1048576\^750 codewords"):
+    with pytest.raises(TooLargeToEnumerateError, match=r"1048576\^750 messages"):
         min_distance(systematic(750, 760))
 
 
@@ -494,6 +506,7 @@ def test_min_distance_matches_codeword_oracle(code):
     assume(code.field.order**code.k <= 2000)  # the oracle lists every codeword
     expected = brute_min_distance(code)
     assert _smallest_dependent_set(null_space(code.gen)) == expected
+    assert min_distance(code, cap=1) == expected  # certificate or support search
     assert min_distance(code) == expected
 
 

@@ -501,6 +501,15 @@ def test_verify_claim_examples(rs92):
     assert "witness" in gate_off.checks
 
 
+@pytest.mark.parametrize("q, k, params", [(7, 5, (49, 43, 6, 4)), (32, 3, (1024, 1020, 4, 2))])
+def test_verify_claim_witnesses_full_field_codes_past_the_cap(q, k, params):
+    # q^(2k) messages are past the enumeration cap; the certificate answers both distances
+    witness = dial_hull(full_field_rs(make_quadratic_field(q), k).code(), 1).code
+    assert (q * q) ** k > code_module.DEFAULT_ENUM_CAP
+    verdict = verify_claim(claim(q, *params), witness)
+    assert verdict.passed, verdict.failures
+
+
 def test_verify_claim_wrong_witness(rs92):
     verdict = verify_claim(claim(3, 9, 6, 3, 1), rs92)  # hull dim 2, not 1
     assert not verdict.passed

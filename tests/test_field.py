@@ -51,6 +51,10 @@ def test_cap_enforced():
         Field(2, 10**8)
     with pytest.raises(CapExceededError):
         make_quadratic_field(10**18 + 3)
+    # a degree below 1 is refused before p is factorized, whatever p is
+    for p in (2**61 - 1, 2 * (2**61 - 1)):
+        with pytest.raises(ValueError, match="extension degree"):
+            Field(p, 0)
     # the documented cap itself is constructible
     assert Field(2, 20).order == 2**20
 
