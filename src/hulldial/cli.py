@@ -25,10 +25,10 @@ from .grs import DEFAULT_SEED, FAMILIES, construct_family
 from .eaqec import (
     TSV_HEADER,
     EaqecParams,
+    _table_blocks,
     claim,
     eaqec_from_dial,
     eaqec_sweep,
-    enumerate_table1,
     tsv_row,
     verify_claim,
 )
@@ -77,7 +77,8 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-#: Lines per piece of TSV or pretty output: the text is never held whole.
+#: Lines per piece of TSV or pretty output, records per piece of table
+#: JSON: the text is never held whole.
 _LINE_BATCH = 4096
 
 
@@ -98,6 +99,58 @@ def _records_text(records: list[EaqecParams], fmt: str) -> Iterator[str]:
         lines = map(_pretty_row, records) if records else iter([""])
     while batch := list(itertools.islice(lines, _LINE_BATCH)):
         yield "\n".join(batch) + "\n"
+
+
+def _block_rows(fmt: str, q: int, n: int, k: int, tags: tuple[str, ...], rows: int) -> list[str]:
+    """The text of one table block's rows, each line ended.
+
+    The rows of a block differ only in k_q = n-k-h and c = k-h, so the rest
+    of each line is formatted once per block.  Table rows are MDS, gated
+    and not witnessed; the bytes match tsv_row, _pretty_row and one record
+    of json.dumps(..., sort_keys=True, indent=2) inside a list.
+    """
+    k_qs, cs = range(n - k, n - k - rows, -1), range(k, k - rows, -1)
+    if fmt == "json":
+        fams = json.dumps(tags, indent=2).replace("\n", "\n    ")  # nested two levels
+        head = '  {\n    "c": '
+        mid = (
+            f',\n    "d": {k + 1},\n    "families": {fams},'
+            '\n    "gate": true,\n    "hull_dim": null,\n    "k_q": '
+        )
+        tail = (
+            f',\n    "mds": true,\n    "n": {n},\n    "q": {q},'
+            '\n    "witness_digest": null,\n    "witnessed": false\n  }'
+        )
+        return [f"{head}{c}{mid}{k_q}{tail}" for k_q, c in zip(k_qs, cs)]
+    fam = ",".join(tags)
+    if fmt == "tsv":
+        head, mid, tail = f"{q}\t{n}\t", f"\t{k + 1}\t", f"\t{fam}\tfalse\ttrue\ttrue\n"
+    else:
+        head, mid, tail = f"[[{n}, ", f", {k + 1}, ", f"]]_{q}  MDS  family={fam}\n"
+    return [f"{head}{k_q}{mid}{c}{tail}" for k_q, c in zip(k_qs, cs)]
+
+
+def _table_text(q: int, blocks: list, fmt: str) -> Iterator[str]:
+    """The table as text, rendered block by block without records.
+
+    TSV and pretty text leave in pieces of at most _LINE_BATCH lines, JSON
+    in pieces of at most _LINE_BATCH records; the pieces add up to the
+    bytes _records_text would write for the same records.
+    """
+    rows = itertools.chain.from_iterable(_block_rows(fmt, q, *block) for block in blocks)
+    if fmt == "json":
+        opening = "[\n"
+        while batch := list(itertools.islice(rows, _LINE_BATCH)):
+            yield opening + ",\n".join(batch)
+            opening = ",\n"
+        yield "[]\n" if opening == "[\n" else "\n]\n"
+        return
+    if fmt == "tsv":
+        rows = itertools.chain([TSV_HEADER + "\n"], rows)
+    elif not blocks:  # no rows print as one empty line
+        rows = iter(["\n"])
+    while batch := list(itertools.islice(rows, _LINE_BATCH)):
+        yield "".join(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +203,8 @@ def _cmd_eaqec(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    records = enumerate_table1(args.q, max_rows=args.max_rows, include_generic=not args.no_generic)
-    _emit(_records_text(records, args.format), args.out)
+    blocks = _table_blocks(args.q, args.max_rows, not args.no_generic)
+    _emit(_table_text(args.q, blocks, args.format), args.out)
     return EXIT_OK
 
 

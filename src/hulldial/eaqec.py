@@ -19,20 +19,18 @@ gate and the Singleton bound with equality.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .errors import (
-    BadFieldError,
     BadTargetError,
     CapExceededError,
     HulldialError,
     VerificationFailedError,
 )
-from .field import FIELD_ORDER_CAP, factorize, is_prime_power
+from .field import _check_base_field, factorize
 from .code import LinearCode, dual_min_distance, hull, min_distance
 from .dial import _hermitian_dials
 from .grs import _even_subgroup_bound
@@ -184,9 +182,11 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
 # ---------------------------------------------------------------------------
 
 
-#: Most records the table enumerator returns; a longer table raises
-#: CapExceededError.  The full q = 16 table fits (732,032 rows, built in
-#: about 1.5 s and 150 MB).
+#: Most rows a table may hold; a longer table raises CapExceededError,
+#: counted over its (n, k) pairs before any record or byte exists.  The
+#: full q = 16 table fits: 732,032 rows from 16,512 pairs, walked in about
+#: 0.04 s, written by `table` in about 1 s and 40 MB, and built as records
+#: by enumerate_table1 in about 1.6 s and 140 MB.
 TABLE_ROW_CAP = 750_000
 
 
@@ -321,24 +321,49 @@ def _families(q: int, include_generic: bool) -> list[_Family]:
     return named + [_generic(q)] if include_generic else named
 
 
-def _table_records(q: int, families: list[_Family]) -> Iterator[EaqecParams]:
-    """Records in table order, each (n, k_q, d, c) once, walked lazily.
+def _table_blocks(
+    q: int, max_rows: int | None, include_generic: bool
+) -> list[tuple[int, int, tuple[str, ...], int]]:
+    """The table as (n, k, tags, rows) blocks, one per (n, k) pair, in order.
 
-    Keys and (n, k, h) determine each other, so a key was emitted exactly
-    when its pair was: the dedup set holds the emitted pairs.  A pair with
-    2k > n yields no row, since its rows fail the distance gate.  Every
-    other row (n, n-k-h, k+1, k-h) has 0 <= h <= k, so it meets the gate
-    and Singleton equality and is recorded as MDS.
+    Block (n, k) stands for its first ``rows`` rows (n, n-k-h, k+1, k-h),
+    h = 0..rows-1, all tagged ``tags``; every block holds k + 1 rows but the
+    last, which is cut to ``max_rows``.  Keys (n, k_q, d, c) and (n, k, h)
+    determine each other, so a key was emitted exactly when its pair was:
+    the dedup set holds the emitted pairs.  A pair with 2k > n yields no
+    row, since its rows fail the distance gate.  Every other row has
+    0 <= h <= k, so it meets the gate and Singleton equality and is MDS.
+    The walk stops at the row that reaches ``max_rows`` or passes
+    TABLE_ROW_CAP; past the cap it raises CapExceededError, before any
+    record or output exists.
     """
+    if max_rows is not None and max_rows < 0:
+        raise BadTargetError(f"max_rows = {max_rows} must be nonnegative")
+    _check_base_field(q, least=3)
+    families = _families(q, include_generic)
+    wanted = TABLE_ROW_CAP + 1 if max_rows is None else min(TABLE_ROW_CAP + 1, max_rows)
+    blocks: list[tuple[int, int, tuple[str, ...], int]] = []
+    if wanted == 0:
+        return blocks
     emitted: set[tuple[int, int]] = set()
+    total = 0
     for i, family in enumerate(families):
         for n, k in family.pairs():
             if 2 * k > n or (n, k) in emitted:
                 continue
             emitted.add((n, k))
             tags = (family.name, *(later.name for later in families[i + 1 :] if later.has(n, k)))
-            for h in range(k + 1):
-                yield EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
+            rows = min(k + 1, wanted - total)
+            blocks.append((n, k, tags, rows))
+            total += rows
+            if total == wanted:
+                if total > TABLE_ROW_CAP:
+                    raise CapExceededError(
+                        f"the q = {q} table has over {TABLE_ROW_CAP} rows; "
+                        "ask for at most that many"
+                    )
+                return blocks
+    return blocks
 
 
 def enumerate_table1(
@@ -354,34 +379,18 @@ def enumerate_table1(
     every later family whose closed-form membership test holds for it.
     ``include_generic`` False leaves out the generic family, which holds
     most rows for larger q.  The walk stops once ``max_rows`` (nonnegative)
-    records exist, so time and memory grow with the rows emitted, not with
-    the families' size (about q^3 named rows, about q^6/24 generic ones).
-    A table that would hold more than TABLE_ROW_CAP records raises
-    CapExceededError after walking one past the cap.  Every record meets
-    the distance gate and the Singleton bound with equality.
+    rows are counted, so time and memory grow with the rows emitted, not
+    with the families' size (about q^3 named rows, about q^6/24 generic
+    ones).  A table that would hold more than TABLE_ROW_CAP records raises
+    CapExceededError once its row count passes the cap, counted over (n, k)
+    pairs before any record is built.  Every record meets the distance gate
+    and the Singleton bound with equality.
     """
-    if max_rows is not None and max_rows < 0:
-        raise BadTargetError(f"max_rows = {max_rows} must be nonnegative")
-    _check_base_field(q, least=3)
-    records = _table_records(q, _families(q, include_generic))
-    wanted = TABLE_ROW_CAP + 1
-    if max_rows is not None:
-        wanted = min(wanted, max_rows)
-    rows = list(itertools.islice(records, wanted))
-    if len(rows) > TABLE_ROW_CAP:
-        raise CapExceededError(
-            f"the q = {q} table has over {TABLE_ROW_CAP} rows; ask for at most that many"
-        )
-    return rows
-
-
-def _check_base_field(q: int, least: int) -> None:
-    """Refuse q whose GF(q^2) is past the field-order cap, before any
-    factorizing, then q that is not a prime power of at least ``least``."""
-    if q * q > FIELD_ORDER_CAP:
-        raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
-    if q < least or not is_prime_power(q):
-        raise BadFieldError(f"q = {q} must be a prime power with q >= {least}")
+    return [
+        EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
+        for n, k, tags, rows in _table_blocks(q, max_rows, include_generic)
+        for h in range(rows)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadFieldError,
     CapExceededError,
     NoSuchElementError,
     NotPrimeError,
@@ -518,14 +519,21 @@ def make_field(p: int, e: int) -> Field:
     return Field(p, e)
 
 
-def make_quadratic_field(q: int) -> Field:
-    """GF(q^2) for a prime power q: the alphabet of Hermitian constructions."""
+def _check_base_field(q: int, least: int) -> None:
+    """Refuse q whose GF(q^2) is past the field-order cap, before any
+    factorizing, then q below ``least`` or not a prime power."""
     if q * q > FIELD_ORDER_CAP:
         raise CapExceededError(f"GF({q}^2) exceeds the field order cap {FIELD_ORDER_CAP}")
-    fact = factorize(q)
-    if len(fact) != 1:
-        raise NotPrimeError(f"q = {q} is not a prime power")
-    ((p, r),) = fact.items()
+    if q < least:
+        raise BadFieldError(f"q = {q} must be at least {least}")
+    if not is_prime_power(q):
+        raise BadFieldError(f"q = {q} is not a prime power")
+
+
+def make_quadratic_field(q: int) -> Field:
+    """GF(q^2) for a prime power q: the alphabet of Hermitian constructions."""
+    _check_base_field(q, least=2)
+    ((p, r),) = factorize(q).items()
     return Field(p, 2 * r)
 
 

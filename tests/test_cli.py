@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import hulldial
 from hulldial import cli, eaqec
 from hulldial.cli import main
 
@@ -127,6 +131,13 @@ def test_table_determinism_and_q2(capsys):
     assert code == 1
 
 
+def test_base_field_is_checked_alike_by_every_subcommand(capsys):
+    for argv in (["table", "--q", "6"],
+                 ["construct", "--q", "6", "--family", "full-field", "--k", "1"],
+                 ["verify", "--q", "6", "--params", "5,1,3,0"]):
+        assert _run(capsys, *argv) == (1, "", "hulldial: error: q = 6 is not a prime power\n")
+
+
 def test_hostile_field_size_exits_1(capsys):
     for argv in (["table", "--q", "1000000000000000003"],
                  ["construct", "--q", "1000000000000000003", "--family", "full-field", "--k", "1"],
@@ -183,6 +194,47 @@ def test_table_stops_one_row_past_the_cap(capsys, monkeypatch, extra):
 def test_table_row_cap_holds_the_full_q16_table():
     rows = eaqec.enumerate_table1(16)
     assert len(rows) == 732_032 <= eaqec.TABLE_ROW_CAP
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pretty", "json"])
+def test_refused_table_writes_nothing(capsys, monkeypatch, tmp_path, fmt):
+    # the full q = 16 table has 732,032 rows: one past the cap, counted on
+    # the last (n, k) pair, before the first byte
+    monkeypatch.setattr(eaqec, "TABLE_ROW_CAP", 732_031)
+    code, out, err = _run(capsys, "table", "--q", "16", "--format", fmt)
+    assert code == 1 and out == ""
+    assert "q = 16 table has over 732031 rows" in err
+    target = tmp_path / "table.out"
+    code, out, _ = _run(capsys, "table", "--q", "16", "--format", fmt, "--out", str(target))
+    assert code == 1 and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+#: Runs hulldial in a grandchild and prints its peak RSS, so no earlier
+#: child of the test process shows in RUSAGE_CHILDREN.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "hulldial", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, row_start", [("tsv", b"16\t"), ("pretty", b"[["), ("json", b"  {\n")]
+)
+def test_full_q16_table_streams_in_bounded_memory(tmp_path, fmt, row_start):
+    # as one list of records it peaked at 142 MB as TSV and 1,934 MB as JSON
+    target = tmp_path / f"table.{fmt}"
+    env = {**os.environ, "PYTHONPATH": str(Path(hulldial.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "table", "--q", "16", "--format", fmt,
+         "--out", str(target)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    peak_mb = int(done.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 60, f"peak {peak_mb:.1f} MB"
+    with open(target, "rb") as fh:
+        assert sum(line.startswith(row_start) for line in fh) == 732_032
 
 
 def test_table_negative_max_rows_exits_1(capsys):
@@ -446,6 +498,40 @@ def test_table_text_is_written_in_line_batches(capsys, monkeypatch, tmp_path, ta
     assert out.read_bytes() == golden and not (tmp_path / "table.txt.tmp").exists()
     assert pieces[0] == pieces[1] and len(pieces[0]) == -(-golden.count(b"\n") // 7)
     assert all(piece.count("\n") <= 7 for piece in pieces[0])
+
+
+def _record_text(records, fmt: str) -> str:
+    """The table text built from records, one formatter per format."""
+    if fmt == "json":
+        return json.dumps([r.to_dict() for r in records], sort_keys=True, indent=2) + "\n"
+    if fmt == "tsv":
+        return eaqec.TSV_HEADER + "\n" + "".join(eaqec.tsv_row(r) + "\n" for r in records)
+    return "".join(cli._pretty_row(r) + "\n" for r in records) or "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    q=st.sampled_from((3, 4, 5, 7, 8, 9)),
+    max_rows=st.one_of(st.none(), st.integers(0, 400)),
+    no_generic=st.booleans(),
+    fmt=st.sampled_from(("tsv", "pretty", "json")),
+    batch=st.sampled_from((1, 7, 4096)),
+)
+def test_table_blocks_render_the_records(capsys, monkeypatch, q, max_rows, no_generic, fmt,
+                                         batch):
+    # the CLI renders (n, k) blocks without building records; its bytes
+    # must stay those of the record formatters, in pieces of any size
+    monkeypatch.setattr(cli, "_LINE_BATCH", batch)
+    argv = ["table", "--q", str(q), "--format", fmt]
+    argv += [] if max_rows is None else ["--max-rows", str(max_rows)]
+    argv += ["--no-generic"] if no_generic else []
+    records = eaqec.enumerate_table1(q, max_rows=max_rows, include_generic=not no_generic)
+    code, out, _ = _run(capsys, *argv)
+    # compared as lines: a failing comparison then names the first line that
+    # differs, where pytest's diff of two long strings would take minutes
+    want = _record_text(records, fmt).splitlines(keepends=True)
+    assert code == 0 and out.splitlines(keepends=True) == want
 
 
 def test_empty_table_text(capsys):

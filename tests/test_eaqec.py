@@ -15,7 +15,7 @@ from hulldial.errors import (
     BadTargetError,
     CapExceededError,
 )
-from hulldial.field import make_field, make_quadratic_field
+from hulldial.field import is_prime_power, make_field, make_quadratic_field
 from hulldial.code import (
     LinearCode,
     dual_min_distance,
@@ -339,7 +339,7 @@ def test_named_family_tables_match_frozen_digests():
     # every prime power 3 <= q <= 49: reaches two-t-subgroup at t = 3 (q = 23,
     # 47) and q2plus1-char2 at q = 32, which no byte-level golden covers
     golden = json.loads(GOLDEN_NAMED.read_text())
-    assert [int(q) for q in golden] == [q for q in range(3, 50) if eaqec.is_prime_power(q)]
+    assert [int(q) for q in golden] == [q for q in range(3, 50) if is_prime_power(q)]
     for q_str, want in golden.items():
         rows = enumerate_table1(int(q_str), include_generic=False)
         text = "".join(tsv_row(r) + "\n" for r in rows)
