@@ -25,6 +25,8 @@ from .grs import DEFAULT_SEED, FAMILIES, construct_family
 from .eaqec import (
     TSV_HEADER,
     EaqecParams,
+    _block_records,
+    _block_tsv_rows,
     _table_blocks,
     claim,
     eaqec_from_dial,
@@ -77,8 +79,8 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-#: Lines per piece of TSV or pretty output, records per piece of table
-#: JSON: the text is never held whole.
+#: Lines per piece of TSV or pretty output, records per piece of JSON:
+#: the text is never held whole.
 _LINE_BATCH = 4096
 
 
@@ -88,69 +90,33 @@ def _pretty_row(r: EaqecParams) -> str:
     return f"[[{r.n}, {r.k_q}, {r.d}, {r.c}]]_{r.q}  {mds}  family={fam}"
 
 
-def _records_text(records: list[EaqecParams], fmt: str) -> Iterator[str]:
-    """The records as text, in pieces of at most _LINE_BATCH lines."""
-    if fmt == "json":
-        yield _json_text([r.to_dict() for r in records])
-        return
-    if fmt == "tsv":
-        lines = itertools.chain([TSV_HEADER], map(tsv_row, records))
-    else:  # no records print as one empty line
-        lines = map(_pretty_row, records) if records else iter([""])
+def _batched(lines: Iterator[str]) -> Iterator[str]:
+    """The lines, each ended, in pieces of at most _LINE_BATCH lines."""
     while batch := list(itertools.islice(lines, _LINE_BATCH)):
         yield "\n".join(batch) + "\n"
 
 
-def _block_rows(fmt: str, q: int, n: int, k: int, tags: tuple[str, ...], rows: int) -> list[str]:
-    """The text of one table block's rows, each line ended.
+def _records_text(records: Iterable[EaqecParams], fmt: str) -> Iterator[str]:
+    """The records as text, streamed in pieces of at most _LINE_BATCH lines.
 
-    The rows of a block differ only in k_q = n-k-h and c = k-h, so the rest
-    of each line is formatted once per block.  Table rows are MDS, gated
-    and not witnessed; the bytes match tsv_row, _pretty_row and one record
-    of json.dumps(..., sort_keys=True, indent=2) inside a list.
+    JSON is dumped _LINE_BATCH records at a time: a batch's list dump,
+    brackets stripped, is those records' part of the whole list's dump.
     """
-    k_qs, cs = range(n - k, n - k - rows, -1), range(k, k - rows, -1)
-    if fmt == "json":
-        fams = json.dumps(tags, indent=2).replace("\n", "\n    ")  # nested two levels
-        head = '  {\n    "c": '
-        mid = (
-            f',\n    "d": {k + 1},\n    "families": {fams},'
-            '\n    "gate": true,\n    "hull_dim": null,\n    "k_q": '
-        )
-        tail = (
-            f',\n    "mds": true,\n    "n": {n},\n    "q": {q},'
-            '\n    "witness_digest": null,\n    "witnessed": false\n  }'
-        )
-        return [f"{head}{c}{mid}{k_q}{tail}" for k_q, c in zip(k_qs, cs)]
-    fam = ",".join(tags)
-    if fmt == "tsv":
-        head, mid, tail = f"{q}\t{n}\t", f"\t{k + 1}\t", f"\t{fam}\tfalse\ttrue\ttrue\n"
-    else:
-        head, mid, tail = f"[[{n}, ", f", {k + 1}, ", f"]]_{q}  MDS  family={fam}\n"
-    return [f"{head}{k_q}{mid}{c}{tail}" for k_q, c in zip(k_qs, cs)]
-
-
-def _table_text(q: int, blocks: list, fmt: str) -> Iterator[str]:
-    """The table as text, rendered block by block without records.
-
-    TSV and pretty text leave in pieces of at most _LINE_BATCH lines, JSON
-    in pieces of at most _LINE_BATCH records; the pieces add up to the
-    bytes _records_text would write for the same records.
-    """
-    rows = itertools.chain.from_iterable(_block_rows(fmt, q, *block) for block in blocks)
+    records = iter(records)
     if fmt == "json":
         opening = "[\n"
-        while batch := list(itertools.islice(rows, _LINE_BATCH)):
-            yield opening + ",\n".join(batch)
+        while batch := list(itertools.islice(records, _LINE_BATCH)):
+            text = json.dumps([r.to_dict() for r in batch], sort_keys=True, indent=2)
+            yield opening + text[2:-2]
             opening = ",\n"
         yield "[]\n" if opening == "[\n" else "\n]\n"
         return
     if fmt == "tsv":
-        rows = itertools.chain([TSV_HEADER + "\n"], rows)
-    elif not blocks:  # no rows print as one empty line
-        rows = iter(["\n"])
-    while batch := list(itertools.islice(rows, _LINE_BATCH)):
-        yield "".join(batch)
+        lines = itertools.chain([TSV_HEADER], map(tsv_row, records))
+    else:  # no records print as one empty line
+        first = next(records, None)
+        lines = map(_pretty_row, itertools.chain([first], records)) if first else iter([""])
+    yield from _batched(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +170,11 @@ def _cmd_eaqec(args) -> int:
 
 def _cmd_table(args) -> int:
     blocks = _table_blocks(args.q, args.max_rows, not args.no_generic)
-    _emit(_table_text(args.q, blocks, args.format), args.out)
+    if args.format == "tsv":  # the bulk format, rendered without records
+        text = _batched(itertools.chain([TSV_HEADER], _block_tsv_rows(args.q, blocks)))
+    else:
+        text = _records_text(_block_records(args.q, blocks), args.format)
+    _emit(text, args.out)
     return EXIT_OK
 
 

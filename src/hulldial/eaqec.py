@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadTargetError,
@@ -51,7 +51,8 @@ class EaqecParams(NamedTuple):
     ``gate`` records whether d <= (n+2)/2; ``mds`` is None exactly when the
     gate fails, True on exact Singleton equality, False otherwise.  A named
     tuple, so records are immutable, hash and compare by value, and cost
-    little to build: the table makes thousands of them.
+    little to build: enumerate_table1, and the table's pretty and JSON
+    text, make one per row.
     """
 
     q: int
@@ -108,14 +109,19 @@ def classified(q: int, n: int, k_q: int, d: int, c: int, **extra) -> EaqecParams
 TSV_HEADER = "q\tn\tk_q\td\tc\tfamily\twitnessed\tmds\tgate"
 
 
-def tsv_row(rec: EaqecParams) -> str:
-    # unpacked, since a tuple unpacks faster than nine attribute reads
-    q, n, k_q, d, c, gate, mds, families, witnessed, _, _ = rec
+def _tsv_labels(families: tuple[str, ...], witnessed: bool, mds: bool | None, gate: bool) -> str:
+    """The family, witnessed, mds and gate columns of a TSV row."""
     mds = "gate-failed" if mds is None else ("true" if mds else "false")
     fam = ",".join(families) if families else "-"
     wit = "true" if witnessed else "false"
     gate = "true" if gate else "false"
-    return f"{q}\t{n}\t{k_q}\t{d}\t{c}\t{fam}\t{wit}\t{mds}\t{gate}"
+    return f"{fam}\t{wit}\t{mds}\t{gate}"
+
+
+def tsv_row(rec: EaqecParams) -> str:
+    # unpacked, since a tuple unpacks faster than nine attribute reads
+    q, n, k_q, d, c, gate, mds, families, witnessed, _, _ = rec
+    return f"{q}\t{n}\t{k_q}\t{d}\t{c}\t{_tsv_labels(families, witnessed, mds, gate)}"
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +191,9 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
 #: Most rows a table may hold; a longer table raises CapExceededError,
 #: counted over its (n, k) pairs before any record or byte exists.  The
 #: full q = 16 table fits: 732,032 rows from 16,512 pairs, walked in about
-#: 0.04 s, written by `table` in about 1 s and 40 MB, and built as records
-#: by enumerate_table1 in about 1.6 s and 140 MB.
+#: 0.04 s, written by `table` in under 50 MB (about 1 s as TSV, 2 s as
+#: pretty text, 17 s as JSON), and built as records by enumerate_table1 in
+#: about 1.6 s and 140 MB.
 TABLE_ROW_CAP = 750_000
 
 
@@ -321,9 +328,11 @@ def _families(q: int, include_generic: bool) -> list[_Family]:
     return named + [_generic(q)] if include_generic else named
 
 
-def _table_blocks(
-    q: int, max_rows: int | None, include_generic: bool
-) -> list[tuple[int, int, tuple[str, ...], int]]:
+#: A table block (n, k, tags, rows); see _table_blocks.
+_Block = tuple[int, int, tuple[str, ...], int]
+
+
+def _table_blocks(q: int, max_rows: int | None, include_generic: bool) -> list[_Block]:
     """The table as (n, k, tags, rows) blocks, one per (n, k) pair, in order.
 
     Block (n, k) stands for its first ``rows`` rows (n, n-k-h, k+1, k-h),
@@ -342,7 +351,7 @@ def _table_blocks(
     _check_base_field(q, least=3)
     families = _families(q, include_generic)
     wanted = TABLE_ROW_CAP + 1 if max_rows is None else min(TABLE_ROW_CAP + 1, max_rows)
-    blocks: list[tuple[int, int, tuple[str, ...], int]] = []
+    blocks: list[_Block] = []
     if wanted == 0:
         return blocks
     emitted: set[tuple[int, int]] = set()
@@ -386,11 +395,26 @@ def enumerate_table1(
     pairs before any record is built.  Every record meets the distance gate
     and the Singleton bound with equality.
     """
-    return [
-        EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
-        for n, k, tags, rows in _table_blocks(q, max_rows, include_generic)
-        for h in range(rows)
-    ]
+    return list(_block_records(q, _table_blocks(q, max_rows, include_generic)))
+
+
+def _block_records(q: int, blocks: Iterable[_Block]) -> Iterator[EaqecParams]:
+    """The records of table blocks, one by one: formula-level, MDS, gated."""
+    for n, k, tags, rows in blocks:
+        for h in range(rows):
+            yield EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
+
+
+def _block_tsv_rows(q: int, blocks: Iterable[_Block]) -> Iterator[str]:
+    """tsv_row of each record of table blocks, without building the records.
+
+    The rows of a block differ only in k_q and c, so the rest of each row
+    is formatted once per block.
+    """
+    for n, k, tags, rows in blocks:
+        head, mid = f"{q}\t{n}\t", f"\t{k + 1}\t"
+        tail = "\t" + _tsv_labels(tags, False, True, True)
+        yield from [f"{head}{n - k - h}{mid}{k - h}{tail}" for h in range(rows)]
 
 
 # ---------------------------------------------------------------------------

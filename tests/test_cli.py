@@ -520,8 +520,9 @@ def _record_text(records, fmt: str) -> str:
 )
 def test_table_blocks_render_the_records(capsys, monkeypatch, q, max_rows, no_generic, fmt,
                                          batch):
-    # the CLI renders (n, k) blocks without building records; its bytes
-    # must stay those of the record formatters, in pieces of any size
+    # the CLI renders TSV from (n, k) blocks without building records, and
+    # streams JSON in batches; its bytes must stay those of the record
+    # formatters over the whole list, in pieces of any size
     monkeypatch.setattr(cli, "_LINE_BATCH", batch)
     argv = ["table", "--q", str(q), "--format", fmt]
     argv += [] if max_rows is None else ["--max-rows", str(max_rows)]
