@@ -26,7 +26,7 @@ from .eaqec import (
     TSV_HEADER,
     EaqecParams,
     _block_records,
-    _block_tsv_rows,
+    _block_tsv_text,
     _table_blocks,
     claim,
     eaqec_from_dial,
@@ -171,7 +171,7 @@ def _cmd_eaqec(args) -> int:
 def _cmd_table(args) -> int:
     blocks = _table_blocks(args.q, args.max_rows, not args.no_generic)
     if args.format == "tsv":  # the bulk format, rendered without records
-        text = _batched(itertools.chain([TSV_HEADER], _block_tsv_rows(args.q, blocks)))
+        text = _block_tsv_text(args.q, blocks, _LINE_BATCH)
     else:
         text = _records_text(_block_records(args.q, blocks), args.format)
     _emit(text, args.out)

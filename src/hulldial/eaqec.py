@@ -191,9 +191,9 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
 #: Most rows a table may hold; a longer table raises CapExceededError,
 #: counted over its (n, k) pairs before any record or byte exists.  The
 #: full q = 16 table fits: 732,032 rows from 16,512 pairs, walked in about
-#: 0.04 s, written by `table` in under 50 MB (about 1 s as TSV, 2 s as
-#: pretty text, 17 s as JSON), and built as records by enumerate_table1 in
-#: about 1.6 s and 140 MB.
+#: 0.04 s, written by `table` in under 50 MB (as TSV in about 0.4 s and
+#: 36 MB peak RSS, on a 2-vCPU shared host; 2 s as pretty text, 17 s as
+#: JSON), and built as records by enumerate_table1 in about 1.6 s and 140 MB.
 TABLE_ROW_CAP = 750_000
 
 
@@ -405,16 +405,52 @@ def _block_records(q: int, blocks: Iterable[_Block]) -> Iterator[EaqecParams]:
             yield EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
 
 
-def _block_tsv_rows(q: int, blocks: Iterable[_Block]) -> Iterator[str]:
-    """tsv_row of each record of table blocks, without building the records.
+class _Countdown:
+    """str(top), str(top - 1), ..., str(0), each made only when sliced out."""
 
-    The rows of a block differ only in k_q and c, so the rest of each row
-    is formatted once per block.
+    def __init__(self, top: int):
+        self.top = top
+
+    def __getitem__(self, part: slice) -> Iterator[str]:
+        return map(str, range(self.top - part.start, self.top - part.stop, -1))
+
+
+def _block_tsv_text(q: int, blocks: Sequence[_Block], batch: int) -> Iterator[str]:
+    """TSV_HEADER and the tsv_row of each record of table blocks, each line
+    ended, in pieces of exactly ``batch`` lines but the last, which may be
+    shorter; no record is built.
+
+    The rows of block (n, k) differ only in k_q = n-k-h and c = k-h, which
+    count down together as h rises, so the rest of each row is formatted
+    once per block (the labels once per tag tuple) and the rows of a block
+    that fall in one piece are one join over slices of the decimal strings
+    of max n down to 0.  Those strings are made once when the table has at
+    least that many rows; a shorter table (a few rows at a large q) makes
+    each one it needs with ``str``.
     """
+    top = max((n for n, *_ in blocks), default=0)
+    if sum(rows for *_, rows in blocks) > top:
+        countdown = list(map(str, range(top, -1, -1)))
+    else:
+        countdown = _Countdown(top)
+    tails: dict[tuple[str, ...], str] = {}
+    piece, room = [TSV_HEADER + "\n"], batch - 1
     for n, k, tags, rows in blocks:
-        head, mid = f"{q}\t{n}\t", f"\t{k + 1}\t"
-        tail = "\t" + _tsv_labels(tags, False, True, True)
-        yield from [f"{head}{n - k - h}{mid}{k - h}{tail}" for h in range(rows)]
+        if tags not in tails:
+            tails[tags] = f"\t{_tsv_labels(tags, False, True, True)}\n"
+        head, mid, tail = f"{q}\t{n}\t", f"\t{k + 1}\t", tails[tags]
+        at_kq, at_c = top - (n - k), top - k  # where k_q and c of row h = 0 are
+        h = 0
+        while h < rows:
+            if not room:  # a full piece goes out only once a row follows it
+                yield "".join(piece)
+                piece, room = [], batch
+            take = min(rows - h, room)
+            kqs, cs = countdown[at_kq + h : at_kq + h + take], countdown[at_c + h : at_c + h + take]
+            piece.append(head + (tail + head).join(map(mid.join, zip(kqs, cs))) + tail)
+            h += take
+            room -= take
+    yield "".join(piece)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import (
     NotPrimeError,
     OddExtensionError,
     SpecMismatchError,
+    VerificationFailedError,
 )
 
 #: Largest field order the toolkit will construct.
@@ -335,7 +336,7 @@ class Field:
         """The norm a -> a^(q+1), landing in the subfield GF(q)."""
         w = self.pow(a, self.subfield_order + 1)
         if not self.in_subfield(w):
-            raise AssertionError("norm left the subfield")  # pragma: no cover
+            raise VerificationFailedError("norm left the subfield")
         return w
 
     def in_subfield(self, a: int) -> bool:
@@ -369,16 +370,29 @@ class Field:
         ``w`` must be a nonzero subfield element; the norm maps GF(q^2)*
         onto GF(q)*, so a preimage always exists.
         """
-        q = self.subfield_order
         self._check(w)
         if w == 0:
             raise ValueError("0 has no norm preimage among nonzero multipliers")
         if not self.in_subfield(w):
-            raise ValueError(f"{w} is not in the subfield GF({q})")
-        for v in range(1, self.order):
-            if self.pow(v, q + 1) == w:
-                return v
-        raise NoSuchElementError(f"no norm preimage of {w} found")  # pragma: no cover
+            raise ValueError(f"{w} is not in the subfield GF({self.subfield_order})")
+        return int(self.norm_preimage_array(w))
+
+    def norm_preimage_array(self, w) -> np.ndarray:
+        """norm_preimage of every entry, read from one table: an entry that
+        is no norm maps to 0, which callers re-check as a failed lift."""
+        return self._first_norm_preimage[w]
+
+    @functools.cached_property
+    def _first_norm_preimage(self) -> np.ndarray:
+        """first[w] = the first v in canonical order with v^(q+1) = w, for
+        every norm w, and 0 elsewhere.  np.unique reports the first index of
+        each value, so the rule holds without relying on the order of a
+        fancy assignment with repeated indices."""
+        norms = self.pow_array(np.arange(self.order, dtype=np.int64), self.subfield_order + 1)
+        values, first = np.unique(norms, return_index=True)
+        table = np.zeros(self.order, dtype=np.int64)
+        table[values] = first
+        return table
 
     def primitive_element(self) -> int:
         """Smallest generator of the multiplicative group, canonical order."""

@@ -474,14 +474,24 @@ def test_golden_cli_bytes(capsys, name, tag, argv):
     assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("tag,argv", [
+_BATCHED_TABLES = [
     ("q8_full", ["--q", "8"]),
     ("q9_rows300", ["--q", "9", "--max-rows", "300", "--format", "pretty"]),
     ("q9_nogeneric", ["--q", "9", "--no-generic", "--format", "pretty"]),
+    # 35 rows end in the (65, 8) block cut to 8 of its 9 rows, on lines
+    # 29..36, across the piece boundaries after lines 35 (7), 30 (2) and 29 (1)
+    ("q8_full", ["--q", "8", "--max-rows", "35"]),
+]
+
+
+@pytest.mark.parametrize("tag,argv,batch", [
+    pytest.param(tag, argv, batch, id=f"{tag}-argv{i}" + ("" if batch == 7 else f"-batch{batch}"))
+    for batch in (7, 1, 2)
+    for i, (tag, argv) in enumerate(_BATCHED_TABLES)
 ])
-def test_table_text_is_written_in_line_batches(capsys, monkeypatch, tmp_path, tag, argv):
+def test_table_text_is_written_in_line_batches(capsys, monkeypatch, tmp_path, tag, argv, batch):
     # the text is never formatted whole; its pieces still add up to the golden bytes
-    monkeypatch.setattr(cli, "_LINE_BATCH", 7)
+    monkeypatch.setattr(cli, "_LINE_BATCH", batch)
     pieces = []
     emit = cli._emit
 
@@ -492,12 +502,17 @@ def test_table_text_is_written_in_line_batches(capsys, monkeypatch, tmp_path, ta
 
     monkeypatch.setattr(cli, "_emit", recording)
     golden = (GOLDEN_CLI / f"table_{tag}.{'pretty' if 'pretty' in argv else 'tsv'}").read_bytes()
+    if tag == "q8_full" and "--max-rows" in argv:  # the header and the first rows
+        rows = int(argv[argv.index("--max-rows") + 1])
+        golden = b"".join(golden.splitlines(keepends=True)[: rows + 1])
+        assert eaqec._table_blocks(8, rows, True)[-1] == (65, 8, ("q2plus1", "generic"), 8)
     out = tmp_path / "table.txt"
     assert _run(capsys, "table", *argv)[1].encode() == golden
     assert _run(capsys, "table", *argv, "--out", str(out))[1] == ""
     assert out.read_bytes() == golden and not (tmp_path / "table.txt.tmp").exists()
-    assert pieces[0] == pieces[1] and len(pieces[0]) == -(-golden.count(b"\n") // 7)
-    assert all(piece.count("\n") <= 7 for piece in pieces[0])
+    assert pieces[0] == pieces[1] and len(pieces[0]) == -(-golden.count(b"\n") // batch)
+    assert all(piece.count("\n") <= batch for piece in pieces[0])
+    assert all(piece.count("\n") == batch for piece in pieces[0][:-1])
 
 
 def _record_text(records, fmt: str) -> str:

@@ -171,14 +171,23 @@ def test_find_norm_non_one_cycles_when_exhausted():
     assert picks[len(qualifiers)] == qualifiers[0]
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_norm_preimage_round_trip(q):
+    # the lift is the first v in canonical order with v^(q+1) = w, a rule
+    # the golden construct outputs depend on; the scan uses the oracle's pow
     f = make_quadratic_field(q)
+    first: dict[int, int] = {}
+    for v in range(1, f.order):
+        first.setdefault(poly_pow(f, v, q + 1), v)
+    assert len(first) == q - 1
     for w in range(1, f.order):
         if not f.in_subfield(w):
             continue
         v = f.norm_preimage(w)
         assert f.norm(v) == w
+        assert v == first[w]
+    norms = sorted(first)
+    assert f.norm_preimage_array(np.array(norms)).tolist() == [first[w] for w in norms]
 
 
 def test_norm_preimage_rejects_bad_input():

@@ -14,9 +14,10 @@ from hulldial.errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from hulldial.field import make_field, make_quadratic_field
+from hulldial.field import Field, make_field, make_quadratic_field
 from hulldial.code import is_hermitian_self_orthogonal, is_mds, min_distance
 from hulldial import code as code_module, grs
+from hulldial.cli import main
 from hulldial.grs import (
     _CHUNK,
     GrsSpec,
@@ -36,6 +37,8 @@ from oracles import (
     gram_by_power_sums,
     norm_substituted_polys,
     orthogonality_system,
+    poly_mul,
+    poly_pow,
     trace_nonzero_points,
     twisted_inner,
 )
@@ -66,6 +69,40 @@ def test_extended_generator(gf9):
     code = grs_generator(spec)
     assert (code.n, code.k) == (10, 1)
     assert min_distance(code) == 10
+
+
+@st.composite
+def _grs_specs(draw):
+    """Specs on distinct points that include 0, with random nonzero multipliers."""
+    field = make_quadratic_field(draw(st.sampled_from((2, 3, 4, 5))))
+    nonzero = st.integers(1, field.order - 1)
+    others = draw(st.lists(nonzero, unique=True, max_size=min(field.order - 1, 10)))
+    pts = tuple(draw(st.permutations([0, *others])))
+    extended = draw(st.booleans())
+    mults = tuple(draw(st.lists(nonzero, min_size=len(pts) + extended,
+                                max_size=len(pts) + extended)))
+    k = draw(st.integers(1, len(pts) + extended))
+    return GrsSpec(field, pts, mults, k, extended)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_grs_specs())
+def test_grs_generator_matches_scalar_oracle(spec):
+    # entry (i, l) is v_l * a_l^i with 0^0 = 1; the extension column holds
+    # v_inf in the last row only
+    f = spec.field
+    for i, row in enumerate(grs_generator(spec).gen.data.tolist()):
+        points = zip(spec.eval_points, spec.multipliers)
+        want = [poly_mul(f, v, poly_pow(f, a, i)) for a, v in points]
+        if spec.extended:
+            want.append(spec.multipliers[-1] if i == spec.k - 1 else 0)
+        assert row == want
+
+
+def test_grs_spec_builds_its_code_once(gf9):
+    spec = GrsSpec(gf9, tuple(range(9)), (1,) * 10, 2, extended=True)
+    assert spec.code() is spec.code()
+    assert spec.code().gen == grs_generator(spec).gen
 
 
 def test_full_field_rs(gf9, gf16):
@@ -307,6 +344,47 @@ def test_solver_lift_norms(gf25):
     for v in res.grs.multipliers:
         assert gf25.in_subfield(gf25.norm(v))
         assert v != 0
+        # each norm is lifted to its first preimage in canonical order
+        assert v == min(u for u in range(1, 25) if gf25.norm(u) == gf25.norm(v))
+
+
+@pytest.mark.parametrize("owner, name, broken, message", [
+    (Field, "norm_preimage_array", lambda self, w: np.ones_like(w), "norm preimage lift failed"),
+    (grs, "is_hermitian_self_orthogonal", lambda code: False, "self-orthogonality re-check"),
+    (grs, "is_mds", lambda code: False, "not MDS"),
+])
+def test_every_recheck_runs_on_the_found_code(monkeypatch, gf25, owner, name, broken, message):
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(VerificationFailedError, match=message):
+        construct_family(gf25, "subgroup", k=2, m=3)
+
+
+def test_construct_builds_the_generator_once(monkeypatch, capsys):
+    # the solver's re-check, the MDS re-check and the CLI payload share one build
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return grs_generator(spec)
+
+    monkeypatch.setattr(grs, "grs_generator", counted)
+    assert main(["construct", "--q", "5", "--family", "subgroup", "--k", "2", "--m", "3"]) == 0
+    assert len(calls) == 1 and '"status": "found"' in capsys.readouterr().out
+
+
+def test_broken_subfield_scan_raises_typed_error(monkeypatch, gf9):
+    # the scan maps coefficient digits to the fixed points of conjugation;
+    # a conjugation that fixes everything must fail loudly, also under -O
+    basis = null_space(_orthogonality_system(MultiplierProblem(gf9, tuple(range(8)), 1))).data
+    monkeypatch.setattr(Field, "conj_array", lambda self, a: np.asarray(a))
+    with pytest.raises(VerificationFailedError, match="fixed points of conjugation"):
+        grs._all_nonzero_combination(gf9, basis, seed=1)
+
+
+def test_norm_outside_the_subfield_raises_typed_error(monkeypatch, gf9):
+    monkeypatch.setattr(Field, "in_subfield", lambda self, a: False)
+    with pytest.raises(VerificationFailedError, match="norm left the subfield"):
+        gf9.norm(1)
 
 
 def test_trace_eval_sets(gf9):
