@@ -10,11 +10,13 @@ seed produce byte-identical output.  Exit codes: 0 success, 1 error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from .errors import HulldialError, MalformedCodeError
@@ -55,13 +57,56 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(pieces)
         return
     tmp = out + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(pieces)
-    os.replace(tmp, out)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, out)
+    except BaseException:  # a write that fails part-way leaves no file behind
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _json(obj, pad: str = "") -> str:
+    """obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, nested
+    ``pad`` deep.  Only the types payloads hold are written: dicts with str
+    keys, lists, tuples, str, int, bool and None.  A list of equal-length
+    int lists (coefficient entries) goes through one %d template per row.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{encode_basestring_ascii(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        widths = set(map(len, obj)) if set(map(type, obj)) <= {list, tuple} else set()
+        if len(widths) == 1 and set(map(type, itertools.chain.from_iterable(obj))) == {int}:
+            row = f"[\n{inner}  " + f"{sep}  ".join(["%d"] * widths.pop()) + f"\n{inner}]"
+            items = [row % tuple(x) for x in obj]
+        else:
+            items = [_json(x, inner) for x in obj]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}{sep.join(items)}\n{pad}{closing}"
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _json(obj) + "\n"
 
 
 def _load_code(path: str) -> LinearCode:
@@ -99,17 +144,16 @@ def _batched(lines: Iterator[str]) -> Iterator[str]:
 def _records_text(records: Iterable[EaqecParams], fmt: str) -> Iterator[str]:
     """The records as text, streamed in pieces of at most _LINE_BATCH lines.
 
-    JSON is dumped _LINE_BATCH records at a time: a batch's list dump,
-    brackets stripped, is those records' part of the whole list's dump.
+    JSON is written _LINE_BATCH records at a time, each record two spaces
+    deep, as the whole list's indent-2 dump holds it.
     """
     records = iter(records)
     if fmt == "json":
-        opening = "[\n"
+        opening = "[\n  "
         while batch := list(itertools.islice(records, _LINE_BATCH)):
-            text = json.dumps([r.to_dict() for r in batch], sort_keys=True, indent=2)
-            yield opening + text[2:-2]
-            opening = ",\n"
-        yield "[]\n" if opening == "[\n" else "\n]\n"
+            yield opening + ",\n  ".join([_json(r.to_dict(), "  ") for r in batch])
+            opening = ",\n  "
+        yield "[]\n" if opening == "[\n  " else "\n]\n"
         return
     if fmt == "tsv":
         lines = itertools.chain([TSV_HEADER], map(tsv_row, records))

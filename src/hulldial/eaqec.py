@@ -357,11 +357,12 @@ def _table_blocks(q: int, max_rows: int | None, include_generic: bool) -> list[_
     emitted: set[tuple[int, int]] = set()
     total = 0
     for i, family in enumerate(families):
+        later, alone = families[i + 1 :], (family.name,)  # the last family tags pairs alone
         for n, k in family.pairs():
             if 2 * k > n or (n, k) in emitted:
                 continue
             emitted.add((n, k))
-            tags = (family.name, *(later.name for later in families[i + 1 :] if later.has(n, k)))
+            tags = alone + tuple([f.name for f in later if f.has(n, k)]) if later else alone
             rows = min(k + 1, wanted - total)
             blocks.append((n, k, tags, rows))
             total += rows

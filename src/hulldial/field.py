@@ -206,19 +206,14 @@ class Field:
         polynomial, which is deterministic for a given (p, e).
 
     Instances are immutable and safe to share between threads.  Elements
-    are plain ints in [0, p^e).
+    are plain ints in [0, p^e).  ``make_field``, ``make_quadratic_field``
+    and ``LinearCode.from_dict`` share one instance per (p, e, modulus) in
+    a process, so its tables are built once; calling Field itself always
+    builds and checks a new one.
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        # The degree and the cap come first: trial division of a huge p, or
-        # p**e for a huge e, would not finish.  Past the bit length, even
-        # 2**e is over.
-        if e < 1:
-            raise ValueError(f"extension degree must be >= 1, got {e}")
-        if e > FIELD_ORDER_CAP.bit_length() or abs(p) ** e > FIELD_ORDER_CAP:
-            raise CapExceededError(f"GF({p}^{e}) exceeds the field order cap {FIELD_ORDER_CAP}")
-        if factorize(p) != {p: 1}:
-            raise NotPrimeError(f"p = {p} is not prime")
+        _check_order(p, e)
         order = p**e
         if modulus is None:  # already irreducible by construction
             modulus = smallest_irreducible(p, e)
@@ -338,6 +333,19 @@ class Field:
         if not self.in_subfield(w):
             raise VerificationFailedError("norm left the subfield")
         return w
+
+    @functools.cached_property
+    def subfield_elements(self) -> np.ndarray:
+        """GF(q) inside GF(q^2), the fixed points of conjugation, in canonical
+        order (0 first); read-only."""
+        elements = np.arange(self.order, dtype=np.int64)
+        fixed = elements[self.conj_array(elements) == elements]
+        if len(fixed) != self.subfield_order or fixed[0] != 0:
+            raise VerificationFailedError(
+                f"the fixed points of conjugation are not GF({self.subfield_order})"
+            )
+        fixed.flags.writeable = False
+        return fixed
 
     def in_subfield(self, a: int) -> bool:
         """True iff a lies in GF(q), the fixed field of conjugation."""
@@ -528,9 +536,42 @@ class Field:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
 
+def _check_order(p: int, e: int) -> None:
+    """Refuse a degree below 1, an order past the cap, then a p that is not
+    prime.  The degree and the cap come first: trial division of a huge p,
+    or p**e for a huge e, would not finish.  Past the bit length, even 2**e
+    is over."""
+    if e < 1:
+        raise ValueError(f"extension degree must be >= 1, got {e}")
+    if e > FIELD_ORDER_CAP.bit_length() or abs(p) ** e > FIELD_ORDER_CAP:
+        raise CapExceededError(f"GF({p}^{e}) exceeds the field order cap {FIELD_ORDER_CAP}")
+    if factorize(p) != {p: 1}:
+        raise NotPrimeError(f"p = {p} is not prime")
+
+
+#: Fields a process keeps for reuse; each holds its tables, about 100 MB
+#: for a GF(2^20) field.
+_FIELD_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _default_modulus(p: int, e: int) -> tuple[int, ...]:
+    """smallest_irreducible, remembered: a shared field's key needs its modulus."""
+    return smallest_irreducible(p, e)
+
+
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _shared_field(p: int, e: int, modulus: tuple[int, ...]) -> Field:
+    """The process's one Field for (p, e, modulus), built on first use.  A
+    build that raises is not cached, so a refused modulus is refused again."""
+    return Field(p, e, modulus)
+
+
 def make_field(p: int, e: int) -> Field:
-    """GF(p^e) with the canonical (lexicographically smallest) modulus."""
-    return Field(p, e)
+    """GF(p^e) with the canonical (lexicographically smallest) modulus,
+    shared with every other caller of the same field in this process."""
+    _check_order(p, e)
+    return _shared_field(p, e, _default_modulus(p, e))
 
 
 def _check_base_field(q: int, least: int) -> None:
@@ -548,7 +589,7 @@ def make_quadratic_field(q: int) -> Field:
     """GF(q^2) for a prime power q: the alphabet of Hermitian constructions."""
     _check_base_field(q, least=2)
     ((p, r),) = factorize(q).items()
-    return Field(p, 2 * r)
+    return make_field(p, 2 * r)
 
 
 def ensure_same_field(a: Field, b: Field) -> None:

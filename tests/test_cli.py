@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hulldial
 from hulldial import cli, eaqec
+from hulldial import field as field_module
 from hulldial.cli import main
 
 
@@ -464,14 +465,18 @@ def _golden_cases():
     "name,tag,argv", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _golden_cases()]
 )
 def test_golden_cli_bytes(capsys, name, tag, argv):
+    # the same bytes with every field built anew (cold) and reused (warm)
     files = [] if name in ("construct", "table") else [str(GOLDEN_CLI / f"{name}_code.json")]
-    code, out, _ = _run(capsys, argv[0], *files, *argv[1:])
-    assert code == 0
     if "--format" in argv:
         suffix = argv[argv.index("--format") + 1]
     else:
         suffix = "tsv" if argv[0] == "table" else "json"
-    assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()
+    golden = (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()
+    field_module._shared_field.cache_clear()
+    for _ in ("cold", "warm"):
+        code, out, _ = _run(capsys, argv[0], *files, *argv[1:])
+        assert code == 0
+        assert out.encode() == golden
 
 
 _BATCHED_TABLES = [
@@ -548,6 +553,57 @@ def test_table_blocks_render_the_records(capsys, monkeypatch, q, max_rows, no_ge
     # differs, where pytest's diff of two long strings would take minutes
     want = _record_text(records, fmt).splitlines(keepends=True)
     assert code == 0 and out.splitlines(keepends=True) == want
+
+
+def _escaped_text():
+    return st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t", "\x00", "é", "\u2028", "😀"])
+
+
+@st.composite
+def _int_rows(draw):
+    """Equal-length int rows, as lists or tuples; sometimes one entry is a
+    bool or None, which must print as JSON, not as a number."""
+    width = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(st.integers(), min_size=width, max_size=width), max_size=4))
+    if rows and width and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = draw(
+            st.sampled_from((True, False, None))
+        )
+    return [tuple(r) for r in rows] if draw(st.booleans()) else rows
+
+
+_json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _escaped_text()
+    | _int_rows(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_escaped_text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(obj=_json_payloads)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, b"x", {"a": [0.5]}, [[1, 2.0]], {1: 2}])
+def test_json_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj)
+
+
+def test_failed_write_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def failing(*args):
+        yield "q\n"
+        raise OSError("device full")
+
+    monkeypatch.setattr(cli, "_block_tsv_text", failing)
+    out = tmp_path / "table.tsv"
+    code, _, err = _run(capsys, "table", "--q", "3", "--out", str(out))
+    assert code == 1 and "device full" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_table_text(capsys):

@@ -372,9 +372,12 @@ def test_construct_builds_the_generator_once(monkeypatch, capsys):
     assert len(calls) == 1 and '"status": "found"' in capsys.readouterr().out
 
 
-def test_broken_subfield_scan_raises_typed_error(monkeypatch, gf9):
-    # the scan maps coefficient digits to the fixed points of conjugation;
-    # a conjugation that fixes everything must fail loudly, also under -O
+def test_broken_subfield_scan_raises_typed_error(monkeypatch):
+    # the scan maps coefficient digits to the fixed points of conjugation,
+    # found once per field; a conjugation that fixes everything must fail
+    # loudly, also under -O.  Field() is never shared, so this field has not
+    # found them yet.
+    gf9 = Field(3, 2)
     basis = null_space(_orthogonality_system(MultiplierProblem(gf9, tuple(range(8)), 1))).data
     monkeypatch.setattr(Field, "conj_array", lambda self, a: np.asarray(a))
     with pytest.raises(VerificationFailedError, match="fixed points of conjugation"):
