@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import FIELD_ORDER_CAP, Field, _shared_field, digit_columns, ensure_same_field
+from .field import FIELD_ORDER_CAP, Field, digit_columns, ensure_same_field
 from .matrix import (
     FieldMatrix,
     batch_column_deficient,
@@ -146,8 +146,7 @@ class LinearCode:
     def from_dict(cls, d: dict) -> "LinearCode":
         """Load the to_dict layout.  Keys, JSON types, sizes (n at most
         MAX_CODE_LENGTH) and coefficient ranges [0, p) are checked before any
-        entry is converted.  The field is the process's shared one for its
-        (p, e, modulus), as make_field returns."""
+        entry is converted."""
         spec, gen = _json_value(d, "field", dict), _json_value(d, "generator", dict)
         n, k = _json_value(d, "n", int), _json_value(d, "k", int)
         rows, cols = _json_value(gen, "rows", int), _json_value(gen, "cols", int)
@@ -163,7 +162,7 @@ class LinearCode:
         p = _json_value(spec, "p", int)
         if not all(0 <= x < p for cs in arrays for x in cs):
             raise MalformedCodeError(f"coefficients must lie in [0, p) = [0, {p})")
-        field = _shared_field(p, _json_value(spec, "e", int), tuple(modulus))
+        field = Field(p, _json_value(spec, "e", int), modulus)
         return cls(field, FieldMatrix.from_dict(field, gen))
 
 

@@ -79,17 +79,6 @@ def _padd(a, b, p):
     )
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a, f, p):
     """Remainder of a modulo the polynomial f (any nonzero leading coeff)."""
     a = [x % p for x in a]
@@ -108,7 +97,20 @@ def _pmod(a, f, p):
 
 
 def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
+    """a * b mod the monic f, for a and b of degree below deg f.  Sums are
+    reduced mod p only where a digit is read."""
+    e = len(f) - 1
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for top in range(2 * e - 2, e - 1, -1):  # subtract c x^(top-e) f: f is monic
+        c = prod[top] % p
+        if c:
+            for i in range(e):
+                prod[top - e + i] -= c * f[i]
+    return _ptrim(x % p for x in prod[:e])
 
 
 def _ppowmod(base, exponent, f, p):
@@ -206,14 +208,19 @@ class Field:
         polynomial, which is deterministic for a given (p, e).
 
     Instances are immutable and safe to share between threads.  Elements
-    are plain ints in [0, p^e).  ``make_field``, ``make_quadratic_field``
-    and ``LinearCode.from_dict`` share one instance per (p, e, modulus) in
-    a process, so its tables are built once; calling Field itself always
-    builds and checks a new one.
+    are plain ints in [0, p^e).
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        _check_order(p, e)
+        # The degree and the cap come first: trial division of a huge p, or
+        # p**e for a huge e, would not finish.  Past the bit length, even
+        # 2**e is over.
+        if e < 1:
+            raise ValueError(f"extension degree must be >= 1, got {e}")
+        if e > FIELD_ORDER_CAP.bit_length() or abs(p) ** e > FIELD_ORDER_CAP:
+            raise CapExceededError(f"GF({p}^{e}) exceeds the field order cap {FIELD_ORDER_CAP}")
+        if factorize(p) != {p: 1}:
+            raise NotPrimeError(f"p = {p} is not prime")
         order = p**e
         if modulus is None:  # already irreducible by construction
             modulus = smallest_irreducible(p, e)
@@ -536,42 +543,9 @@ class Field:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
 
-def _check_order(p: int, e: int) -> None:
-    """Refuse a degree below 1, an order past the cap, then a p that is not
-    prime.  The degree and the cap come first: trial division of a huge p,
-    or p**e for a huge e, would not finish.  Past the bit length, even 2**e
-    is over."""
-    if e < 1:
-        raise ValueError(f"extension degree must be >= 1, got {e}")
-    if e > FIELD_ORDER_CAP.bit_length() or abs(p) ** e > FIELD_ORDER_CAP:
-        raise CapExceededError(f"GF({p}^{e}) exceeds the field order cap {FIELD_ORDER_CAP}")
-    if factorize(p) != {p: 1}:
-        raise NotPrimeError(f"p = {p} is not prime")
-
-
-#: Fields a process keeps for reuse; each holds its tables, about 100 MB
-#: for a GF(2^20) field.
-_FIELD_CACHE_SIZE = 4
-
-
-@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
-def _default_modulus(p: int, e: int) -> tuple[int, ...]:
-    """smallest_irreducible, remembered: a shared field's key needs its modulus."""
-    return smallest_irreducible(p, e)
-
-
-@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
-def _shared_field(p: int, e: int, modulus: tuple[int, ...]) -> Field:
-    """The process's one Field for (p, e, modulus), built on first use.  A
-    build that raises is not cached, so a refused modulus is refused again."""
-    return Field(p, e, modulus)
-
-
 def make_field(p: int, e: int) -> Field:
-    """GF(p^e) with the canonical (lexicographically smallest) modulus,
-    shared with every other caller of the same field in this process."""
-    _check_order(p, e)
-    return _shared_field(p, e, _default_modulus(p, e))
+    """GF(p^e) with the canonical (lexicographically smallest) modulus."""
+    return Field(p, e)
 
 
 def _check_base_field(q: int, least: int) -> None:
@@ -589,7 +563,7 @@ def make_quadratic_field(q: int) -> Field:
     """GF(q^2) for a prime power q: the alphabet of Hermitian constructions."""
     _check_base_field(q, least=2)
     ((p, r),) = factorize(q).items()
-    return make_field(p, 2 * r)
+    return Field(p, 2 * r)
 
 
 def ensure_same_field(a: Field, b: Field) -> None:

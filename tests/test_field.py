@@ -1,11 +1,7 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from hulldial import field as field_module
-from hulldial.code import LinearCode
 from hulldial.errors import (
     CapExceededError,
     NoSuchElementError,
@@ -322,30 +318,6 @@ def test_smallest_irreducible_matches_root_check_gf5():
         if found:
             break
     assert smallest_irreducible(5, 2) == found
-
-
-def test_fields_are_shared_per_process():
-    # one Field per (p, e, modulus): the tables a field builds are built once
-    assert make_quadratic_field(5) is make_quadratic_field(5)
-    assert make_field(5, 2) is make_quadratic_field(5)
-    assert Field(5, 2) is not make_field(5, 2)  # Field itself always builds anew
-    assert field_module._shared_field.cache_parameters()["maxsize"] == 4
-
-
-def test_loaded_code_shares_the_constructed_field():
-    # the explicit modulus of a payload and the default one share one key
-    golden = Path(__file__).parent / "golden" / "cli" / "construct_q5_q2plus1_k3.json"
-    payload = json.loads(golden.read_text())
-    assert LinearCode.from_dict(payload["code"]).field is make_quadratic_field(5)
-
-
-def test_reducible_modulus_is_refused_on_every_call():
-    # a failed build is never cached
-    spec = {"field": {"p": 5, "e": 2, "modulus": [0, 0, 1]}, "n": 1, "k": 1,
-            "generator": {"rows": 1, "cols": 1, "entries": [[1, 0]]}}
-    for _ in range(2):
-        with pytest.raises(ValueError, match="reducible"):
-            LinearCode.from_dict(spec)
 
 
 def test_subfield_elements_are_found_once(gf9):
