@@ -316,19 +316,20 @@ def _smallest_dependent_set(gen: FieldMatrix) -> int:
     return k + 1
 
 
-def _mds_certificate(gen: FieldMatrix) -> bool:
-    """True only when every k columns of the rank-k generator are proved independent.
+def _mds_certificate(form: FieldMatrix) -> bool:
+    """True only when every k columns of a rank-k generator are proved independent.
 
-    With (I_k | A) the standard form, A must have no zero entry and, when k
-    and n - k are both at least 2, the ratios R[i, j] = A[0, j] / A[i, j]
-    (rows i >= 1) must read R[i, j] = a_i (y_j - x_i), with y_j = R[1, j]
-    distinct, every a_i nonzero and the x_i distinct.  Then every square
-    submatrix of A is a scaled Cauchy matrix, row 0's point at infinity, so
-    every minor is nonzero.  Every GRS code passes, extended or not: R[i, j]
-    is affine in 1/(x_0 - y_j), or in y_j when x_0 is infinite.
+    ``form`` is the generator's standard form (I_k | A).  A must have no
+    zero entry and, when k and n - k are both at least 2, the ratios
+    R[i, j] = A[0, j] / A[i, j] (rows i >= 1) must read R[i, j] =
+    a_i (y_j - x_i), with y_j = R[1, j] distinct, every a_i nonzero and the
+    x_i distinct.  Then every square submatrix of A is a scaled Cauchy
+    matrix, row 0's point at infinity, so every minor is nonzero.  Every GRS
+    code passes, extended or not: R[i, j] is affine in 1/(x_0 - y_j), or in
+    y_j when x_0 is infinite.
     """
-    field, (k, n) = gen.field, gen.shape
-    a = standard_form(gen)[0].data[:, k:]
+    field, (k, n) = form.field, form.shape
+    a = form.data[:, k:]
     if k == 1 or n - k == 1 or not a.all():
         return bool(a.all())
     sub = lambda u, v: field.add_array(u, field.neg_array(v))  # noqa: E731
@@ -346,11 +347,14 @@ def _mds_certificate(gen: FieldMatrix) -> bool:
     return np.unique(points).size == points.size
 
 
-def _distance(c: LinearCode, dual: bool, cap: int | None) -> int:
+def _distance(
+    c: LinearCode, dual: bool, cap: int | None, form: FieldMatrix | None = None
+) -> int:
     """Exact minimum distance of c, or of its dual when ``dual``.
 
-    A code is MDS iff its dual is, so the certificate on c.gen answers
-    either distance as n - dim + 1, dim the dimension of the code measured.
+    A code is MDS iff its dual is, so the certificate on the standard form
+    of c.gen (``form``, when the caller already has it) answers either
+    distance as n - dim + 1, dim the dimension of the code measured.
     Otherwise it picks between the column-dependency search over that
     code's parity-check matrix (c.gen for the dual, null_space(c.gen) for
     c) and enumeration of its messages, preferring enumeration up to 10^5
@@ -360,7 +364,7 @@ def _distance(c: LinearCode, dual: bool, cap: int | None) -> int:
     """
     cap = enumeration_cap(cap)
     dim = c.n - c.k if dual else c.k
-    if _mds_certificate(c.gen):
+    if _mds_certificate(standard_form(c.gen)[0] if form is None else form):
         return c.n - dim + 1
     total = c.field.order**dim
     counts = itertools.accumulate(math.comb(c.n, w) for w in range(1, c.n - dim + 1))
@@ -387,9 +391,14 @@ def min_distance(c: LinearCode, cap: int | None = None) -> int:
 def dual_min_distance(c: LinearCode, cap: int | None = None) -> int:
     """Exact minimum distance of the dual of c (all dual kinds share it);
     past both the search budget and the cap it raises, never estimating."""
+    return _dual_distance(c, cap)
+
+
+def _dual_distance(c: LinearCode, cap: int | None, form: FieldMatrix | None = None) -> int:
+    """dual_min_distance, given the standard form of c.gen when the caller has it."""
     if c.k == c.n:
         raise ValueError("the dual of the full space is the zero code")
-    return 1 if c.k == 0 else _distance(c, True, cap)
+    return 1 if c.k == 0 else _distance(c, True, cap, form)
 
 
 def is_mds(c: LinearCode, cap: int | None = None) -> bool:

@@ -10,9 +10,11 @@ value, so the hull drops to exactly the target.
 
 dial_hull and dial_galois_hull start from a self-orthogonal code, whose
 hull is the whole code; reduce_hull starts from the measured hull of any
-code.  One core serves them and the EAQEC sweep: one arrangement of the
-basis serves every target, and each output's hull dimension is measured
-on itself as k - rank(G sigma(G)^T); a missed target is refused.
+code.  One core serves them and the EAQEC sweep, and dials all of its
+targets in one stacked pass: one arrangement of the basis, one (T, k, n)
+stack of scaled generators and one stacked product for their T Gram
+matrices.  Each output's hull dimension is measured on itself as
+k - rank(G sigma(G)^T) from its own Gram matrix; a missed target is refused.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from .errors import (
 )
 from .code import (
     LinearCode,
-    gram_matrix,
     hull,
     is_galois_self_orthogonal,
     is_hermitian_self_orthogonal,
-    scale,
 )
 from .field import digit_columns
 from .matrix import FieldMatrix, matmul, rank, rref, standard_form
@@ -80,71 +80,95 @@ def arrange_p1_nonsingular(
     below complete the generator and vanish on the first h coordinates.  A
     basis already in that shape comes back with the identity permutation.
     """
+    return _arrange(c, *standard_form(basis))
+
+
+def _arrange(
+    c: LinearCode, lead: FieldMatrix, perm1: tuple[int, ...]
+) -> tuple[LinearCode, tuple[int, ...]]:
+    """arrange_p1_nonsingular from (lead, perm1), the standard form of its basis."""
     field, k, n = c.field, c.k, c.n
-    lead, perm1 = standard_form(basis)
     h = lead.rows
     rows = lead.data
     if h < k:
         # subtracting each generator row's pivot-coordinate combination of
         # the basis rows clears it on the first h coordinates
         gen = c.gen.data[:, perm1]
-        minus = FieldMatrix(field, field.neg_array(gen[:, :h]))
-        cleared, pivots = rref(FieldMatrix(field, field.add_array(gen, matmul(minus, lead).data)))
+        minus = FieldMatrix._trusted(field, field.neg_array(gen[:, :h]))
+        summed = field.add_array(gen, matmul(minus, lead).data)
+        cleared, pivots = rref(FieldMatrix._trusted(field, summed))
         if h + len(pivots) != k:
             raise VerificationFailedError("hull basis extension lost rank")  # pragma: no cover
         rows = np.vstack([rows, cleared.data[: len(pivots)]])
-    _, chosen = rref(FieldMatrix(field, lead.data[:, h:]))
+    _, chosen = rref(FieldMatrix._trusted(field, lead.data[:, h:]))
     if len(chosen) < h:
         raise RankDeficientError("P has rank below h; the basis is not self-orthogonal")
     rest = [j for j in range(n - h) if j not in chosen]
     perm2 = list(range(h)) + [h + j for j in chosen] + [h + j for j in rest]
     return (
-        LinearCode(field, FieldMatrix(field, rows[:, perm2]), check=False),
+        LinearCode(field, FieldMatrix._trusted(field, rows[:, perm2]), check=False),
         tuple(perm1[j] for j in perm2),
     )
 
 
-def _hull_dim(c: LinearCode, l: int | None) -> int:
-    """k - rank(G sigma(G)^T), the dimension hull() asserts (l None: Hermitian)."""
-    return c.k - rank(gram_matrix(c, l))
+def _scaled_stack(gen: FieldMatrix, weights: np.ndarray) -> np.ndarray:
+    """The (T, k, n) stack of gen with column j scaled by weights[t, j], for each row t."""
+    return gen.field.mul_array(gen.data, weights[:, None, :])
 
 
 def _scale_down(
-    c: LinearCode, basis: FieldMatrix, targets: Iterable[int], l: int | None, exponent: int
+    c: LinearCode,
+    basis: FieldMatrix,
+    targets: Iterable[int],
+    l: int | None,
+    exponent: int,
+    form: tuple[FieldMatrix, tuple[int, ...]] | None = None,
 ) -> list[DialResult]:
-    """Scale c so that its hull, spanned by ``basis``, drops to each target in turn.
+    """Scale c so that its hull, spanned by ``basis``, drops to each target.
 
-    Target t takes the first h - t of one prefix-stable run of constants.
+    ``form`` is standard_form(basis) when the caller already has it.  Target
+    t takes the first h - t of one prefix-stable run of constants.  All
+    targets below h are dialed together: one arrangement, one (T, k, n)
+    stack of scaled generators, one Frobenius call for their twists
+    (sigma(a) = a^(p^l), conjugation when l is None) and one stacked matmul
+    for their T Gram matrices.  Each Gram matrix is rank-checked on its own,
+    so every output's hull dimension k - rank(G sigma(G)^T) is measured on
+    that output, and a missed target is refused.
     """
-    h, n = basis.rows, c.n
+    field, h, n = c.field, basis.rows, c.n
     targets = list(targets)
     for target in targets:
         if not 0 <= target <= h:
             raise BadTargetError(f"target hull dimension {target} outside [0, {h}]")
-    most = h - min(targets, default=h)
-    if most:
-        if l is None and c.field.subfield_order == 2:
+    lower = list(dict.fromkeys(t for t in targets if t != h))
+    dialed = {}
+    if lower:
+        if l is None and field.subfield_order == 2:
             raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
-        arranged, perm = arrange_p1_nonsingular(c, basis)
-        constants = c.field.find_power_non_one(exponent, most)
-    results = []
-    for target in targets:
-        if target == h:
-            # Already verified: dial_hull and dial_galois_hull ran their
-            # self-orthogonality gate, and a zero Gram matrix means the hull
-            # dimension is exactly k; reduce_hull measured h just now.
-            results.append(DialResult(c, (1,) * n, tuple(range(n)), target, h, ()))
-            continue
-        lambdas = constants[: h - target]
-        v = lambdas + (1,) * (n - len(lambdas))
-        out = scale(arranged, v)
-        achieved = _hull_dim(out, l)
-        if achieved != target:
-            raise VerificationFailedError(
-                f"scaling reached hull dimension {achieved}, wanted {target}"
-            )
-        results.append(DialResult(out, v, perm, target, achieved, lambdas))
-    return results
+        arranged, perm = arrange_p1_nonsingular(c, basis) if form is None else _arrange(c, *form)
+        constants = field.find_power_non_one(exponent, h - min(lower))
+        weights = np.ones((len(lower), n), dtype=np.int64)
+        for row, target in zip(weights, lower):
+            row[: h - target] = constants[: h - target]
+        stack = _scaled_stack(arranged.gen, weights)
+        twisted = field.frobenius_array(stack, field.e // 2 if l is None else l)
+        gens = [FieldMatrix._trusted(field, g) for g in stack]
+        grams = matmul(gens, [FieldMatrix._trusted(field, t.T) for t in twisted])
+        for target, gen, gram in zip(lower, gens, grams):
+            achieved = c.k - rank(gram)
+            if achieved != target:
+                raise VerificationFailedError(
+                    f"scaling reached hull dimension {achieved}, wanted {target}"
+                )
+            lambdas = constants[: h - target]
+            v = lambdas + (1,) * (n - len(lambdas))
+            out = LinearCode(field, gen, check=False)
+            dialed[target] = DialResult(out, v, perm, target, achieved, lambdas)
+    # target h is already verified: dial_hull and dial_galois_hull ran their
+    # self-orthogonality gate, and a zero Gram matrix means the hull
+    # dimension is exactly k; reduce_hull measured h just now
+    unchanged = DialResult(c, (1,) * n, tuple(range(n)), h, h, ())
+    return [dialed.get(target, unchanged) for target in targets]
 
 
 def dial_hull(c: LinearCode, h: int) -> DialResult:
@@ -184,10 +208,18 @@ def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
     return _scale_down(c, basis, [l_prime], None, c.field.subfield_order + 1)[0]
 
 
-def _hermitian_dials(c: LinearCode, targets: Iterable[int] | None = None) -> list[DialResult]:
+def _hermitian_dials(
+    c: LinearCode,
+    targets: Iterable[int] | None = None,
+    form: tuple[FieldMatrix, tuple[int, ...]] | None = None,
+) -> list[DialResult]:
     """dial_hull's result for each target if c is Hermitian self-orthogonal,
-    else reduce_hull's; by default every target from 0 to the hull dimension."""
-    basis = c.gen if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").basis
+    else reduce_hull's; by default every target from 0 to the hull dimension.
+    ``form`` is standard_form(c.gen) when the caller already has it."""
+    if is_hermitian_self_orthogonal(c):
+        basis = c.gen
+    else:
+        basis, form = hull(c, "hermitian").basis, None
     if targets is None:
         targets = range(basis.rows + 1)
-    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1)
+    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1, form)

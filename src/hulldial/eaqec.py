@@ -19,10 +19,11 @@ gate and the Singleton bound with equality.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     BadTargetError,
@@ -31,8 +32,9 @@ from .errors import (
     VerificationFailedError,
 )
 from .field import _check_base_field, factorize
-from .code import LinearCode, dual_min_distance, hull, min_distance
+from .code import LinearCode, _dual_distance, dual_min_distance, hull, min_distance
 from .dial import _hermitian_dials
+from .matrix import standard_form
 from .grs import _even_subgroup_bound
 
 
@@ -41,8 +43,22 @@ def _divisors(n: int) -> list[int]:
 
 
 def witness_digest(code: LinearCode) -> str:
-    blob = json.dumps(code.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    """First 12 hex digits of the sha256 of json.dumps(code.to_dict(), sort_keys=True).
+
+    The same bytes are written without the encoder: each entry's digit
+    list is joined from the field's two cached half-element text tables.
+    """
+    field, k, n = code.field, code.k, code.n
+    first, second, base = field._digit_texts
+    hi, lo = np.divmod(code.gen.data.ravel(), base)
+    entries = ", ".join((first[lo] + second[hi]).tolist())
+    modulus = ", ".join(map(str, field.modulus))
+    blob = (
+        f'{{"field": {{"e": {field.e}, "modulus": [{modulus}], "p": {field.p}}}, '
+        f'"generator": {{"cols": {n}, "entries": [{entries}], "rows": {k}}}, '
+        f'"k": {k}, "n": {n}}}'
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 class EaqecParams(NamedTuple):
@@ -172,14 +188,18 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
     """All records for l = 0 .. hull ceiling (k for self-orthogonal inputs).
 
     One self-orthogonality check (or, failing it, one hull measurement)
-    picks the basis, and one arrangement of it serves every l.  Each dialed
-    code has its hull dimension measured by Gram rank on itself, and gets
-    its own witness digest.  Every dialed code is the input with its
-    coordinates permuted and scaled by nonzero constants, which preserves
-    the dual distance, so it is measured once, on the input.
+    picks the basis, and every l is dialed in one stacked pass from one
+    arrangement of it.  Each dialed code has its hull dimension measured by
+    the rank of its own Gram matrix, and gets its own witness digest.  Every
+    dialed code is the input with its coordinates permuted and scaled by
+    nonzero constants, which preserves the dual distance, so it is measured
+    once, on the input.  The input's standard form is computed once, here,
+    and shared by the arrangement of a self-orthogonal input and the MDS
+    certificate.
     """
-    dials = _hermitian_dials(c)
-    dd = dual_min_distance(c, cap)
+    form = standard_form(c.gen)
+    dials = _hermitian_dials(c, form=form)
+    dd = _dual_distance(c, cap, form[0])
     return [_assisted_record(r.code, r.achieved_h, dd, witness_digest(r.code)) for r in dials]
 
 

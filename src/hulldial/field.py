@@ -542,6 +542,27 @@ class Field:
     def to_dict(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
+    @functools.cached_property
+    def _digit_texts(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(first, second, base): the JSON text of every element's digit list.
+
+        With w = ceil(e/2) and base = p^w, element a = lo + base * hi reads
+        first[lo] + second[hi]: "[", lo's w digits and, when e > w, ", ";
+        then hi's e - w digits and "]", digits joined by ", " as json.dumps
+        writes them.  Each table holds one string per value of a half, so q
+        strings each over GF(q^2), not one per element.
+        """
+        w = (self.e + 1) // 2
+
+        def texts(width: int) -> list[str]:
+            digits = digit_columns(np.arange(self.p**width), self.p, width).tolist()
+            return [", ".join(map(str, row)) for row in digits]
+
+        sep = ", " if self.e > w else ""
+        first = np.array(["[" + t + sep for t in texts(w)], dtype=object)
+        second = np.array([t + "]" for t in texts(self.e - w)], dtype=object)
+        return first, second, self.p**w
+
 
 def make_field(p: int, e: int) -> Field:
     """GF(p^e) with the canonical (lexicographically smallest) modulus."""

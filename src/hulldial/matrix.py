@@ -8,10 +8,16 @@ deterministic.  Matrices with zero rows are legal values and
 represent the zero subspace.
 
 Products go through one kernel, ``matmul``: a single ``mul_array`` gather
-forms the (rows, slice, cols) tensor of products a[i, t] * b[t, j] for a
-slice of the inner index t, and a pairwise tree of ``add_array`` calls
-sums it over t.  Slices hold at most ``_PRODUCT_BUDGET`` entries, so the
-memory a product needs does not grow with its inner dimension.
+forms the (stack, rows, slice, cols) tensor of products a[s, i, t] *
+b[s, t, j] for a slice of the inner index t, and a pairwise tree of
+``add_array`` calls sums it over t.  Slices hold at most
+``_PRODUCT_BUDGET`` entries, so the memory a product needs does not grow
+with its inner dimension or its stack.
+
+Results whose entries are valid by construction (field-table lookups, or
+entries of an already checked matrix) are wrapped with
+``FieldMatrix._trusted``; only the constructor that user data reaches,
+``FieldMatrix(field, data)``, copies and range-checks.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ def frobenius_entrywise(m: FieldMatrix, l: int) -> FieldMatrix:
     """Apply a -> a^(p^l) to every entry."""
     if m.data.size == 0 or l % m.field.e == 0:
         return m
-    return FieldMatrix(m.field, m.field.frobenius_array(m.data, l))
+    return FieldMatrix._trusted(m.field, m.field.frobenius_array(m.data, l))
 
 
 def scale_columns(m: FieldMatrix, v: Sequence[int]) -> FieldMatrix:
@@ -132,14 +138,14 @@ def scale_columns(m: FieldMatrix, v: Sequence[int]) -> FieldMatrix:
     if m.rows == 0:
         return m
     vec = np.array(v, dtype=np.int64)
-    return FieldMatrix(m.field, m.field.mul_array(m.data, vec[None, :]))
+    return FieldMatrix._trusted(m.field, m.field.mul_array(m.data, vec[None, :]))
 
 
 def permute_columns(m: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:
     """Column j of the result is column perm[j] of the input."""
     if sorted(perm) != list(range(m.cols)):
         raise BadPermutationError(f"{perm} is not a permutation of 0..{m.cols - 1}")
-    return FieldMatrix(m.field, m.data[:, list(perm)])
+    return FieldMatrix._trusted(m.field, m.data[:, list(perm)])
 
 
 def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -158,39 +164,67 @@ def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 _PRODUCT_BUDGET = 1 << 16
 
 
-def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Matrix product over the shared field.
+def matmul(a, b):
+    """Matrix product over the shared field, or the products of two stacks.
 
-    The inner index t is taken in slices of max(1, _PRODUCT_BUDGET //
-    (rows * cols)) values.  One ``mul_array`` call forms the (rows, slice,
-    cols) tensor of a slice's products, and halving it pairwise sums them
-    in ceil(log2(slice)) ``add_array`` calls; zero is the additive
-    identity, so the middle layer of an odd length is carried up a level
-    as it is.  One more ``add_array`` call adds each later slice's sum to
-    the first.  So the calls grow with inner only once it passes a slice,
-    and the tensor held at once never exceeds the budget, or one rows x
-    cols layer when that alone is larger.  The sums are valid entries by
-    construction, so the result is wrapped without re-validating it.
+    ``a`` and ``b`` are FieldMatrix operands, giving a FieldMatrix; or two
+    equally long sequences of equally shaped FieldMatrix operands, a stack
+    of T (rows, inner) and one of T (inner, cols) matrices, giving the list
+    of the T products a[s] @ b[s].  One kernel computes both: it takes as
+    many stack entries at once as fit max(1, _PRODUCT_BUDGET // (rows *
+    cols)), and the inner index t of that group in slices of max(1,
+    _PRODUCT_BUDGET // (group * rows * cols)) values.  One ``mul_array``
+    call forms the (group, rows, slice, cols) tensor of a slice's products,
+    and halving it pairwise sums them in ceil(log2(slice)) ``add_array``
+    calls; zero is the additive identity, so the middle layer of an odd
+    length is carried up a level as it is.  One more ``add_array`` call
+    adds each later slice's sum to the first.  So the calls grow with inner
+    only once it passes a slice, and the tensor held at once never exceeds
+    the budget, or one rows x cols layer when that alone is larger.  The
+    sums are valid entries by construction, so the results are wrapped
+    without re-validating them.
     """
-    ensure_same_field(a.field, b.field)
-    if a.cols != b.rows:
-        raise ShapeMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    field = a.field
-    step = max(1, _PRODUCT_BUDGET // max(1, a.rows * b.cols))
-    out = np.zeros((a.rows, b.cols), dtype=np.int64)
-    for s in range(0, a.cols, step):
-        t = field.mul_array(a.data[:, s : s + step, None], b.data[None, s : s + step, :])
-        while t.shape[1] > 1:
-            half = (t.shape[1] + 1) // 2
-            t[:, : t.shape[1] - half] = field.add_array(t[:, : t.shape[1] - half], t[:, half:])
-            t = t[:, :half]
-        out = t[:, 0] if s == 0 else field.add_array(out, t[:, 0])
-    # a view into the tensor would keep all of it alive
-    return FieldMatrix._trusted(field, np.ascontiguousarray(out))
+    stacked = not isinstance(a, FieldMatrix)
+    if not stacked:
+        a, b = [a], [b]
+    if len(a) != len(b):
+        raise ShapeMismatchError(f"cannot multiply a stack of {len(a)} by one of {len(b)}")
+    if not a:
+        return []
+    field = a[0].field
+    for m in (*a, *b):
+        ensure_same_field(field, m.field)
+    if len({m.shape for m in a}) > 1 or len({m.shape for m in b}) > 1:
+        raise ShapeMismatchError("stacked operands must share one shape")
+    if a[0].cols != b[0].rows:
+        raise ShapeMismatchError(f"cannot multiply {a[0].shape} by {b[0].shape}")
+    if stacked:
+        A, B = np.stack([m.data for m in a]), np.stack([m.data for m in b])
+    else:
+        A, B = a[0].data[None], b[0].data[None]
+    (size, rows, inner), cols = A.shape, B.shape[2]
+    layer = max(1, rows * cols)
+    group = max(1, _PRODUCT_BUDGET // layer)
+    out = np.zeros((size, rows, cols), dtype=np.int64)
+    for g in range(0, size, group):
+        acc = out[g : g + group]
+        step = max(1, _PRODUCT_BUDGET // (len(acc) * layer))
+        for s in range(0, inner, step):
+            t = field.mul_array(A[g : g + group, :, s : s + step, None],
+                                B[g : g + group, None, s : s + step, :])
+            while t.shape[2] > 1:
+                half = (t.shape[2] + 1) // 2
+                t[:, :, : t.shape[2] - half] = field.add_array(
+                    t[:, :, : t.shape[2] - half], t[:, :, half:]
+                )
+                t = t[:, :, :half]
+            acc[...] = t[:, :, 0] if s == 0 else field.add_array(acc, t[:, :, 0])
+    products = [FieldMatrix._trusted(field, m) for m in out]
+    return products if stacked else products[0]
 
 
 def transpose(m: FieldMatrix) -> FieldMatrix:
-    return FieldMatrix(m.field, m.data.T)
+    return FieldMatrix._trusted(m.field, m.data.T)
 
 
 def conj_transpose(m: FieldMatrix) -> FieldMatrix:
@@ -231,8 +265,7 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
             R = field.add_array(R, field.mul_array(factors[:, None], R[r][None, :]))
         pivots.append(c)
         r += 1
-    out = FieldMatrix(field, R)
-    return out, tuple(pivots)
+    return FieldMatrix._trusted(field, R), tuple(pivots)
 
 
 def rank(m: FieldMatrix) -> int:
@@ -280,7 +313,7 @@ def null_space(m: FieldMatrix) -> FieldMatrix:
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
     basis[range(len(free)), free] = 1
     basis[:, list(pivots)] = field.neg_array(R.data[: len(pivots), free]).T
-    return FieldMatrix(field, basis)
+    return FieldMatrix._trusted(field, basis)
 
 
 def row_space_contains(m: FieldMatrix, vec: Sequence[int]) -> bool:
@@ -312,4 +345,4 @@ def standard_form(g: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
         raise RankDeficientError(f"matrix has rank {len(pivots)}, expected {g.rows}")
     pivot_set = set(pivots)
     perm = list(pivots) + [c for c in range(g.cols) if c not in pivot_set]
-    return FieldMatrix(g.field, R.data[:, perm]), tuple(perm)
+    return FieldMatrix._trusted(g.field, R.data[:, perm]), tuple(perm)

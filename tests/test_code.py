@@ -251,7 +251,7 @@ def _must_not_run(*args, **kwargs):
 def test_min_distance_cap(monkeypatch, gf9, rs92):
     # the cap bounds only enumeration: past it the other routes still answer
     c = LinearCode(gf9, [[1, 0, 0, 0, 1, 2], [0, 1, 0, 1, 1, 1], [0, 0, 1, 3, 5, 7]])
-    assert not _mds_certificate(c.gen)  # a zero in A
+    assert not _mds_certificate(standard_form(c.gen)[0])  # a zero in A
     expected = brute_min_distance(c)
     monkeypatch.setattr(code_module, "_enumerated_distance", _must_not_run)
     assert min_distance(c, cap=10) == expected
@@ -559,7 +559,7 @@ def _grs_and_mutants(draw):
 @given(_grs_and_mutants())
 def test_mds_certificate_is_sound_and_certifies_every_grs_code(case):
     code, mutated = case
-    certified = _mds_certificate(code.gen)
+    certified = _mds_certificate(standard_form(code.gen)[0])
     expected = brute_dual_distance(code)
     if certified:
         assert expected == code.k + 1

@@ -22,6 +22,7 @@ from hulldial.matrix import (
 from hulldial.code import (
     LinearCode,
     dual_min_distance,
+    gram_matrix,
     hermitian_dual,
     hull,
     is_galois_self_orthogonal,
@@ -30,7 +31,6 @@ from hulldial.code import (
     scale,
 )
 from hulldial.dial import (
-    _hull_dim,
     arrange_p1_nonsingular,
     dial_galois_hull,
     dial_hull,
@@ -350,7 +350,8 @@ def test_gram_rank_hull_dim_matches_brute_force(data):
     cases = [("hermitian", None, None), ("euclidean", None, 0)]
     cases += [("galois", l, l) for l in range(field.e)]
     for kind, l, index in cases:
-        assert _hull_dim(code, index) == brute_hull_dim(code, kind, l) == hull(code, kind, l).dim
+        gram_rank_dim = code.k - rank(gram_matrix(code, index))
+        assert gram_rank_dim == brute_hull_dim(code, kind, l) == hull(code, kind, l).dim
 
 
 def _dials(code):
@@ -376,21 +377,46 @@ def test_norm_one_constants_are_refused(monkeypatch, self_orthogonal_corpus):
                 run()
 
 
+def _corrupting(monkeypatch, unit, which=slice(None)):
+    """Make dial's scaled stack put back the unit-th norm-1 element in place
+    of the first scaled coordinate of row 0, in the generators stack[which]."""
+    build = dial._scaled_stack
+
+    def corrupted(gen, weights):
+        stack = build(gen, weights)
+        field = gen.field
+        exponent = field.subfield_order + 1
+        units = [x for x in range(1, field.order) if field.pow(x, exponent) == 1]
+        stack[which, 0, 0] = units[unit - 1]
+        return stack
+
+    monkeypatch.setattr(dial, "_scaled_stack", corrupted)
+
+
 @pytest.mark.parametrize("unit", [1, 2])
 def test_corrupted_output_entry_is_refused(monkeypatch, self_orthogonal_corpus, unit):
     # putting back a norm-1 entry (the first such unit, or the second) in
     # place of the first scaled coordinate of row 0 makes that row
     # self-orthogonal again: the hull of the returned code is one too big
-    def corrupted(c, v):
-        out = scale(c, v)
-        data = out.gen.data.copy()
-        field = c.field
-        exponent = field.subfield_order + 1
-        data[0, 0] = [x for x in range(1, field.order) if field.pow(x, exponent) == 1][unit - 1]
-        return LinearCode(field, FieldMatrix(field, data), check=False)
-
-    monkeypatch.setattr(dial, "scale", corrupted)
+    _corrupting(monkeypatch, unit)
     for tag, code in self_orthogonal_corpus:
         for run in _dials(code):
             with pytest.raises(VerificationFailedError):
                 run()
+
+
+@pytest.mark.parametrize("unit", [1, 2])
+def test_one_corrupted_target_of_a_sweep_is_refused(monkeypatch, self_orthogonal_corpus, unit):
+    # every target below k but one is dialed correctly: the stacked pass
+    # still measures each output on itself and refuses the sweep
+    swept = 0
+    for which in (0, -1):  # target 0 alone, or target k - 1 alone
+        with monkeypatch.context() as m:
+            _corrupting(m, unit, which)
+            for tag, code in self_orthogonal_corpus:
+                if code.k < 2:
+                    continue
+                swept += 1
+                with pytest.raises(VerificationFailedError):
+                    eaqec_sweep(code)
+    assert swept

@@ -152,6 +152,40 @@ def _codes_with_hull(draw):
     return code
 
 
+#: GF(q^2) for q with one- and two-digit coefficients (p >= 11) and up to
+#: e = 10 digits per entry (q = 32); GF(37^2) is past the dense tables
+_DIGEST_FIELDS = {q: make_quadratic_field(q) for q in (2, 3, 4, 8, 9, 11, 13, 16, 32, 37)}
+
+
+@st.composite
+def _digest_codes(draw):
+    field = _DIGEST_FIELDS[draw(st.sampled_from(sorted(_DIGEST_FIELDS)))]
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["zero", "full", "any"]))
+    if shape == "zero":
+        return LinearCode.zero(field, n)
+    k = n if shape == "full" else draw(st.integers(1, n))
+    element = st.one_of(st.sampled_from([0, 1, field.order - 1]), st.integers(0, field.order - 1))
+    entries = draw(st.lists(element, min_size=k * n, max_size=k * n))
+    return LinearCode(field, np.array(entries, dtype=np.int64).reshape(k, n), check=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_digest_codes())
+def test_witness_digest_hashes_the_json_encoding(code):
+    blob = json.dumps(code.to_dict(), sort_keys=True).encode()
+    assert witness_digest(code) == hashlib.sha256(blob).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("q", sorted(_DIGEST_FIELDS))
+def test_witness_digest_writes_every_element(q):
+    # one row holding every element of GF(q^2): each text of both half tables
+    field = _DIGEST_FIELDS[q]
+    code = LinearCode(field, [list(field.elements())])
+    blob = json.dumps(code.to_dict(), sort_keys=True).encode()
+    assert witness_digest(code) == hashlib.sha256(blob).hexdigest()[:12]
+
+
 def _sweep_codes(monkeypatch, code):
     """eaqec_sweep(code) and the dialed code behind each record, in order."""
     codes = []
@@ -216,15 +250,18 @@ def test_sweep_arranges_once_and_checks_its_input_once(monkeypatch, gf9, self_or
     else:
         code = LinearCode(gf9, [[gf9.pow(a, i) for a in range(1, 9)] for i in range(3)])
     counts = collections.Counter()
-    for module, name in ((dial, "arrange_p1_nonsingular"), (dial, "hull"),
-                         (code_module, "gram_matrix"), (dial, "gram_matrix")):
+    for module, name in ((dial, "_arrange"), (dial, "hull"), (code_module, "gram_matrix")):
         _counting(monkeypatch, module, name, counts, code)
+    for module in (eaqec, dial, code_module):
+        _counting(monkeypatch, module, "standard_form", counts, code.gen)
     records = eaqec_sweep(code)
     assert len(records) == (code.k + 1 if self_orthogonal else 2)
     # one Gram check of the input, and (failing it) one hull measurement;
-    # the dialed codes are measured on themselves
+    # the dialed codes are measured on themselves.  The input's echelon
+    # form is computed once and shared by the arrangement (of the input
+    # itself, when it is self-orthogonal) and the MDS certificate
     assert counts == collections.Counter(
-        arrange_p1_nonsingular=1, gram_matrix=1, hull=0 if self_orthogonal else 1
+        _arrange=1, gram_matrix=1, hull=0 if self_orthogonal else 1, standard_form=1
     )
 
 

@@ -92,6 +92,88 @@ def test_matmul_matches_scalar_oracle(field, shape, budget, seed):
     assert out.tolist() == poly_matmul(field, a, b)
 
 
+def _stack_case(field, size, rows, inner, cols, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, field.order, size=(size, rows, inner))
+    b = rng.integers(0, field.order, size=(size, inner, cols))
+    a[rng.random(a.shape) < 0.3] = 0
+    return [FieldMatrix(field, m) for m in a], [FieldMatrix(field, m) for m in b]
+
+
+def _tensor_sizes(monkeypatch, field):
+    """Record the size of every mul_array result: matmul's product tensors."""
+    sizes = []
+    mul_array = field.mul_array
+
+    def recording(a, b):
+        out = mul_array(a, b)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(field, "mul_array", recording)
+    return sizes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(_MATMUL_FIELDS),
+    shape=st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 5), st.integers(0, 4)),
+    # small budgets split the stack into groups and cut the inner axis into slices
+    budget=st.sampled_from([1, 2, 3, 5, 8, 13, 40, matrix._PRODUCT_BUDGET]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_matmul_matches_separate_products_and_oracle(field, shape, budget, seed):
+    size, rows, inner, cols = shape
+    a, b = _stack_case(field, size, rows, inner, cols, seed)
+    with mock.patch.object(matrix, "_PRODUCT_BUDGET", budget):
+        stacked = matmul(a, b)
+        separate = [matmul(x, y) for x, y in zip(a, b)]
+    assert stacked == separate
+    assert [m.tolist() for m in stacked] == [
+        poly_matmul(field, x.data, y.data) for x, y in zip(a, b)
+    ]
+
+
+@pytest.mark.parametrize("size, rows, inner, cols", [
+    (3, 4, 1500, 5),  # 3 * 4 * 5 entries a layer: the budget cuts inner into 1092-wide slices
+    (1, 3, 7, 2),  # a stack of one
+    (4, 0, 6, 3),  # no rows
+    (2, 3, 0, 4),  # empty inner dimension: zero products
+])
+def test_stacked_matmul_edge_stacks(monkeypatch, gf9, size, rows, inner, cols):
+    a, b = _stack_case(gf9, size, rows, inner, cols, seed=size * 1000 + inner)
+    sizes = _tensor_sizes(monkeypatch, gf9)
+    stacked = matmul(a, b)
+    assert [m.shape for m in stacked] == [(rows, cols)] * size
+    assert max(sizes, default=0) <= matrix._PRODUCT_BUDGET
+    assert stacked == [matmul(x, y) for x, y in zip(a, b)]
+    assert [m.tolist() for m in stacked] == [
+        poly_matmul(gf9, x.data, y.data) for x, y in zip(a, b)
+    ]
+
+
+def test_stacked_matmul_tensor_stays_within_budget_or_one_layer(monkeypatch, gf9):
+    # one rows x cols layer (300 * 300) is past the budget: one layer at a time
+    a, b = _stack_case(gf9, 2, 300, 3, 300, seed=5)
+    sizes = _tensor_sizes(monkeypatch, gf9)
+    stacked = matmul(a, b)
+    assert max(sizes) == 300 * 300 > matrix._PRODUCT_BUDGET
+    assert stacked == [matmul(x, y) for x, y in zip(a, b)]
+
+
+def test_stacked_matmul_errors(gf9, gf25):
+    a, b = _stack_case(gf9, 2, 2, 3, 2, seed=1)
+    assert matmul([], []) == []
+    with pytest.raises(ShapeMismatchError):
+        matmul(a, b[:1])
+    with pytest.raises(ShapeMismatchError):
+        matmul(a, [b[0], FieldMatrix.zeros(gf9, 3, 3)])
+    with pytest.raises(ShapeMismatchError):
+        matmul(a, a)
+    with pytest.raises(SpecMismatchError):
+        matmul(a, [b[0], FieldMatrix.zeros(gf25, 3, 2)])
+
+
 def test_matmul_memory_does_not_grow_with_the_inner_dimension():
     # entries in the prime subfield GF(13), so plain integer products mod 13 check it
     field = make_quadratic_field(13)
@@ -264,6 +346,36 @@ def test_matrix_json_round_trip(gf9):
         assert all(type(c) is int for entry in d["entries"] for c in entry)
         assert FieldMatrix.from_dict(field, d) == m
     assert FieldMatrix.zeros(gf9, 0, 3).to_dict() == {"rows": 0, "cols": 3, "entries": []}
+
+
+def test_out_of_range_entries_are_refused_where_user_data_enters(gf9):
+    from hulldial.code import LinearCode
+    from hulldial.errors import MalformedCodeError
+
+    for bad in (gf9.order, -1):
+        with pytest.raises(ValueError, match="outside the field"):
+            FieldMatrix(gf9, [[1, bad]])
+        with pytest.raises(ValueError, match="outside the field"):
+            LinearCode(gf9, [[1, 0, bad]])
+    # a stored entry has e = 2 coefficients; a third would leave GF(9)
+    with pytest.raises(ValueError, match="at most 2 coefficients"):
+        FieldMatrix.from_dict(gf9, {"rows": 1, "cols": 1, "entries": [[0, 1, 1]]})
+    d = LinearCode(gf9, [[1, 2]]).to_dict()
+    d["generator"]["entries"][1] = [0, gf9.p]
+    with pytest.raises(MalformedCodeError):
+        LinearCode.from_dict(d)
+
+
+def test_results_wrapped_without_a_check_are_read_only(gf9):
+    m = FieldMatrix(gf9, [[0, 2, 3, 4], [0, 5, 1, 7]])
+    results = [
+        transpose(m), frobenius_entrywise(m, 1), scale_columns(m, (1, 2, 3, 4)),
+        permute_columns(m, (3, 2, 1, 0)), rref(m)[0], null_space(m), standard_form(m)[0],
+        matmul(m, transpose(m)),
+    ]
+    for r in results:
+        assert not r.data.flags.writeable
+        assert r.data.min() >= 0 and r.data.max() < gf9.order
 
 
 def test_frobenius_entrywise(gf9):
