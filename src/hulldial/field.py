@@ -13,13 +13,16 @@ exp[i] = g^i for the smallest primitive element g, its inverse log, and
 Zech logarithms zech[i] = log(1 + g^i), so that a + b = a(1 + b/a) (Huber,
 "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4),
 1990).  Fields of at most ``TABLE_LIMIT`` elements also cache their full
-add/mul grids, computed from the tables, behind the same methods.
+add/mul grids, computed from the tables, behind the same methods.  Sums of
+products (``dot_lanes``, the kernel of matrix products) read a lane copy of
+exp, built on the first such sum, whose plain integer sums are field sums.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -510,6 +513,72 @@ class Field:
 
     def add_array(self, a, b) -> np.ndarray:
         return self._tables["add"](a, b)
+
+    @functools.cached_property
+    def _lanes(self) -> tuple[np.ndarray, int, int]:
+        """(lanes, width, capacity): products as integers whose plain sums
+        are field sums.
+
+        lanes[i] packs the base-p digits of exp[i] into an int64, digit j in
+        bits [width * j, width * (j + 1)) with width = floor(63 / e), so
+        lanes[log a + log b] is a * b.  Up to capacity = floor((2^width - 1) /
+        (p - 1)) such values sum without a carry from one lane into the next.
+        For p = 2 the digits are the bits of the element code and addition is
+        XOR, which never carries: lanes is exp itself and the capacity has no
+        bound.  For e = 1 the one lane is the element code, so lanes is exp
+        again; other fields hold one more array the size of exp.
+        """
+        p, e, exp = self.p, self.e, self._tables["exp"]
+        if p == 2:
+            return exp, 1, sys.maxsize
+        width, lanes = 63 // e, exp
+        if e > 1:
+            values, packed = np.arange(self.order, dtype=np.int64), 0
+            for j in range(e):
+                values, digit = np.divmod(values, p)
+                packed = packed + (digit << (width * j))
+            lanes = np.take(packed, exp)
+        return lanes, width, ((1 << width) - 1) // (p - 1)
+
+    @property
+    def lane_capacity(self) -> int:
+        """Most products one lane sum may hold (sys.maxsize for p = 2)."""
+        return self._lanes[2]
+
+    def dot_lanes(self, a, b, into: np.ndarray | None = None) -> np.ndarray:
+        """The lane sum over t of a[..., t] * b[..., t], a and b broadcast
+        together, added to the lane sum ``into`` (in place) when given.
+
+        Each product is one lookup of the lane table at log a + log b (log 0
+        lands on the zero part of exp), and one integer reduction sums the
+        last axis: XOR for p = 2, np.add otherwise.  A lane sum, with every
+        sum added into it, holds at most ``lane_capacity`` products;
+        ``from_lanes`` reads it back as elements.
+        """
+        lanes, log = self._lanes[0], self._tables["log"]
+        add = np.bitwise_xor if self.p == 2 else np.add
+        terms = np.take(lanes, np.take(log, a) + np.take(log, b))
+        # one term is its own sum: reducing it would only copy it
+        sums = terms[..., 0] if terms.shape[-1] == 1 else add.reduce(terms, axis=-1)
+        return sums if into is None else add(into, sums, out=into)
+
+    def from_lanes(self, sums: np.ndarray) -> np.ndarray:
+        """The elements a lane sum stands for: one shift, mask and % p per
+        digit (the top lane needs no mask: no bit above it is set)."""
+        if self.p == 2:
+            return sums
+        p, e, width = self.p, self.e, self._lanes[1]
+        mask = (1 << width) - 1
+        out = sums & mask
+        out %= p
+        for j in range(1, e):
+            digit = sums >> (width * j)
+            if j < e - 1:
+                digit &= mask
+            digit %= p
+            digit *= p**j
+            out += digit
+        return out
 
     def mul_array(self, a, b) -> np.ndarray:
         return self._tables["mul"](a, b)

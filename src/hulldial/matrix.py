@@ -7,12 +7,19 @@ top-to-bottom in the leftmost unscanned column), so every result is
 deterministic.  Matrices with zero rows are legal values and
 represent the zero subspace.
 
-Products go through one kernel, ``matmul``: a single ``mul_array`` gather
-forms the (stack, rows, slice, cols) tensor of products a[s, i, t] *
-b[s, t, j] for a slice of the inner index t, and a pairwise tree of
-``add_array`` calls sums it over t.  Slices hold at most
-``_PRODUCT_BUDGET`` entries, so the memory a product needs does not grow
-with its inner dimension or its stack.
+Products go through one kernel, ``matmul``, which sums each slice of the
+inner index t in one integer reduction.  The field's lane table holds
+every product a * b at log a + log b as an int64 with each base-p digit in
+its own lane of floor(63/e) bits, so a plain integer sum of up to the
+field's ``lane_capacity`` products carries from no lane into the next
+(for p = 2 the code itself, summed by XOR, with no capacity bound).  One
+lookup forms the (stack, rows, cols, slice) tensor of products a[s, i, t]
+* b[s, t, j] for a slice of t and one reduction sums it over t; the
+slices' sums add up as integers until the capacity is reached, and one
+shift, mask and % p per digit reads them back as elements.  Slices hold
+at most ``_PRODUCT_BUDGET`` entries, and each later capacity's worth of
+terms is added with one ``add_array``, so the memory a product needs does
+not grow with its inner dimension or its stack.
 
 Results whose entries are valid by construction (field-table lookups, or
 entries of an already checked matrix) are wrapped with
@@ -112,6 +119,8 @@ class FieldMatrix:
     @classmethod
     def from_dict(cls, field: Field, d: dict) -> "FieldMatrix":
         rows, cols = int(d["rows"]), int(d["cols"])
+        if not all(0 <= x < field.p for cs in d["entries"] for x in cs):
+            raise ValueError(f"matrix coefficients outside the field's digit range [0, {field.p})")
         entries = [field.element(c) for c in d["entries"]]
         if len(entries) != rows * cols:
             raise ShapeMismatchError("entry count does not match rows*cols")
@@ -173,14 +182,16 @@ def matmul(a, b):
     of the T products a[s] @ b[s].  One kernel computes both: it takes as
     many stack entries at once as fit max(1, _PRODUCT_BUDGET // (rows *
     cols)), and the inner index t of that group in slices of max(1,
-    _PRODUCT_BUDGET // (group * rows * cols)) values.  One ``mul_array``
-    call forms the (group, rows, slice, cols) tensor of a slice's products,
-    and halving it pairwise sums them in ceil(log2(slice)) ``add_array``
-    calls; zero is the additive identity, so the middle layer of an odd
-    length is carried up a level as it is.  One more ``add_array`` call
-    adds each later slice's sum to the first.  So the calls grow with inner
-    only once it passes a slice, and the tensor held at once never exceeds
-    the budget, or one rows x cols layer when that alone is larger.  The
+    _PRODUCT_BUDGET // (group * rows * cols)) values, at most the field's
+    ``lane_capacity``.  One ``Field.dot_lanes`` call takes the logs of a
+    slice, looks up its (group, rows, cols, slice) products in the lane
+    table and sums the slice axis in one integer reduction, adding the
+    result to the lane sums of the slices before it.  Every whole number
+    of slices that fits the lane capacity is read back as elements once,
+    and one ``add_array`` call adds each later such chunk to the first
+    (capacities fall below the budget only for odd p with e >= 3).  So
+    the tensor held at once never exceeds the budget, or one rows x cols
+    layer when that alone is larger, whatever the inner dimension.  The
     sums are valid entries by construction, so the results are wrapped
     without re-validating them.
     """
@@ -203,22 +214,23 @@ def matmul(a, b):
     else:
         A, B = a[0].data[None], b[0].data[None]
     (size, rows, inner), cols = A.shape, B.shape[2]
+    # (size, rows, 1, inner) and (size, 1, cols, inner): a slice of t is a slice of the last axis
+    A, B = A[:, :, None, :], B.swapaxes(1, 2)[:, None]
     layer = max(1, rows * cols)
     group = max(1, _PRODUCT_BUDGET // layer)
+    capacity = field.lane_capacity
     out = np.zeros((size, rows, cols), dtype=np.int64)
     for g in range(0, size, group):
         acc = out[g : g + group]
-        step = max(1, _PRODUCT_BUDGET // (len(acc) * layer))
-        for s in range(0, inner, step):
-            t = field.mul_array(A[g : g + group, :, s : s + step, None],
-                                B[g : g + group, None, s : s + step, :])
-            while t.shape[2] > 1:
-                half = (t.shape[2] + 1) // 2
-                t[:, :, : t.shape[2] - half] = field.add_array(
-                    t[:, :, : t.shape[2] - half], t[:, :, half:]
-                )
-                t = t[:, :, :half]
-            acc[...] = t[:, :, 0] if s == 0 else field.add_array(acc, t[:, :, 0])
+        step = min(capacity, max(1, _PRODUCT_BUDGET // (len(acc) * layer)))
+        chunk = capacity // step * step  # whole slices, at most capacity terms
+        for c in range(0, inner, chunk):
+            lanes = None
+            for s in range(c, min(c + chunk, inner), step):
+                lanes = field.dot_lanes(A[g : g + group, ..., s : s + step],
+                                        B[g : g + group, ..., s : s + step], lanes)
+            sums = field.from_lanes(lanes)
+            acc[...] = sums if c == 0 else field.add_array(acc, sums)
     products = [FieldMatrix._trusted(field, m) for m in out]
     return products if stacked else products[0]
 
@@ -238,19 +250,23 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns.
 
     Pivot choice is positional: leftmost unscanned column, topmost nonzero
-    entry, so the result is unique and bit-reproducible.
+    entry, so the result is unique and bit-reproducible.  A run of columns
+    with no nonzero entry at or below the current row is skipped in one
+    scan, which also ends the loop once the rows left are all zero.
     """
     field = m.field
     R = m.data.copy()
     rows, cols = R.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
+    r = c = 0
+    while r < rows and c < cols:
         nz = np.nonzero(R[r:, c])[0]
         if nz.size == 0:
-            continue
+            live = np.nonzero(R[r:, c:].any(axis=0))[0]
+            if live.size == 0:
+                break
+            c += int(live[0])
+            nz = np.nonzero(R[r:, c])[0]
         pr = r + int(nz[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
@@ -264,7 +280,7 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
             factors = field.neg_array(col_vals)
             R = field.add_array(R, field.mul_array(factors[:, None], R[r][None, :]))
         pivots.append(c)
-        r += 1
+        r, c = r + 1, c + 1
     return FieldMatrix._trusted(field, R), tuple(pivots)
 
 

@@ -81,6 +81,29 @@ def poly_matmul(field: Field, a, b) -> list[list[int]]:
     return out
 
 
+def scalar_rref(field: Field, data) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form and pivots by scalar Gauss-Jordan, one
+    column at a time: in each column the topmost nonzero entry at or below
+    the current row is the pivot."""
+    R = [list(map(int, row)) for row in data]
+    rows, cols = len(R), len(data[0]) if len(data) else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = poly_inv(field, R[r][c])
+        R[r] = [poly_mul(field, inv, x) for x in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c]:
+                f = poly_neg(field, R[i][c])
+                R[i] = [poly_add(field, x, poly_mul(field, f, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, tuple(pivots)
+
+
 def codeword(field: Field, message, gen_rows) -> tuple[int, ...]:
     n = len(gen_rows[0]) if gen_rows else 0
     out = []

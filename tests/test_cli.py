@@ -474,6 +474,19 @@ def test_golden_cli_bytes(capsys, name, tag, argv):
     assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()
 
 
+def test_golden_eaqec_sweep_over_odd_characteristic_with_e_6(capsys, tmp_path):
+    # A full-field [729, 4] code over GF(3^6), recorded while matmul still
+    # summed products with a pairwise add_array tree: the 729-long inner axis
+    # of its Gram products passes the field's lane capacity of 511, and the
+    # witness digests pin every dialed generator.
+    codefile = tmp_path / "code.json"
+    assert _run(capsys, "construct", "--q", "27", "--family", "full-field", "--k", "4",
+                "--out", str(codefile))[0] == 0
+    code, out, _ = _run(capsys, "eaqec", str(codefile), "--format", "json")
+    assert code == 0
+    assert out.encode() == (GOLDEN_CLI / "gf729_eaqec_json.json").read_bytes()
+
+
 _BATCHED_TABLES = [
     ("q8_full", ["--q", "8"]),
     ("q9_rows300", ["--q", "9", "--max-rows", "300", "--format", "pretty"]),

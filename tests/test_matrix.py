@@ -34,7 +34,7 @@ from hulldial.matrix import (
     transpose,
     vstack,
 )
-from oracles import minor_rank, poly_matmul
+from oracles import minor_rank, poly_matmul, scalar_rref
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +66,11 @@ def test_matmul_shape_and_spec_errors(gf9, gf3, gf25):
         matmul(FieldMatrix.zeros(gf9, 2, 3), FieldMatrix.zeros(gf25, 3, 2))
 
 
-# p = 2 and odd p, on both sides of TABLE_LIMIT
+# p = 2 and odd p, on both sides of TABLE_LIMIT; a prime field; and odd p
+# with e >= 4, where the lane capacity is small enough to cut slices
 _MATMUL_FIELDS = [make_field(2, 2), make_field(3, 2), make_field(2, 8),
-                  make_quadratic_field(37), make_field(2, 12), make_quadratic_field(101)]
+                  make_quadratic_field(37), make_field(2, 12), make_quadratic_field(101),
+                  make_field(7, 1), make_field(5, 4), make_field(3, 6), make_field(3, 12)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -100,18 +102,19 @@ def _stack_case(field, size, rows, inner, cols, seed):
     return [FieldMatrix(field, m) for m in a], [FieldMatrix(field, m) for m in b]
 
 
-def _tensor_sizes(monkeypatch, field):
-    """Record the size of every mul_array result: matmul's product tensors."""
-    sizes = []
-    mul_array = field.mul_array
+def _kernel_calls(monkeypatch, field):
+    """Record the product tensor shape of every dot_lanes call (matmul's
+    slices: their last axis holds the terms summed) and count add_array calls."""
+    shapes, adds = [], []
+    dot_lanes, add_array = field.dot_lanes, field.add_array
 
-    def recording(a, b):
-        out = mul_array(a, b)
-        sizes.append(out.size)
-        return out
+    def recording(a, b, into=None):
+        shapes.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        return dot_lanes(a, b, into)
 
-    monkeypatch.setattr(field, "mul_array", recording)
-    return sizes
+    monkeypatch.setattr(field, "dot_lanes", recording)
+    monkeypatch.setattr(field, "add_array", lambda a, b: adds.append(1) or add_array(a, b))
+    return shapes, adds
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -142,10 +145,10 @@ def test_stacked_matmul_matches_separate_products_and_oracle(field, shape, budge
 ])
 def test_stacked_matmul_edge_stacks(monkeypatch, gf9, size, rows, inner, cols):
     a, b = _stack_case(gf9, size, rows, inner, cols, seed=size * 1000 + inner)
-    sizes = _tensor_sizes(monkeypatch, gf9)
+    shapes, _ = _kernel_calls(monkeypatch, gf9)
     stacked = matmul(a, b)
     assert [m.shape for m in stacked] == [(rows, cols)] * size
-    assert max(sizes, default=0) <= matrix._PRODUCT_BUDGET
+    assert max(map(math.prod, shapes), default=0) <= matrix._PRODUCT_BUDGET
     assert stacked == [matmul(x, y) for x, y in zip(a, b)]
     assert [m.tolist() for m in stacked] == [
         poly_matmul(gf9, x.data, y.data) for x, y in zip(a, b)
@@ -155,9 +158,9 @@ def test_stacked_matmul_edge_stacks(monkeypatch, gf9, size, rows, inner, cols):
 def test_stacked_matmul_tensor_stays_within_budget_or_one_layer(monkeypatch, gf9):
     # one rows x cols layer (300 * 300) is past the budget: one layer at a time
     a, b = _stack_case(gf9, 2, 300, 3, 300, seed=5)
-    sizes = _tensor_sizes(monkeypatch, gf9)
+    shapes, _ = _kernel_calls(monkeypatch, gf9)
     stacked = matmul(a, b)
-    assert max(sizes) == 300 * 300 > matrix._PRODUCT_BUDGET
+    assert max(map(math.prod, shapes)) == 300 * 300 > matrix._PRODUCT_BUDGET
     assert stacked == [matmul(x, y) for x, y in zip(a, b)]
 
 
@@ -192,15 +195,52 @@ def test_matmul_memory_does_not_grow_with_the_inner_dimension():
     assert peak < 2 * 2**20, f"peak {peak} bytes"
 
 
-def test_matmul_sums_the_inner_axis_in_logarithmic_calls(monkeypatch):
+def test_matmul_sums_each_slice_in_one_reduction(monkeypatch):
     field = make_quadratic_field(13)
     code = full_field_rs(field, 6).code()
-    calls = []
-    add_array = field.add_array
-    monkeypatch.setattr(field, "add_array", lambda a, b: calls.append(1) or add_array(a, b))
+    shapes, adds = _kernel_calls(monkeypatch, field)
     gram = gram_matrix(code)
     assert not np.any(gram.data)  # the [169, 6] full-field code is self-orthogonal
-    assert 0 < len(calls) <= math.ceil(math.log2(code.n)) + 2
+    assert (shapes, adds) == ([(1, 6, 6, code.n)], [])  # one reduction, nothing to add
+    # whatever the inner length: 3 * 3 entries a layer leave room for
+    # 7281-term slices, and GF(13^2) lanes hold far more terms than that,
+    # so the slices' lane sums add up as integers, with no add_array
+    rng = np.random.default_rng(4)
+    for inner in (1, 2**12, 7281, 7282, 3 * 7281):
+        a = FieldMatrix(field, rng.integers(0, 13, size=(3, inner)))
+        b = FieldMatrix(field, rng.integers(0, 13, size=(inner, 3)))
+        shapes.clear()
+        out = matmul(a, b)
+        assert len(shapes) == math.ceil(inner / 7281) and not adds
+        assert max(s[-1] for s in shapes) <= 7281
+        assert np.array_equal(out.data, a.data @ b.data % 13)
+
+
+@pytest.mark.parametrize("field", [make_field(3, 6), make_field(3, 12), make_field(5, 4)],
+                         ids=["GF(3^6)", "GF(3^12)", "GF(5^4)"])
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize("budget", [matrix._PRODUCT_BUDGET, 2 * 2 * 7])
+def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
+    capacity = field.lane_capacity
+    inner = capacity + over
+    rng = np.random.default_rng(capacity + over)
+    a = rng.integers(1, field.order, size=(2, inner))
+    b = rng.integers(0, field.order, size=(inner, 2))
+    # column 0 of the product sums only products whose digits are all p - 1:
+    # every lane of every term is full, the worst case for a carry
+    b[:, 0] = [field.div(field.order - 1, int(x)) for x in a[0]]
+    shapes, adds = _kernel_calls(monkeypatch, field)
+    monkeypatch.setattr(matrix, "_PRODUCT_BUDGET", budget)
+    out = matmul(FieldMatrix(field, a), FieldMatrix(field, b))
+    widths = [s[-1] for s in shapes]
+    assert sum(widths) == inner and max(widths) <= min(capacity, budget // 4)
+    if budget == 2 * 2 * 7:  # 7-term slices: lane sums of whole slices up to the capacity
+        assert len(adds) == math.ceil(inner / (capacity // 7 * 7)) - 1
+    else:  # one slice of capacity terms, then one more term added to it
+        assert widths == [capacity] + [1] * over and len(adds) == over
+    assert out.data[0, 0] == field.mul(inner % field.p, field.order - 1)
+    assert out.tolist() == poly_matmul(field, a, b)
+    assert capacity == {729: 511, 3**12: 15, 625: 8191}[field.order]
 
 
 def test_conj_transpose_examples(gf9):
@@ -242,6 +282,43 @@ def test_rref_idempotent_bit_exact(gf9):
         assert r1 == r2 and p1 == p2
         assert same_row_space(m, r1)
         assert list(p1) == sorted(p1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from([make_field(3, 1), make_field(3, 2), make_field(2, 4)]),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 9)),
+    rank_=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_matches_scalar_oracle_across_empty_columns_and_zero_rows(field, shape, rank_, seed):
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    # a product of random factors has rank at most rank_, so rows below it clear to zero
+    left = rng.integers(0, field.order, size=(rows, rank_))
+    right = rng.integers(0, field.order, size=(rank_, cols))
+    m = matmul(FieldMatrix(field, left), FieldMatrix(field, right)).data.copy()
+    if cols:  # clear a run of columns, and some rows
+        start = int(rng.integers(0, cols))
+        m[:, start : start + int(rng.integers(0, cols + 1))] = 0
+    m[rng.random(rows) < 0.3] = 0
+    r, pivots = rref(FieldMatrix(field, m))
+    expected, expected_pivots = scalar_rref(field, m)
+    assert pivots == expected_pivots
+    assert r.tolist() == expected
+
+
+def test_rref_stops_scanning_once_the_remaining_rows_are_zero(gf9, monkeypatch):
+    # one pivot in column 150 of 200 and three zero rows: a column at a time
+    # would take 200 scans, one per column; skipping the empty runs takes 5
+    data = np.zeros((4, 200), dtype=np.int64)
+    data[0, 150:152] = 3, 1
+    scans = []
+    nonzero = np.nonzero
+    monkeypatch.setattr(matrix.np, "nonzero", lambda a: scans.append(1) or nonzero(a))
+    r, pivots = rref(FieldMatrix(gf9, data))
+    assert pivots == (150,) and r.row(0)[150:152] == (1, gf9.div(1, 3)) and not r.data[1:].any()
+    assert len(scans) <= 5
 
 
 def test_rank_properties(gf9):
@@ -360,6 +437,12 @@ def test_out_of_range_entries_are_refused_where_user_data_enters(gf9):
     # a stored entry has e = 2 coefficients; a third would leave GF(9)
     with pytest.raises(ValueError, match="at most 2 coefficients"):
         FieldMatrix.from_dict(gf9, {"rows": 1, "cols": 1, "entries": [[0, 1, 1]]})
+    # a coefficient outside [0, p) is refused, not reduced mod p
+    for entries in ([[0, 3], [5, -1]], [[0, 1], [2, 3]], [[-1], [0]]):
+        with pytest.raises(ValueError, match="outside the field"):
+            FieldMatrix.from_dict(gf9, {"rows": 1, "cols": 2, "entries": entries})
+    ok = FieldMatrix.from_dict(gf9, {"rows": 1, "cols": 2, "entries": [[0, 2], [2]]})
+    assert ok.row(0) == (6, 2)
     d = LinearCode(gf9, [[1, 2]]).to_dict()
     d["generator"]["entries"][1] = [0, gf9.p]
     with pytest.raises(MalformedCodeError):
