@@ -227,10 +227,11 @@ def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullRe
     field = c.field
     sigma_gt = transpose(frobenius_entrywise(c.gen, _frobenius_index(field, kind, l)))
     gram = matmul(c.gen, sigma_gt)
-    span = matmul(null_space(transpose(gram)), c.gen)
+    left = null_space(transpose(gram))
+    span = matmul(left, c.gen)
     reduced, pivots = rref(FieldMatrix(field, span.data[:, ::-1]))
     basis = FieldMatrix(field, reduced.data[: len(pivots)][::-1, ::-1])
-    if len(pivots) != c.k - rank(gram) or np.any(matmul(basis, sigma_gt).data):
+    if len(pivots) != left.rows or np.any(matmul(basis, sigma_gt).data):
         raise VerificationFailedError(
             "hull basis is not the left null space of the Gram matrix"
         )  # pragma: no cover
@@ -347,14 +348,12 @@ def _mds_certificate(form: FieldMatrix) -> bool:
     return np.unique(points).size == points.size
 
 
-def _distance(
-    c: LinearCode, dual: bool, cap: int | None, form: FieldMatrix | None = None
-) -> int:
+def _distance(c: LinearCode, dual: bool, cap: int | None) -> int:
     """Exact minimum distance of c, or of its dual when ``dual``.
 
     A code is MDS iff its dual is, so the certificate on the standard form
-    of c.gen (``form``, when the caller already has it) answers either
-    distance as n - dim + 1, dim the dimension of the code measured.
+    of c.gen answers either distance as n - dim + 1, dim the dimension of
+    the code measured.
     Otherwise it picks between the column-dependency search over that
     code's parity-check matrix (c.gen for the dual, null_space(c.gen) for
     c) and enumeration of its messages, preferring enumeration up to 10^5
@@ -364,7 +363,7 @@ def _distance(
     """
     cap = enumeration_cap(cap)
     dim = c.n - c.k if dual else c.k
-    if _mds_certificate(standard_form(c.gen)[0] if form is None else form):
+    if _mds_certificate(standard_form(c.gen)[0]):
         return c.n - dim + 1
     total = c.field.order**dim
     counts = itertools.accumulate(math.comb(c.n, w) for w in range(1, c.n - dim + 1))
@@ -391,14 +390,9 @@ def min_distance(c: LinearCode, cap: int | None = None) -> int:
 def dual_min_distance(c: LinearCode, cap: int | None = None) -> int:
     """Exact minimum distance of the dual of c (all dual kinds share it);
     past both the search budget and the cap it raises, never estimating."""
-    return _dual_distance(c, cap)
-
-
-def _dual_distance(c: LinearCode, cap: int | None, form: FieldMatrix | None = None) -> int:
-    """dual_min_distance, given the standard form of c.gen when the caller has it."""
     if c.k == c.n:
         raise ValueError("the dual of the full space is the zero code")
-    return 1 if c.k == 0 else _distance(c, True, cap, form)
+    return 1 if c.k == 0 else _distance(c, True, cap)
 
 
 def is_mds(c: LinearCode, cap: int | None = None) -> bool:

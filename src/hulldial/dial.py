@@ -80,14 +80,8 @@ def arrange_p1_nonsingular(
     below complete the generator and vanish on the first h coordinates.  A
     basis already in that shape comes back with the identity permutation.
     """
-    return _arrange(c, *standard_form(basis))
-
-
-def _arrange(
-    c: LinearCode, lead: FieldMatrix, perm1: tuple[int, ...]
-) -> tuple[LinearCode, tuple[int, ...]]:
-    """arrange_p1_nonsingular from (lead, perm1), the standard form of its basis."""
     field, k, n = c.field, c.k, c.n
+    lead, perm1 = standard_form(basis)
     h = lead.rows
     rows = lead.data
     if h < k:
@@ -122,12 +116,10 @@ def _scale_down(
     targets: Iterable[int],
     l: int | None,
     exponent: int,
-    form: tuple[FieldMatrix, tuple[int, ...]] | None = None,
 ) -> list[DialResult]:
     """Scale c so that its hull, spanned by ``basis``, drops to each target.
 
-    ``form`` is standard_form(basis) when the caller already has it.  Target
-    t takes the first h - t of one prefix-stable run of constants.  All
+    Target t takes the first h - t of one prefix-stable run of constants.  All
     targets below h are dialed together: one arrangement, one (T, k, n)
     stack of scaled generators, one Frobenius call for their twists
     (sigma(a) = a^(p^l), conjugation when l is None) and one stacked matmul
@@ -145,7 +137,7 @@ def _scale_down(
     if lower:
         if l is None and field.subfield_order == 2:
             raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
-        arranged, perm = arrange_p1_nonsingular(c, basis) if form is None else _arrange(c, *form)
+        arranged, perm = arrange_p1_nonsingular(c, basis)
         constants = field.find_power_non_one(exponent, h - min(lower))
         weights = np.ones((len(lower), n), dtype=np.int64)
         for row, target in zip(weights, lower):
@@ -208,18 +200,10 @@ def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
     return _scale_down(c, basis, [l_prime], None, c.field.subfield_order + 1)[0]
 
 
-def _hermitian_dials(
-    c: LinearCode,
-    targets: Iterable[int] | None = None,
-    form: tuple[FieldMatrix, tuple[int, ...]] | None = None,
-) -> list[DialResult]:
+def _hermitian_dials(c: LinearCode, targets: Iterable[int] | None = None) -> list[DialResult]:
     """dial_hull's result for each target if c is Hermitian self-orthogonal,
-    else reduce_hull's; by default every target from 0 to the hull dimension.
-    ``form`` is standard_form(c.gen) when the caller already has it."""
-    if is_hermitian_self_orthogonal(c):
-        basis = c.gen
-    else:
-        basis, form = hull(c, "hermitian").basis, None
+    else reduce_hull's; by default every target from 0 to the hull dimension."""
+    basis = c.gen if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").basis
     if targets is None:
         targets = range(basis.rows + 1)
-    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1, form)
+    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1)

@@ -32,9 +32,8 @@ from .errors import (
     VerificationFailedError,
 )
 from .field import _check_base_field, factorize
-from .code import LinearCode, _dual_distance, dual_min_distance, hull, min_distance
+from .code import LinearCode, dual_min_distance, hull, min_distance
 from .dial import _hermitian_dials
-from .matrix import standard_form
 from .grs import _even_subgroup_bound
 
 
@@ -174,14 +173,12 @@ def eaqec_from_dial(c: LinearCode, l: int, cap: int | None = None) -> EaqecParam
     """Dial the hull of c down to l and derive [[n, n-k-l, d_dual, k-l]]_q.
 
     Self-orthogonal inputs can reach any l in [0, k]; general codes any
-    l up to their measured hull dimension.  Only the dual distance is
-    measured, since the record does not carry d.
+    l up to their measured hull dimension.  This is eaqec_sweep's path
+    with the one target l, so only the dual distance is measured, on c.
     """
     if l < 0:
         raise BadTargetError("l must be nonnegative")
-    (res,) = _hermitian_dials(c, [l])
-    dd = dual_min_distance(res.code, cap)
-    return _assisted_record(res.code, res.achieved_h, dd, witness_digest(res.code))
+    return _dialed_records(c, [l], cap)[0]
 
 
 def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
@@ -193,13 +190,15 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
     the rank of its own Gram matrix, and gets its own witness digest.  Every
     dialed code is the input with its coordinates permuted and scaled by
     nonzero constants, which preserves the dual distance, so it is measured
-    once, on the input.  The input's standard form is computed once, here,
-    and shared by the arrangement of a self-orthogonal input and the MDS
-    certificate.
+    once, on the input.
     """
-    form = standard_form(c.gen)
-    dials = _hermitian_dials(c, form=form)
-    dd = _dual_distance(c, cap, form[0])
+    return _dialed_records(c, None, cap)
+
+
+def _dialed_records(c: LinearCode, targets: list[int] | None, cap: int | None) -> list[EaqecParams]:
+    """eaqec_sweep's records for the given targets (by default every one)."""
+    dials = _hermitian_dials(c, targets)
+    dd = dual_min_distance(c, cap)
     return [_assisted_record(r.code, r.achieved_h, dd, witness_digest(r.code)) for r in dials]
 
 

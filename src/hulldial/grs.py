@@ -53,7 +53,7 @@ EXHAUSTIVE_SCAN_LIMIT = 6 * 10**5
 #: Deterministic prefix scanned before random sampling on large spaces.
 PREFIX_SCAN_BUDGET = 10**5
 
-#: Seeded random attempts after the prefix scan.
+#: Seeded random attempts in each of the two passes after the prefix scan.
 RANDOM_BUDGET = 10**5
 
 #: Longest code the solver takes on, since its dense null-space basis has
@@ -216,15 +216,8 @@ def subgroup_eval_set(field: Field, m: int) -> tuple[int, ...]:
     o = field.order - 1
     if m < 1 or o % m != 0:
         raise NotADivisorError(f"m = {m} does not divide the group order {o}")
-    g = field.primitive_element()
-    gm = field.pow(g, m)
-    size = o // m
-    subgroup = []
-    x = 1
-    for _ in range(size):
-        subgroup.append(x)
-        x = field.mul(x, gm)
-    return tuple(sorted(subgroup))
+    powers = field.pow_array(field.primitive_element(), np.arange(0, o, m))
+    return tuple(np.sort(powers).tolist())
 
 
 def subgroup_union_eval_set(field: Field, m1: int, m2: int) -> tuple[int, ...]:
@@ -299,7 +292,10 @@ def _all_nonzero_combination(
     so w[free_t] is coefficient t: a zero digit rules the vector out, and
     only all-nonzero digit vectors are evaluated, on the bound columns.
     The ordered scans take them by increasing i (the smallest is
-    (q^nu - 1)/(q - 1), so a smaller prefix budget is skipped).
+    (q^nu - 1)/(q - 1), so a smaller prefix budget is skipped).  Two seeded
+    random passes follow: the first draws digits from 0..q-1 and evaluates
+    the all-nonzero draws, a share of about ((q - 1)/q)^nu; the second
+    draws every digit from 1..q-1, so each draw is evaluated.
 
     Returns (vector or None, attempts, exhausted).  ``attempts`` counts the
     indices ruled out, evaluated or not, up to the end of the _CHUNK-sized
@@ -357,13 +353,14 @@ def _all_nonzero_combination(
             return w, attempts, False
     attempts = prefix
     rng = np.random.default_rng(seed)
-    for start in range(0, RANDOM_BUDGET, _CHUNK):
-        take = min(_CHUNK, RANDOM_BUDGET - start)
-        digits = rng.integers(0, q_sub, size=(take, nu))
-        attempts += take
-        found = evaluate(digits[np.all(digits != 0, axis=1)])
-        if found is not None:
-            return found[1], attempts, False
+    for low in (0, 1):
+        for start in range(0, RANDOM_BUDGET, _CHUNK):
+            take = min(_CHUNK, RANDOM_BUDGET - start)
+            digits = rng.integers(low, q_sub, size=(take, nu))
+            attempts += take
+            found = evaluate(digits[np.all(digits != 0, axis=1)])
+            if found is not None:
+                return found[1], attempts, False
     return None, attempts, False
 
 

@@ -25,6 +25,10 @@ Results whose entries are valid by construction (field-table lookups, or
 entries of an already checked matrix) are wrapped with
 ``FieldMatrix._trusted``; only the constructor that user data reaches,
 ``FieldMatrix(field, data)``, copies and range-checks.
+
+Each matrix is row-reduced at most once: ``rref`` keeps its result on the
+matrix it reduced, so ``rank``, ``null_space`` and ``standard_form`` of one
+matrix share one elimination, whichever callers ask.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .field import Field, digit_columns, ensure_same_field
 class FieldMatrix:
     """Immutable rows x cols matrix of field elements (stored as ints)."""
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "data", "_reduced")
 
     def __init__(self, field: Field, data):
         arr = np.array(data, dtype=np.int64)
@@ -58,16 +62,21 @@ class FieldMatrix:
         arr.setflags(write=False)
         self.field = field
         self.data = arr
+        self._reduced = None
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
     def _trusted(cls, field: Field, arr: np.ndarray) -> "FieldMatrix":
-        """Wrap a 2-D int64 array of valid entries as it is, without copying or scanning it."""
+        """Wrap a 2-D int64 array of valid entries as it is, without copying or scanning it.
+
+        ``rref`` keeps its result on the matrix, so neither ``arr`` nor an
+        array it views may be written afterwards."""
         m = cls.__new__(cls)
         arr.setflags(write=False)
         m.field = field
         m.data = arr
+        m._reduced = None
         return m
 
     @classmethod
@@ -252,8 +261,11 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     Pivot choice is positional: leftmost unscanned column, topmost nonzero
     entry, so the result is unique and bit-reproducible.  A run of columns
     with no nonzero entry at or below the current row is skipped in one
-    scan, which also ends the loop once the rows left are all zero.
+    scan, which also ends the loop once the rows left are all zero.  The
+    result is kept on ``m``, and later calls return it without reducing.
     """
+    if m._reduced is not None:
+        return m._reduced
     field = m.field
     R = m.data.copy()
     rows, cols = R.shape
@@ -281,7 +293,8 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
             R = field.add_array(R, field.mul_array(factors[:, None], R[r][None, :]))
         pivots.append(c)
         r, c = r + 1, c + 1
-    return FieldMatrix._trusted(field, R), tuple(pivots)
+    m._reduced = FieldMatrix._trusted(field, R), tuple(pivots)
+    return m._reduced
 
 
 def rank(m: FieldMatrix) -> int:

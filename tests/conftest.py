@@ -7,7 +7,7 @@ import pytest
 # uninstalled checkout
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hulldial import eaqec
+from hulldial import code, dial, eaqec, matrix
 from hulldial.field import make_field, make_quadratic_field
 from hulldial.code import LinearCode
 from hulldial.grs import MultiplierProblem, construct_family, full_field_rs, solve_multipliers
@@ -82,3 +82,26 @@ def table_draws(monkeypatch):
         lambda q, include_generic: [recording(f) for f in families(q, include_generic)],
     )
     return drawn
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every matrix that ``rref`` row-reduces, once per elimination, in call order.
+
+    A call that returns the result already kept on the matrix is not
+    listed; any other call is.  The list holds the matrices themselves, so
+    callers can pick out one by identity.
+    """
+    reduced = []
+    original = matrix.rref
+
+    def recording(m):
+        kept = m._reduced
+        result = original(m)
+        if result is not kept:
+            reduced.append(m)
+        return result
+
+    for module in (matrix, code, dial):
+        monkeypatch.setattr(module, "rref", recording)
+    return reduced

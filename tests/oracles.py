@@ -14,6 +14,8 @@ import functools
 import itertools
 import math
 
+import numpy as np
+
 from hulldial.field import Field
 from hulldial.code import LinearCode
 from hulldial.grs import MultiplierProblem
@@ -79,6 +81,14 @@ def poly_matmul(field: Field, a, b) -> list[list[int]]:
                 term = poly_mul(field, int(a[i, t]), int(b[t, j]))
                 out[i][j] = poly_add(field, out[i][j], term)
     return out
+
+
+def hermitian_gram(code: LinearCode) -> list[list[int]]:
+    """G conj(G)^T, each entry conjugated as a^q and summed by poly_matmul."""
+    field, gen = code.field, code.gen.data
+    q = field.subfield_order
+    conj_t = [[poly_pow(field, int(gen[i, j]), q) for i in range(code.k)] for j in range(code.n)]
+    return poly_matmul(field, gen, np.array(conj_t, dtype=np.int64))
 
 
 def scalar_rref(field: Field, data) -> tuple[list[list[int]], tuple[int, ...]]:

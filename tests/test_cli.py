@@ -450,6 +450,10 @@ def _golden_cases():
                                            "--k", "2", "--g", "0,1"]
     yield "construct", "q5_subgroup_k2", ["construct", "--q", "5", "--family", "subgroup",
                                           "--k", "2", "--m", "3"]
+    # found by the solver's second random pass, which draws nonzero digits
+    # only; checked on its own below
+    yield "construct", "q13_q2plus1_k3", ["construct", "--q", "13", "--family", "q2plus1",
+                                          "--k", "3"]
     yield "table", "q11_rows50", ["table", "--q", "11", "--max-rows", "50"]
     yield "table", "q9_rows300", ["table", "--q", "9", "--max-rows", "300",
                                   "--format", "pretty"]
@@ -472,6 +476,20 @@ def test_golden_cli_bytes(capsys, name, tag, argv):
     else:
         suffix = "tsv" if argv[0] == "table" else "json"
     assert out.encode() == (GOLDEN_CLI / f"{name}_{tag}.{suffix}").read_bytes()
+
+
+def test_golden_q13_q2plus1_code_checks_against_the_oracle():
+    # no earlier solver found this [170, 3] code, so its golden is checked
+    # independently: Gram matrix by polynomial arithmetic, and the MDS property
+    from hulldial.code import LinearCode, is_mds
+    from oracles import hermitian_gram
+
+    out = json.loads((GOLDEN_CLI / "construct_q13_q2plus1_k3.json").read_text())
+    assert (out["status"], out["null_dim"], out["attempts"]) == ("found", 161, 204096)
+    code = LinearCode.from_dict(out["code"])
+    assert (code.field.subfield_order, code.n, code.k) == (13, 170, 3)
+    assert hermitian_gram(code) == [[0] * 3] * 3
+    assert is_mds(code)
 
 
 def test_golden_eaqec_sweep_over_odd_characteristic_with_e_6(capsys, tmp_path):

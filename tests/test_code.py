@@ -156,6 +156,19 @@ def test_hull_reports(gf9, gf16, rs92):
         assert rep.dim == 0 and rep.basis.shape == (0, 3)
 
 
+def test_hull_reduces_its_gram_matrix_once(gf9, eliminations):
+    code = LinearCode(gf9, [[gf9.pow(a, i) for a in range(1, 9)] for i in range(3)])
+    gram = gram_matrix(code).data
+    eliminations.clear()
+    rep = hull(code)
+    assert rep.dim == 1 == brute_hull_dim(code)
+    # one elimination of the Gram matrix (as its transpose, for the left
+    # null space) and one of the hull span for the canonical basis
+    grams = [m for m in eliminations if m.shape == gram.shape
+             and (np.array_equal(m.data, gram) or np.array_equal(m.data, gram.T))]
+    assert len(grams) == 1 and len(eliminations) == 2
+
+
 def test_hull_symmetry(gf9, gf16):
     rng = np.random.default_rng(12)
     for field, n in ((gf9, 5), (gf16, 4)):

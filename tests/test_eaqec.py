@@ -244,24 +244,32 @@ def _counting(monkeypatch, module, name, counts, code):
 
 
 @pytest.mark.parametrize("self_orthogonal", [True, False], ids=["dial", "reduce"])
-def test_sweep_arranges_once_and_checks_its_input_once(monkeypatch, gf9, self_orthogonal):
+def test_sweep_arranges_once_and_checks_its_input_once(
+    monkeypatch, eliminations, gf9, self_orthogonal
+):
     if self_orthogonal:
-        code = full_field_rs(make_quadratic_field(4), 3).code()
+        field = make_quadratic_field(4)
+        data = full_field_rs(field, 3).code().gen.data
     else:
-        code = LinearCode(gf9, [[gf9.pow(a, i) for a in range(1, 9)] for i in range(3)])
+        field = gf9
+        data = [[gf9.pow(a, i) for a in range(1, 9)] for i in range(3)]
+    # a generator nothing has reduced yet, so every elimination of it is the sweep's
+    code = LinearCode(field, FieldMatrix(field, data), check=False)
     counts = collections.Counter()
-    for module, name in ((dial, "_arrange"), (dial, "hull"), (code_module, "gram_matrix")):
+    for module, name in (
+        (dial, "arrange_p1_nonsingular"), (dial, "hull"), (code_module, "gram_matrix")
+    ):
         _counting(monkeypatch, module, name, counts, code)
-    for module in (eaqec, dial, code_module):
-        _counting(monkeypatch, module, "standard_form", counts, code.gen)
     records = eaqec_sweep(code)
     assert len(records) == (code.k + 1 if self_orthogonal else 2)
+    counts["rref"] = sum(m is code.gen for m in eliminations)
     # one Gram check of the input, and (failing it) one hull measurement;
-    # the dialed codes are measured on themselves.  The input's echelon
-    # form is computed once and shared by the arrangement (of the input
-    # itself, when it is self-orthogonal) and the MDS certificate
+    # the dialed codes are measured on themselves.  The input is arranged
+    # once, and its generator is row-reduced once: the arrangement (of the
+    # input itself, when it is self-orthogonal) and the MDS certificate
+    # share that elimination
     assert counts == collections.Counter(
-        _arrange=1, gram_matrix=1, hull=0 if self_orthogonal else 1, standard_form=1
+        arrange_p1_nonsingular=1, gram_matrix=1, hull=0 if self_orthogonal else 1, rref=1
     )
 
 

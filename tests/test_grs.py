@@ -35,6 +35,7 @@ from hulldial.matrix import null_space
 from oracles import (
     brute_first_all_nonzero,
     gram_by_power_sums,
+    hermitian_gram,
     norm_substituted_polys,
     orthogonality_system,
     poly_mul,
@@ -69,6 +70,15 @@ def test_extended_generator(gf9):
     code = grs_generator(spec)
     assert (code.n, code.k) == (10, 1)
     assert min_distance(code) == 10
+
+
+def test_grs_code_is_reduced_once_across_its_rank_check_and_is_mds(gf16, eliminations):
+    spec = GrsSpec(gf16, tuple(range(1, 12)), tuple(range(1, 12)), 4, extended=False)
+    code = spec.code()
+    assert is_mds(code) and spec.code() is code
+    # LinearCode's rank check and the MDS certificate's standard form share
+    # the one elimination kept on the generator
+    assert sum(m is code.gen for m in eliminations) == 1
 
 
 @st.composite
@@ -269,6 +279,20 @@ def test_solver_random_phase_hit_pinned(gf25):
     )
 
 
+@pytest.mark.parametrize("q, nu", [(13, 161), (16, 248)])
+def test_solver_second_random_pass_reaches_q2plus1_at_k3(q, nu):
+    # [q^2 + 1, 3]: the first pass evaluates a share ((q - 1)/q)^nu of its
+    # draws (about 3e-6 at q = 13) and finds nothing; the second pass draws
+    # nonzero digits only, and its first chunk holds a hit
+    res = construct_family(make_quadratic_field(q), "q2plus1", k=3)
+    assert (res.status, res.null_dim) == ("found", nu)
+    assert res.attempts == grs.PREFIX_SCAN_BUDGET + grs.RANDOM_BUDGET + _CHUNK
+    code = res.grs.code()
+    assert (code.n, code.k) == (q * q + 1, 3)
+    assert hermitian_gram(code) == [[0] * 3] * 3
+    assert is_mds(code)
+
+
 def test_solver_prefix_phase_hit_pinned():
     # k = 1 on six points of GF(17^2): nu = 5 and 17^5 > EXHAUSTIVE_SCAN_LIMIT,
     # but the smallest all-nonzero index (17^5 - 1)/16 = 88741 lies within
@@ -462,6 +486,20 @@ def test_subgroup_eval_sets(gf9, gf25):
         subgroup_eval_set(gf9, 3)
     union = subgroup_union_eval_set(gf25, 1, 3)
     assert len(union) == 24 + 8 - 8
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8])
+def test_subgroup_eval_set_matches_repeated_multiplication(q):
+    field = make_quadratic_field(q)
+    order = field.order - 1
+    for m in (m for m in range(1, order + 1) if order % m == 0):
+        step = poly_pow(field, field.primitive_element(), m)
+        x, subgroup = 1, []
+        for _ in range(order // m):
+            subgroup.append(x)
+            x = poly_mul(field, x, step)
+        assert x == 1 and len(set(subgroup)) == order // m
+        assert subgroup_eval_set(field, m) == tuple(sorted(subgroup)), m
 
 
 def test_construct_family_full_field(gf9):

@@ -284,6 +284,27 @@ def test_rref_idempotent_bit_exact(gf9):
         assert list(p1) == sorted(p1)
 
 
+def test_rref_is_kept_on_the_matrix_it_reduced(gf9, eliminations):
+    # through the module, where the fixture records each elimination
+    rng = np.random.default_rng(5)
+    matrices = [_random_matrix(gf9, rng, r, c) for r, c in ((3, 6), (4, 4), (5, 2), (0, 3))]
+    firsts = [matrix.rref(m) for m in matrices]
+    assert eliminations == matrices
+    for m, first in zip(matrices, firsts):
+        # a second call, and rank, null_space and standard_form, reuse it
+        assert matrix.rref(m) is first
+        assert rank(m) == len(first[1])
+        assert null_space(m) == null_space(FieldMatrix(gf9, m.data))
+        if rank(m) == m.rows:
+            assert standard_form(m) == standard_form(FieldMatrix(gf9, m.data))
+    assert [sum(e is m for e in eliminations) for m in matrices] == [1] * len(matrices)
+    for m, (reduced, pivots) in zip(matrices, firsts):
+        copy = FieldMatrix(gf9, m.data)
+        assert copy._reduced is None
+        assert matrix.rref(copy) == (reduced, pivots)  # a fresh reduction agrees
+        assert not reduced.data.flags.writeable
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     field=st.sampled_from([make_field(3, 1), make_field(3, 2), make_field(2, 4)]),
