@@ -442,11 +442,13 @@ def _block_tsv_text(q: int, blocks: Sequence[_Block], batch: int) -> Iterator[st
 
     The rows of block (n, k) differ only in k_q = n-k-h and c = k-h, which
     count down together as h rises, so the rest of each row is formatted
-    once per block (the labels once per tag tuple) and the rows of a block
-    that fall in one piece are one join over slices of the decimal strings
-    of max n down to 0.  Those strings are made once when the table has at
-    least that many rows; a shorter table (a few rows at a large q) makes
-    each one it needs with ``str``.
+    once per block (the labels once per tag tuple).  The rows of a block
+    that fall in one piece are laid out in one list, the repeated row parts
+    with two slices of the decimal strings of max n down to 0 assigned
+    between them, and each piece is one join of its lists, so no string is
+    made per row.  Those decimal strings are made once when the table has
+    at least that many rows; a shorter table (a few rows at a large q)
+    makes each one it needs with ``str``.
     """
     top = max((n for n, *_ in blocks), default=0)
     if sum(rows for *_, rows in blocks) > top:
@@ -466,8 +468,12 @@ def _block_tsv_text(q: int, blocks: Sequence[_Block], batch: int) -> Iterator[st
                 yield "".join(piece)
                 piece, room = [], batch
             take = min(rows - h, room)
-            kqs, cs = countdown[at_kq + h : at_kq + h + take], countdown[at_c + h : at_c + h + take]
-            piece.append(head + (tail + head).join(map(mid.join, zip(kqs, cs))) + tail)
+            run = [tail + head, "", mid, ""] * take
+            run[0] = head
+            run[1::4] = countdown[at_kq + h : at_kq + h + take]
+            run[3::4] = countdown[at_c + h : at_c + h + take]
+            run.append(tail)
+            piece += run
             h += take
             room -= take
     yield "".join(piece)

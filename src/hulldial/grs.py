@@ -71,6 +71,10 @@ HORNER_BUDGET = 2**30
 
 _CHUNK = 4096
 
+#: Rows in a random pass's first draw; each later draw takes as many rows
+#: as the pass has drawn so far, up to _CHUNK.
+_FIRST_DRAW = 256
+
 STATUS_FOUND = "found"
 STATUS_NO_SOLUTION = "no-solution"
 STATUS_NOT_FOUND = "not-found-within-budget"
@@ -295,12 +299,23 @@ def _all_nonzero_combination(
     (q^nu - 1)/(q - 1), so a smaller prefix budget is skipped).  Two seeded
     random passes follow: the first draws digits from 0..q-1 and evaluates
     the all-nonzero draws, a share of about ((q - 1)/q)^nu; the second
-    draws every digit from 1..q-1, so each draw is evaluated.
+    draws every digit from 1..q-1, so each draw is evaluated.  Each draw
+    is filtered and evaluated before the next is made, and the search
+    stops at the first hit.  A pass draws _FIRST_DRAW rows first and then
+    as many rows as it has drawn, up to _CHUNK: its first chunk, where a
+    solvable system usually has its hit, comes in five sub-chunks, and
+    every later chunk whole, so a pass that finds nothing makes only four
+    calls more than one draw per chunk would.  For q < 2^32
+    each digit takes one 32-bit output of the generator (Lemire's bounded
+    draw redraws only on a rejection), and the generator keeps the spare
+    half of a 64-bit output in its state, so the digits, and the hit, are
+    those of one draw per chunk.
 
     Returns (vector or None, attempts, exhausted).  ``attempts`` counts the
     indices ruled out, evaluated or not, up to the end of the _CHUNK-sized
-    chunk holding the hit; ``exhausted`` means every nonzero coefficient
-    vector was ruled out, so None is a proof of absence.
+    chunk holding the hit, in the random passes as in the scans;
+    ``exhausted`` means every nonzero coefficient vector was ruled out, so
+    None is a proof of absence.
     """
     nu, ncols = basis.shape
     q_sub, subfield_els = field.subfield_order, field.subfield_elements
@@ -313,7 +328,7 @@ def _all_nonzero_combination(
     def evaluate(digits: np.ndarray) -> tuple[int, np.ndarray] | None:
         """First row of all-nonzero digits whose combination has no zero entry."""
         coeff = subfield_els[digits]
-        w = matmul(FieldMatrix(field, coeff), bound_rows).data
+        w = matmul(FieldMatrix._trusted(field, coeff), bound_rows).data
         hits = np.flatnonzero(np.all(w != 0, axis=1))
         if not hits.size:
             return None
@@ -354,14 +369,23 @@ def _all_nonzero_combination(
     attempts = prefix
     rng = np.random.default_rng(seed)
     for low in (0, 1):
-        for start in range(0, RANDOM_BUDGET, _CHUNK):
-            take = min(_CHUNK, RANDOM_BUDGET - start)
+        drawn = 0
+        while drawn < RANDOM_BUDGET:
+            take = min(max(drawn, _FIRST_DRAW), _CHUNK, RANDOM_BUDGET - drawn)
             digits = rng.integers(low, q_sub, size=(take, nu))
-            attempts += take
+            drawn += take
             found = evaluate(digits[np.all(digits != 0, axis=1)])
             if found is not None:
-                return found[1], attempts, False
+                chunk_end = min(-(-drawn // _CHUNK) * _CHUNK, RANDOM_BUDGET)
+                return found[1], attempts + chunk_end, False
+        attempts += RANDOM_BUDGET
     return None, attempts, False
+
+
+def _check_solver_length(n: int) -> None:
+    """Refuse a code of length n longer than MAX_SOLVER_LENGTH."""
+    if n > MAX_SOLVER_LENGTH:
+        raise CapExceededError(f"length {n} exceeds the solver's length bound {MAX_SOLVER_LENGTH}")
 
 
 def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> MultiplierSearch:
@@ -373,9 +397,7 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
     MAX_SOLVER_LENGTH are refused before the system is built.
     """
     f = problem.field
-    n = len(problem.eval_points) + (1 if problem.extended else 0)
-    if n > MAX_SOLVER_LENGTH:
-        raise CapExceededError(f"length {n} exceeds the solver's length bound {MAX_SOLVER_LENGTH}")
+    _check_solver_length(len(problem.eval_points) + (1 if problem.extended else 0))
     pts = tuple(int(a) for a in problem.eval_points)
     if len(set(pts)) != len(pts):
         raise DuplicateEvalPointsError("evaluation points must be pairwise distinct")
@@ -443,8 +465,11 @@ def construct_family(
 
     Family parameters are validated against the family's constraints
     before any search starts; a parameter the family does not take is an
-    error.  A found code is re-verified Hermitian
-    self-orthogonal and MDS (dual distance k + 1).  Every family output is
+    error.  Every solver family but trace-poly has a length that follows
+    from q and m (or m1, m2), so a set longer than MAX_SOLVER_LENGTH is
+    refused before it is built, and before the field's tables are.  A
+    found code is re-verified Hermitian self-orthogonal and MDS (dual
+    distance k + 1).  Every family output is
     GRS, so dual_min_distance's Cauchy-structure certificate answers the MDS
     check; were it ever to refuse, the column-subset search or the dual
     enumeration (under the default cap) would decide, and a check that
@@ -465,6 +490,7 @@ def construct_family(
     elif family == "q2plus1":
         if k > q or k == q - 1:
             raise BadFamilyParamsError(f"needs 1 <= k <= q = {q} and k != q-1")
+        _check_solver_length(field.order + 1)
         problem = MultiplierProblem(field, tuple(field.elements()), k, extended=True)
         result = solve_multipliers(problem, seed)
     elif family == "trace-poly":
@@ -489,6 +515,7 @@ def construct_family(
             raise BadFamilyParamsError(
                 f"dimension w = {k} violates w < (k0+1)(q-1)/m with k0 = {k0}"
             )
+        _check_solver_length((field.order - 1) // m)
         pts = subgroup_eval_set(field, m)
         result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
     elif family == "two-subgroup":
@@ -502,6 +529,8 @@ def construct_family(
             raise BadFamilyParamsError("m1 and m2 must be coprime")
         if 2 * k > q - 1:
             raise BadFamilyParamsError(f"needs k <= (q-1)/2 = {(q - 1) / 2:g}")
+        o = field.order - 1
+        _check_solver_length(o // m1 + o // m2 - o // (m1 * m2))
         pts = subgroup_union_eval_set(field, m1, m2)
         result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
     else:  # even-subgroup
@@ -514,6 +543,7 @@ def construct_family(
         bound = _even_subgroup_bound(q, m)
         if k > bound:
             raise BadFamilyParamsError(f"needs k <= {bound}")
+        _check_solver_length((field.order - 1) // m)
         pts = subgroup_eval_set(field, m)
         result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
 

@@ -5,7 +5,10 @@ only: full message-space enumeration, Laplace-expansion determinants,
 inner products summed term by term.  None of it shares code paths with
 the library's echelon-form machinery, so agreement is meaningful.  The
 scalar arithmetic itself is checked against ``poly_*``, which compute on
-base-p digit lists and read only p, e and the modulus of a Field.
+base-p digit lists and read only p, e and the modulus of a Field.  The
+one exception, ``random_phase_by_whole_chunks``, is a reference for the
+order of the multiplier solver's seeded draws, too long to walk with
+scalars; it sums on element arrays, without the library's ``matmul``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from hulldial.field import Field
 from hulldial.code import LinearCode
-from hulldial.grs import MultiplierProblem
+from hulldial.grs import _CHUNK, PREFIX_SCAN_BUDGET, RANDOM_BUDGET, MultiplierProblem
 from hulldial.eaqec import EaqecParams, _families, classified
 
 
@@ -344,6 +347,49 @@ def brute_first_all_nonzero(field: Field, basis):
         else:
             return tuple(vec), index
     return None
+
+
+def random_phase_by_whole_chunks(field: Field, basis, seed: int):
+    """(vector or None, attempts, exhausted) of the multiplier solver's two
+    seeded random passes, each _CHUNK of draws made by one call and filtered
+    whole before any of it is evaluated.
+
+    It covers bases whose ordered scans do not run: q^nu over the
+    exhaustive scan limit and the smallest all-nonzero index,
+    (q^nu - 1)/(q - 1), over the prefix budget.  Combinations are summed
+    with add_array and mul_array.
+    """
+    basis = np.asarray(basis, dtype=np.int64)
+    nu, ncols = basis.shape
+    q_sub, subfield_els = field.subfield_order, field.subfield_elements
+    free = [int(np.flatnonzero(row)[-1]) for row in basis]
+    bound = np.setdiff1d(np.arange(ncols), free)
+
+    def evaluate(digits):
+        coeff = subfield_els[digits]
+        w = np.zeros((len(digits), len(bound)), dtype=np.int64)
+        for t in range(nu):
+            w = field.add_array(w, field.mul_array(coeff[:, t : t + 1], basis[t, bound]))
+        hits = np.flatnonzero(np.all(w != 0, axis=1))
+        if not hits.size:
+            return None
+        r = int(hits[0])
+        full = np.empty(ncols, dtype=np.int64)
+        full[free] = coeff[r]
+        full[bound] = w[r]
+        return r, full
+
+    attempts = min(PREFIX_SCAN_BUDGET, q_sub**nu - 1)
+    rng = np.random.default_rng(seed)
+    for low in (0, 1):
+        for start in range(0, RANDOM_BUDGET, _CHUNK):
+            take = min(_CHUNK, RANDOM_BUDGET - start)
+            digits = rng.integers(low, q_sub, size=(take, nu))
+            attempts += take
+            found = evaluate(digits[np.all(digits != 0, axis=1)])
+            if found is not None:
+                return found[1], attempts, False
+    return None, attempts, False
 
 
 @functools.cache

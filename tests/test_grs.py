@@ -40,6 +40,7 @@ from oracles import (
     orthogonality_system,
     poly_mul,
     poly_pow,
+    random_phase_by_whole_chunks,
     trace_nonzero_points,
     twisted_inner,
 )
@@ -293,6 +294,70 @@ def test_solver_second_random_pass_reaches_q2plus1_at_k3(q, nu):
     assert is_mds(code)
 
 
+def _random_phase_basis(field: Field, nu: int, bound: int, basis_seed: int) -> np.ndarray:
+    """[B | I]: nu rows whose bound columns B hold seeded subfield values."""
+    q = field.subfield_order
+    rng = np.random.default_rng(basis_seed)
+    values = field.subfield_elements[rng.integers(0, q, size=(nu, bound))]
+    return np.hstack([values, np.eye(nu, dtype=np.int64)])
+
+
+def _random_phase_runs(q: int, nu: int) -> bool:
+    """Whether the solver goes straight to its random passes on nu rows."""
+    total = q**nu
+    return total > grs.EXHAUSTIVE_SCAN_LIMIT and (total - 1) // (q - 1) > grs.PREFIX_SCAN_BUDGET
+
+
+def _assert_matches_whole_chunks(field: Field, basis: np.ndarray, seed: int):
+    w, attempts, exhausted = grs._all_nonzero_combination(field, basis, seed)
+    ref_w, ref_attempts, ref_exhausted = random_phase_by_whole_chunks(field, basis, seed)
+    assert (attempts, exhausted) == (ref_attempts, ref_exhausted)
+    assert (w is None) == (ref_w is None)
+    if w is not None:
+        assert w.tolist() == ref_w.tolist()
+        assert np.all(w != 0)
+    return attempts - grs.PREFIX_SCAN_BUDGET, w
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_random_phase_matches_one_draw_per_chunk(data):
+    q = data.draw(st.sampled_from((3, 4, 5, 7)))
+    field = make_quadratic_field(q)
+    nu0 = next(nu for nu in range(1, 20) if _random_phase_runs(q, nu))
+    nu = data.draw(st.integers(nu0, nu0 + 4))
+    basis = _random_phase_basis(
+        field, nu, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 2**32 - 1))
+    )
+    _assert_matches_whole_chunks(field, basis, data.draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("basis_seed, drawn", [
+    (7, 3 * _CHUNK),  # pass 1, third chunk
+    (11, grs.RANDOM_BUDGET),  # pass 1, its last, 1,696-row chunk
+    (5, grs.RANDOM_BUDGET + _CHUNK),  # pass 2, first chunk
+    (1, grs.RANDOM_BUDGET + 11 * _CHUNK),  # pass 2, chunk 11
+])
+def test_random_phase_hit_placement_matches_one_draw_per_chunk(gf25, basis_seed, drawn):
+    # nu = 9 rows at q = 5 with 45 seeded bound columns: about 0.8^45 of the
+    # evaluated combinations are all nonzero, so the hit may lie anywhere
+    basis = _random_phase_basis(gf25, 9, 45, basis_seed)
+    assert _random_phase_runs(5, 9)
+    assert _assert_matches_whole_chunks(gf25, basis, seed=1)[0] == drawn
+
+
+def test_random_phase_miss_matches_one_draw_per_chunk(gf25):
+    # ten bound columns hold c_i - c_j for the first five rows: five nonzero
+    # coefficients from GF(5) are never pairwise distinct, so both passes miss
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    basis = np.zeros((9, len(pairs) + 9), dtype=np.int64)
+    for col, (i, j) in enumerate(pairs):
+        basis[i, col], basis[j, col] = 1, gf25.neg(1)
+    basis[:, len(pairs):] = np.eye(9, dtype=np.int64)
+    drawn, w = _assert_matches_whole_chunks(gf25, basis, seed=3)
+    assert (drawn, w) == (2 * grs.RANDOM_BUDGET, None)
+
+
 def test_solver_prefix_phase_hit_pinned():
     # k = 1 on six points of GF(17^2): nu = 5 and 17^5 > EXHAUSTIVE_SCAN_LIMIT,
     # but the smallest all-nonzero index (17^5 - 1)/16 = 88741 lies within
@@ -359,6 +424,21 @@ def test_solver_refuses_long_codes_before_building_system(monkeypatch):
     assert (res.status, res.null_dim) == ("found", 5)
     row = res.grs.code().gen.row(0)
     assert twisted_inner(field, row, row, 1) == 0
+
+
+@pytest.mark.parametrize("q, family, params, n", [
+    (1024, "q2plus1", {}, 1024**2 + 1),
+    (1024, "subgroup", {"m": 1}, 1024**2 - 1),
+    (1024, "two-subgroup", {"m1": 1, "m2": 5}, 1024**2 - 1),
+    (127, "even-subgroup", {"m": 6}, (127**2 - 1) // 6),
+])
+def test_construct_refuses_long_sets_before_building_field_tables(q, family, params, n):
+    # each length follows from q and the family's parameters, so the bound
+    # is checked before the evaluation set, and the field's tables, exist
+    field = make_quadratic_field(q)
+    with pytest.raises(CapExceededError, match=f"length {n} exceeds the solver's length bound"):
+        construct_family(field, family, k=1, **params)
+    assert "_tables" not in field.__dict__
 
 
 def test_solver_lift_norms(gf25):
