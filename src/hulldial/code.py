@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import FIELD_ORDER_CAP, Field, digit_columns, ensure_same_field
+from .field import FIELD_ORDER_CAP, Field, digit_columns, element_codes, ensure_same_field
 from .matrix import (
     FieldMatrix,
     batch_column_deficient,
@@ -229,8 +229,8 @@ def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullRe
     gram = matmul(c.gen, sigma_gt)
     left = null_space(transpose(gram))
     span = matmul(left, c.gen)
-    reduced, pivots = rref(FieldMatrix(field, span.data[:, ::-1]))
-    basis = FieldMatrix(field, reduced.data[: len(pivots)][::-1, ::-1])
+    reduced, pivots = rref(FieldMatrix._trusted(field, span.data[:, ::-1]))
+    basis = FieldMatrix._trusted(field, reduced.data[: len(pivots)][::-1, ::-1])
     if len(pivots) != left.rows or np.any(matmul(basis, sigma_gt).data):
         raise VerificationFailedError(
             "hull basis is not the left null space of the Gram matrix"
@@ -260,7 +260,7 @@ def is_galois_self_orthogonal(c: LinearCode, l: int) -> bool:
 
 
 def check_weight_vector(field: Field, v: Sequence[int], n: int) -> tuple[int, ...]:
-    v = tuple(int(x) for x in v)
+    v = tuple(element_codes(v).tolist())
     if len(v) != n:
         raise ShapeMismatchError(f"weight vector length {len(v)} != n = {n}")
     for x in v:

@@ -10,11 +10,16 @@ value, so the hull drops to exactly the target.
 
 dial_hull and dial_galois_hull start from a self-orthogonal code, whose
 hull is the whole code; reduce_hull starts from the measured hull of any
-code.  One core serves them and the EAQEC sweep, and dials all of its
-targets in one stacked pass: one arrangement of the basis, one (T, k, n)
-stack of scaled generators and one stacked product for their T Gram
-matrices.  Each output's hull dimension is measured on itself as
-k - rank(G sigma(G)^T) from its own Gram matrix; a missed target is refused.
+code.  P1's columns are the pivots of P, found on growing column prefixes
+of P: h columns, then 2h, 4h, ..., and finally all of P.  The leftmost
+pivots of a prefix are the leftmost pivots of P, so once a prefix holds h
+of them the rest of P is never reduced.  For an MDS code (every GRS code
+is one) the first h x h block is already P1.  One core serves the three
+transforms and the EAQEC sweep, and dials all of its targets in one
+stacked pass: one arrangement of the basis, one (T, k, n) stack of scaled
+generators and one stacked product for their T Gram matrices.  Each
+output's hull dimension is measured on itself as k - rank(G sigma(G)^T)
+from its own Gram matrix; a missed target is refused.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .code import (
     is_hermitian_self_orthogonal,
 )
 from .field import digit_columns
-from .matrix import FieldMatrix, matmul, rank, rref, standard_form
+from .matrix import FieldMatrix, _columns_first, matmul, rank, rref, standard_form
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,13 @@ def arrange_p1_nonsingular(
 
     ``basis`` holds h independent codewords of c that span a self-orthogonal
     space.  The first h rows are their reduced echelon form, pivots first;
-    P1 is formed by the pivot columns of rref(P), the columns a greedy
-    left-to-right scan would keep, and is nonsingular.  The k - h rows
-    below complete the generator and vanish on the first h coordinates.  A
-    basis already in that shape comes back with the identity permutation.
+    P1 is formed by the pivot columns of P, the columns a greedy
+    left-to-right scan would keep, and is nonsingular.  They are read off
+    the reduced echelon forms of P's first h, 2h, 4h, ... columns, up to
+    all of P, stopping at the first prefix with h pivots; a P of rank below
+    h is refused once the whole of it is reduced.  The k - h rows below
+    complete the generator and vanish on the first h coordinates.  A basis
+    already in that shape comes back with the identity permutation.
     """
     field, k, n = c.field, c.k, c.n
     lead, perm1 = standard_form(basis)
@@ -94,14 +102,18 @@ def arrange_p1_nonsingular(
         if h + len(pivots) != k:
             raise VerificationFailedError("hull basis extension lost rank")  # pragma: no cover
         rows = np.vstack([rows, cleared.data[: len(pivots)]])
-    _, chosen = rref(FieldMatrix._trusted(field, lead.data[:, h:]))
+    P, width = lead.data[:, h:], h
+    while True:  # the pivots of a prefix of P holding h of them are P's pivots
+        _, chosen = rref(FieldMatrix._trusted(field, P[:, :width]))
+        if len(chosen) == h or width >= n - h:
+            break
+        width *= 2
     if len(chosen) < h:
         raise RankDeficientError("P has rank below h; the basis is not self-orthogonal")
-    rest = [j for j in range(n - h) if j not in chosen]
-    perm2 = list(range(h)) + [h + j for j in chosen] + [h + j for j in rest]
+    perm2 = _columns_first([*range(h), *(h + j for j in chosen)], n)
     return (
         LinearCode(field, FieldMatrix._trusted(field, rows[:, perm2]), check=False),
-        tuple(perm1[j] for j in perm2),
+        tuple(np.array(perm1)[perm2].tolist()),
     )
 
 

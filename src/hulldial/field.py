@@ -185,6 +185,16 @@ def digit_columns(values, base: int, width: int) -> np.ndarray:
     return out
 
 
+def element_codes(values) -> np.ndarray:
+    """``values`` as a new int64 array, refusing (ValueError) any entry that
+    is not an integer rather than truncating it; size-0 data, which numpy
+    gives a float dtype, passes."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ValueError(f"element codes must be int64 integers, got {arr.dtype} data")
+    return arr.astype(np.int64)
+
+
 def _lookup(fn, *shape):
     """fn evaluated at every index of a grid of that shape, then read back."""
     table = fn(*np.indices(shape, sparse=True))
@@ -557,7 +567,7 @@ class Field:
         """
         lanes, log = self._lanes[0], self._tables["log"]
         add = np.bitwise_xor if self.p == 2 else np.add
-        terms = np.take(lanes, np.take(log, a) + np.take(log, b))
+        terms = lanes.take(log.take(a) + log.take(b))
         # one term is its own sum: reducing it would only copy it
         sums = terms[..., 0] if terms.shape[-1] == 1 else add.reduce(terms, axis=-1)
         return sums if into is None else add(into, sums, out=into)
@@ -657,5 +667,5 @@ def make_quadratic_field(q: int) -> Field:
 
 
 def ensure_same_field(a: Field, b: Field) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise SpecMismatchError(f"field mismatch: {a!r} vs {b!r}")

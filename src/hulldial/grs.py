@@ -40,7 +40,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import Field, digit_columns
+from .field import Field, digit_columns, element_codes
 from .code import LinearCode, is_hermitian_self_orthogonal, is_mds
 from .matrix import FieldMatrix, matmul, null_space
 
@@ -95,8 +95,8 @@ class GrsSpec:
     extended: bool = False
 
     def __post_init__(self):
-        pts = tuple(int(a) for a in self.eval_points)
-        mults = tuple(int(v) for v in self.multipliers)
+        pts = tuple(element_codes(self.eval_points).tolist())
+        mults = tuple(element_codes(self.multipliers).tolist())
         object.__setattr__(self, "eval_points", pts)
         object.__setattr__(self, "multipliers", mults)
         for a in pts:
@@ -398,7 +398,7 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
     """
     f = problem.field
     _check_solver_length(len(problem.eval_points) + (1 if problem.extended else 0))
-    pts = tuple(int(a) for a in problem.eval_points)
+    pts = tuple(element_codes(problem.eval_points).tolist())
     if len(set(pts)) != len(pts):
         raise DuplicateEvalPointsError("evaluation points must be pairwise distinct")
     if problem.k < 1:

@@ -43,7 +43,7 @@ from .errors import (
     RankDeficientError,
     ShapeMismatchError,
 )
-from .field import Field, digit_columns, ensure_same_field
+from .field import Field, digit_columns, element_codes, ensure_same_field
 
 
 class FieldMatrix:
@@ -52,7 +52,7 @@ class FieldMatrix:
     __slots__ = ("field", "data", "_reduced")
 
     def __init__(self, field: Field, data):
-        arr = np.array(data, dtype=np.int64)
+        arr = element_codes(data)
         if arr.size == 0:
             arr = arr.reshape(arr.shape if arr.ndim == 2 else (0, 0))
         if arr.ndim != 2:
@@ -205,17 +205,18 @@ def matmul(a, b):
     without re-validating them.
     """
     stacked = not isinstance(a, FieldMatrix)
-    if not stacked:
+    if stacked:
+        if len(a) != len(b):
+            raise ShapeMismatchError(f"cannot multiply a stack of {len(a)} by one of {len(b)}")
+        if not a:
+            return []
+        if len({m.shape for m in a}) > 1 or len({m.shape for m in b}) > 1:
+            raise ShapeMismatchError("stacked operands must share one shape")
+    else:
         a, b = [a], [b]
-    if len(a) != len(b):
-        raise ShapeMismatchError(f"cannot multiply a stack of {len(a)} by one of {len(b)}")
-    if not a:
-        return []
     field = a[0].field
     for m in (*a, *b):
         ensure_same_field(field, m.field)
-    if len({m.shape for m in a}) > 1 or len({m.shape for m in b}) > 1:
-        raise ShapeMismatchError("stacked operands must share one shape")
     if a[0].cols != b[0].rows:
         raise ShapeMismatchError(f"cannot multiply {a[0].shape} by {b[0].shape}")
     if stacked:
@@ -228,18 +229,22 @@ def matmul(a, b):
     layer = max(1, rows * cols)
     group = max(1, _PRODUCT_BUDGET // layer)
     capacity = field.lane_capacity
-    out = np.zeros((size, rows, cols), dtype=np.int64)
+    out = []
     for g in range(0, size, group):
-        acc = out[g : g + group]
-        step = min(capacity, max(1, _PRODUCT_BUDGET // (len(acc) * layer)))
+        Ag, Bg = A[g : g + group], B[g : g + group]
+        step = min(capacity, max(1, _PRODUCT_BUDGET // (len(Ag) * layer)))
         chunk = capacity // step * step  # whole slices, at most capacity terms
+        acc = None
         for c in range(0, inner, chunk):
             lanes = None
             for s in range(c, min(c + chunk, inner), step):
-                lanes = field.dot_lanes(A[g : g + group, ..., s : s + step],
-                                        B[g : g + group, ..., s : s + step], lanes)
+                lanes = field.dot_lanes(Ag[..., s : s + step], Bg[..., s : s + step], lanes)
             sums = field.from_lanes(lanes)
-            acc[...] = sums if c == 0 else field.add_array(acc, sums)
+            acc = sums if c == 0 else field.add_array(acc, sums)
+        out.append(acc)
+    if not inner:  # sums of no terms
+        out = [np.zeros((size, rows, cols), dtype=np.int64)]
+    out = out[0] if len(out) == 1 else np.concatenate(out)  # one group's read-back, uncopied
     products = [FieldMatrix._trusted(field, m) for m in out]
     return products if stacked else products[0]
 
@@ -272,13 +277,13 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     pivots: list[int] = []
     r = c = 0
     while r < rows and c < cols:
-        nz = np.nonzero(R[r:, c])[0]
+        nz = R[r:, c].nonzero()[0]
         if nz.size == 0:
-            live = np.nonzero(R[r:, c:].any(axis=0))[0]
+            live = R[r:, c:].any(axis=0).nonzero()[0]
             if live.size == 0:
                 break
             c += int(live[0])
-            nz = np.nonzero(R[r:, c])[0]
+            nz = R[r:, c].nonzero()[0]
         pr = r + int(nz[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
@@ -288,7 +293,7 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
             R[r] = field.mul_array(R[r], np.int64(inv_p))
         col_vals = R[:, c].copy()
         col_vals[r] = 0
-        if np.any(col_vals):
+        if col_vals.any():
             factors = field.neg_array(col_vals)
             R = field.add_array(R, field.mul_array(factors[:, None], R[r][None, :]))
         pivots.append(c)
@@ -333,15 +338,23 @@ def batch_column_deficient(field: Field, blocks) -> np.ndarray:
     return deficient
 
 
+def _columns_first(first, n: int) -> np.ndarray:
+    """The index array of 0..n-1 that lists ``first`` (distinct) in its own
+    order, then every other index in increasing order."""
+    first, rest = np.array(first, dtype=np.intp), np.ones(n, dtype=bool)
+    rest[first] = False
+    return np.concatenate([first, rest.nonzero()[0]])
+
+
 def null_space(m: FieldMatrix) -> FieldMatrix:
     """Basis (as rows) of {x : m @ x^T = 0}; cols - rank(m) rows."""
     field = m.field
     R, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    order, r = _columns_first(pivots, m.cols), len(pivots)
+    free = order[r:]
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, list(pivots)] = field.neg_array(R.data[: len(pivots), free]).T
+    basis[np.arange(len(free)), free] = 1
+    basis[:, order[:r]] = field.neg_array(R.data[:r, free]).T
     return FieldMatrix._trusted(field, basis)
 
 
@@ -372,6 +385,5 @@ def standard_form(g: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     R, pivots = rref(g)
     if len(pivots) != g.rows:
         raise RankDeficientError(f"matrix has rank {len(pivots)}, expected {g.rows}")
-    pivot_set = set(pivots)
-    perm = list(pivots) + [c for c in range(g.cols) if c not in pivot_set]
-    return FieldMatrix._trusted(g.field, R.data[:, perm]), tuple(perm)
+    perm = _columns_first(pivots, g.cols)
+    return FieldMatrix._trusted(g.field, R.data[:, perm]), tuple(perm.tolist())

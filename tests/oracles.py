@@ -5,10 +5,13 @@ only: full message-space enumeration, Laplace-expansion determinants,
 inner products summed term by term.  None of it shares code paths with
 the library's echelon-form machinery, so agreement is meaningful.  The
 scalar arithmetic itself is checked against ``poly_*``, which compute on
-base-p digit lists and read only p, e and the modulus of a Field.  The
-one exception, ``random_phase_by_whole_chunks``, is a reference for the
-order of the multiplier solver's seeded draws, too long to walk with
-scalars; it sums on element arrays, without the library's ``matmul``.
+base-p digit lists and read only p, e and the modulus of a Field.  Two
+exceptions are references kept from earlier designs.
+``random_phase_by_whole_chunks`` is one for the order of the multiplier
+solver's seeded draws, too long to walk with scalars; it sums on element
+arrays, without the library's ``matmul``.  ``arrange_p1_by_full_reduction``
+is one for the columns the hull arrangement picks; it row-reduces all of P
+with the library's own ``rref``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import math
 
 import numpy as np
 
+from hulldial.errors import RankDeficientError, VerificationFailedError
 from hulldial.field import Field
 from hulldial.code import LinearCode
+from hulldial.matrix import FieldMatrix, matmul, rref, standard_form
 from hulldial.grs import _CHUNK, PREFIX_SCAN_BUDGET, RANDOM_BUDGET, MultiplierProblem
 from hulldial.eaqec import EaqecParams, _families, classified
 
@@ -390,6 +395,36 @@ def random_phase_by_whole_chunks(field: Field, basis, seed: int):
             if found is not None:
                 return found[1], attempts, False
     return None, attempts, False
+
+
+def arrange_p1_by_full_reduction(
+    c: LinearCode, basis: FieldMatrix
+) -> tuple[LinearCode, tuple[int, ...]]:
+    """``dial.arrange_p1_nonsingular`` as it was while it took P1's columns
+    from one reduction of all h x (n - h) of P, kept verbatim."""
+    field, k, n = c.field, c.k, c.n
+    lead, perm1 = standard_form(basis)
+    h = lead.rows
+    rows = lead.data
+    if h < k:
+        # subtracting each generator row's pivot-coordinate combination of
+        # the basis rows clears it on the first h coordinates
+        gen = c.gen.data[:, perm1]
+        minus = FieldMatrix._trusted(field, field.neg_array(gen[:, :h]))
+        summed = field.add_array(gen, matmul(minus, lead).data)
+        cleared, pivots = rref(FieldMatrix._trusted(field, summed))
+        if h + len(pivots) != k:
+            raise VerificationFailedError("hull basis extension lost rank")  # pragma: no cover
+        rows = np.vstack([rows, cleared.data[: len(pivots)]])
+    _, chosen = rref(FieldMatrix._trusted(field, lead.data[:, h:]))
+    if len(chosen) < h:
+        raise RankDeficientError("P has rank below h; the basis is not self-orthogonal")
+    rest = [j for j in range(n - h) if j not in chosen]
+    perm2 = list(range(h)) + [h + j for j in chosen] + [h + j for j in rest]
+    return (
+        LinearCode(field, FieldMatrix._trusted(field, rows[:, perm2]), check=False),
+        tuple(perm1[j] for j in perm2),
+    )
 
 
 @functools.cache

@@ -505,6 +505,22 @@ def test_golden_eaqec_sweep_over_odd_characteristic_with_e_6(capsys, tmp_path):
     assert out.encode() == (GOLDEN_CLI / "gf729_eaqec_json.json").read_bytes()
 
 
+def test_golden_dial_of_a_long_full_field_code(capsys, tmp_path):
+    # The full-field [169, 6] code at q = 13, recorded while the arrangement
+    # still row-reduced all h x (n - h) of P in one go.  dial_hull to 3 keeps
+    # the identity permutation; dialing that output to 0 runs reduce_hull on
+    # its 3-dimensional hull, with h < k and a permutation that moves
+    # coordinates.
+    codefile = tmp_path / "code.json"
+    assert _run(capsys, "construct", "--q", "13", "--family", "full-field", "--k", "6",
+                "--out", str(codefile))[0] == 0
+    dialed = GOLDEN_CLI / "rs169_dial_h3.json"
+    code, out, _ = _run(capsys, "dial", str(codefile), "--h", "3")
+    assert code == 0 and out.encode() == dialed.read_bytes()
+    code, out, _ = _run(capsys, "dial", str(dialed), "--h", "0")
+    assert code == 0 and out.encode() == (GOLDEN_CLI / "rs169_dial_h3_h0.json").read_bytes()
+
+
 _BATCHED_TABLES = [
     ("q8_full", ["--q", "8"]),
     ("q9_rows300", ["--q", "9", "--max-rows", "300", "--format", "pretty"]),

@@ -218,6 +218,13 @@ def test_scale_identity_and_errors(gf9, rs92):
         scale(rs92, (1,) * 8)
 
 
+def test_scale_refuses_non_integer_weights(gf9):
+    c = LinearCode(gf9, [[1, 2, 3]])
+    with pytest.raises(ValueError, match="must be int64 integers"):
+        scale(c, [1, 2.5, 1])
+    assert scale(c, [np.int64(1), 2, np.uint8(1)]).gen.tolist() == [[1, gf9.mul(2, 2), 3]]
+
+
 def test_scaling_dual_identity_seeded(gf9, gf16):
     rng = np.random.default_rng(14)
     for field in (gf9, gf16):

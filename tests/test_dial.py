@@ -7,6 +7,7 @@ from hulldial.eaqec import eaqec_sweep
 from hulldial.errors import (
     BadTargetError,
     NotSelfOrthogonalError,
+    RankDeficientError,
     SmallFieldError,
     VerificationFailedError,
 )
@@ -37,7 +38,12 @@ from hulldial.dial import (
     reduce_hull,
 )
 from hulldial.grs import MultiplierProblem, full_field_rs, solve_multipliers
-from oracles import brute_hull_dim, dual_block_generator
+from oracles import (
+    arrange_p1_by_full_reduction,
+    brute_hull_dim,
+    dual_block_generator,
+    scalar_rref,
+)
 
 
 def _g83(gf9):
@@ -127,6 +133,101 @@ def test_arrange_p1_self_dual_case(gf9):
     c = res.grs.code()
     arranged, _ = arrange_p1_nonsingular(c, c.gen)
     assert arranged.n == 2 * arranged.k
+
+
+@st.composite
+def _arrangement_inputs(draw):
+    """(code, basis): h rows M (I_h | P) for a random invertible M, their
+    columns permuted or not, completed by up to two rows to a code.
+
+    P = X Y has rank at most that of X (h x r, r <= h, so some P are rank
+    deficient), and the leading columns of Y are multiples of its first one,
+    so P's leading columns span one dimension at most and the prefix scan
+    has to grow its window.
+    """
+    field = draw(st.sampled_from([make_quadratic_field(2), make_quadratic_field(3)]))
+    h, width = draw(st.integers(1, 4)), draw(st.integers(0, 14))
+    r = draw(st.integers(0, h - 1)) if draw(st.booleans()) else h
+    dependent = draw(st.integers(0, width))
+    extra, shuffle = draw(st.integers(0, 2)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def random(rows, cols):
+        return FieldMatrix(field, rng.integers(0, field.order, (rows, cols)))
+
+    x, y = random(h, r), random(r, width).data.copy()
+    y[:, :dependent] = field.mul_array(y[:, :1], rng.integers(0, field.order, dependent))
+    lead = np.hstack([np.eye(h, dtype=np.int64), matmul(x, FieldMatrix(field, y)).data])
+    mix = random(h, h)
+    assume(rank(mix) == h)
+    rows = np.vstack([matmul(mix, FieldMatrix(field, lead)).data, random(extra, h + width).data])
+    if shuffle:
+        rows = rows[:, rng.permutation(h + width)]
+    code = FieldMatrix(field, rows)
+    assume(rank(code) == h + extra)
+    return LinearCode(field, code), FieldMatrix(field, rows[:h])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_arrangement_inputs())
+def test_arrangement_matches_one_reduction_of_all_of_p(case):
+    code, basis = case
+    try:
+        want = arrange_p1_by_full_reduction(code, basis)
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            arrange_p1_nonsingular(code, basis)
+        return
+    arranged, perm = arrange_p1_nonsingular(code, basis)
+    assert perm == want[1] and all(type(j) is int for j in perm)
+    assert arranged.gen == want[0].gen
+
+
+def _recording_rref(monkeypatch):
+    """The shape of every matrix dial's arrangement row-reduces."""
+    shapes, rref = [], dial.rref
+    monkeypatch.setattr(dial, "rref", lambda m: shapes.append(m.shape) or rref(m))
+    return shapes
+
+
+@pytest.mark.parametrize("dependent", [0, 1, 3, 4, 7, 12, 14])
+def test_arrangement_takes_the_pivots_of_all_of_p(monkeypatch, gf9, dependent):
+    # P's first `dependent` columns are multiples of its first: the window
+    # of h, 2h, 4h, ... columns grows until it holds h pivots
+    h, width = 3, 16
+    rng = np.random.default_rng(dependent)
+    P = rng.integers(0, gf9.order, (h, width))
+    P[:, :dependent] = gf9.mul_array(P[:, :1], rng.integers(0, gf9.order, dependent))
+    basis = FieldMatrix(gf9, np.hstack([np.eye(h, dtype=np.int64), P]))
+    shapes = _recording_rref(monkeypatch)
+    _, perm = arrange_p1_nonsingular(LinearCode(gf9, basis), basis)
+    pivots = scalar_rref(gf9, P.tolist())[1]
+    assert len(pivots) == h and tuple(j - h for j in perm[h : 2 * h]) == pivots
+    # the first prefix holding h pivots is the last one reduced
+    grown = [min(h << i, width) for i in range(len(shapes))]
+    assert shapes == [(h, w) for w in grown]
+    assert len(scalar_rref(gf9, P[:, : grown[-1]].tolist())[1]) == h
+    assert len(grown) == 1 or len(scalar_rref(gf9, P[:, : grown[-2]].tolist())[1]) < h
+
+
+def test_arrangement_refuses_rank_deficient_p_at_full_width(monkeypatch, gf9):
+    h, width = 3, 10
+    P = np.outer([1, 2, 3], np.arange(width)) % 3  # rank 1
+    basis = FieldMatrix(gf9, np.hstack([np.eye(h, dtype=np.int64), P]))
+    shapes = _recording_rref(monkeypatch)
+    with pytest.raises(RankDeficientError):
+        arrange_p1_nonsingular(LinearCode(gf9, basis), basis)
+    assert shapes == [(3, 3), (3, 6), (3, 10)]
+
+
+def test_dial_hull_of_a_long_mds_code_reduces_h_columns_of_p(monkeypatch):
+    # every square block of P is nonsingular for an MDS code: one h x h
+    # reduction finds P1, not one of all n - h = 163 columns
+    code = full_field_rs(make_quadratic_field(13), 6).code()
+    shapes = _recording_rref(monkeypatch)
+    res = dial_hull(code, 3)
+    assert res.achieved_h == 3 and shapes == [(6, 6)]
 
 
 def test_dial_self_dual_length(gf9):

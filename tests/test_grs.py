@@ -57,6 +57,25 @@ def test_grs_spec_validation(gf9):
     assert ext.length == 3
 
 
+def test_non_integer_points_and_multipliers_are_refused(gf9):
+    with pytest.raises(ValueError, match="must be int64 integers"):
+        GrsSpec(gf9, (0.5, 1.7, 2.2), (1, 1.9, 1), 2)
+    with pytest.raises(ValueError, match="must be int64 integers"):
+        GrsSpec(gf9, (0, 1, 2), (1, 1.9, 1), 2)
+    spec = GrsSpec(gf9, (np.int64(0), 1, np.uint8(2)), (1, np.int32(2), 1), 2)
+    assert spec.eval_points == (0, 1, 2) and spec.multipliers == (1, 2, 1)
+    assert all(type(x) is int for x in spec.eval_points + spec.multipliers)
+    # no evaluation point at all: an empty tuple, which numpy reads as float
+    assert GrsSpec(gf9, (), (3,), 1, extended=True).length == 1
+
+
+def test_solver_refuses_non_integer_points(gf9):
+    with pytest.raises(ValueError, match="must be int64 integers"):
+        solve_multipliers(MultiplierProblem(gf9, (0.0, 1.5, 2.0), 1))
+    points = tuple(np.arange(9, dtype=np.int64))
+    assert solve_multipliers(MultiplierProblem(gf9, points, 1)).found
+
+
 def test_generator_shapes(gf9):
     spec = GrsSpec(gf9, tuple(range(9)), (1,) * 9, 2)
     code = grs_generator(spec)

@@ -15,7 +15,7 @@ from hulldial.errors import (
 )
 from hulldial import matrix
 from hulldial.code import gram_matrix
-from hulldial.field import make_field, make_quadratic_field
+from hulldial.field import Field, make_field, make_quadratic_field
 from hulldial.grs import full_field_rs
 from hulldial.matrix import (
     FieldMatrix,
@@ -162,6 +162,22 @@ def test_stacked_matmul_tensor_stays_within_budget_or_one_layer(monkeypatch, gf9
     stacked = matmul(a, b)
     assert max(map(math.prod, shapes)) == 300 * 300 > matrix._PRODUCT_BUDGET
     assert stacked == [matmul(x, y) for x, y in zip(a, b)]
+
+
+def test_matmul_checks_field_equality_not_identity():
+    # two equal Field objects built apart multiply; a different modulus does not
+    one, twin = Field(3, 2), Field(3, 2)
+    other = Field(3, 2, modulus=(2, 1, 1))  # x^2 + x + 2, irreducible over GF(3)
+    assert one is not twin and one == twin and one != other
+    a, b = _stack_case(one, 2, 2, 3, 2, seed=3)
+    b_twin = [FieldMatrix(twin, m.data) for m in b]
+    want = matmul(a, b)
+    assert matmul(a[0], b_twin[0]) == want[0]
+    assert matmul(a, b_twin) == want
+    with pytest.raises(SpecMismatchError):
+        matmul(a[0], FieldMatrix(other, b[0].data))
+    with pytest.raises(SpecMismatchError):
+        matmul(a, [b[0], FieldMatrix(other, b[1].data)])
 
 
 def test_stacked_matmul_errors(gf9, gf25):
@@ -468,6 +484,18 @@ def test_out_of_range_entries_are_refused_where_user_data_enters(gf9):
     d["generator"]["entries"][1] = [0, gf9.p]
     with pytest.raises(MalformedCodeError):
         LinearCode.from_dict(d)
+
+
+def test_non_integer_entries_are_refused_not_truncated(gf9):
+    with pytest.raises(ValueError, match="must be int64 integers"):
+        FieldMatrix(gf9, [[1.7, 2.2]])
+    with pytest.raises(ValueError, match="must be int64 integers"):
+        FieldMatrix(gf9, np.array([[1.0, 2.0]]))
+    # Python and numpy integers pass, and so does size-0 data of a float dtype
+    ints = FieldMatrix(gf9, [[np.int64(1), 2], [np.uint8(3), np.int32(8)]])
+    assert ints.tolist() == [[1, 2], [3, 8]] and ints.data.dtype == np.int64
+    assert FieldMatrix(gf9, []).shape == (0, 0)
+    assert FieldMatrix(gf9, np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_results_wrapped_without_a_check_are_read_only(gf9):
