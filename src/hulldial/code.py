@@ -214,24 +214,30 @@ def hermitian_dual(c: LinearCode) -> LinearCode:
     return dual_of_kind(c, "hermitian")
 
 
+def _hull_span(c: LinearCode, kind: str, l: int | None) -> tuple[FieldMatrix, FieldMatrix]:
+    """Rows spanning the named hull, and sigma(G)^T to check them with.  A
+    codeword mG lies in the twisted dual iff m G sigma(G)^T = 0, so the rows
+    are leftnull(G sigma(G)^T) G, or G itself when that Gram matrix is zero."""
+    sigma_gt = transpose(frobenius_entrywise(c.gen, _frobenius_index(c.field, kind, l)))
+    gram = matmul(c.gen, sigma_gt)
+    if not np.any(gram.data):
+        return c.gen, sigma_gt
+    return matmul(null_space(transpose(gram)), c.gen), sigma_gt
+
+
 def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullReport:
     """Intersection of the code with the named dual of itself.
 
-    A codeword mG lies in the dual twisted by sigma(a) = a^(p^l) iff
-    m G sigma(G)^T = 0, so the hull is leftnull(G sigma(G)^T) G and its
-    dimension is k - rank(G sigma(G)^T): one k x k Gram matrix decides it.
-    The basis is canonical, a function of the hull subspace alone: reverse
-    the columns, take the reduced echelon form, drop the zero rows, then
-    reverse both rows and columns.
+    Its dimension is k - rank(G sigma(G)^T): one k x k Gram matrix decides
+    it.  The basis is canonical, a function of the hull subspace alone:
+    reverse the columns, take the reduced echelon form, drop the zero rows,
+    then reverse both rows and columns.
     """
     field = c.field
-    sigma_gt = transpose(frobenius_entrywise(c.gen, _frobenius_index(field, kind, l)))
-    gram = matmul(c.gen, sigma_gt)
-    left = null_space(transpose(gram))
-    span = matmul(left, c.gen)
+    span, sigma_gt = _hull_span(c, kind, l)
     reduced, pivots = rref(FieldMatrix._trusted(field, span.data[:, ::-1]))
     basis = FieldMatrix._trusted(field, reduced.data[: len(pivots)][::-1, ::-1])
-    if len(pivots) != left.rows or np.any(matmul(basis, sigma_gt).data):
+    if len(pivots) != span.rows or np.any(matmul(basis, sigma_gt).data):
         raise VerificationFailedError(
             "hull basis is not the left null space of the Gram matrix"
         )  # pragma: no cover

@@ -9,12 +9,14 @@ for the Hermitian form and p^l + 1 for the l-Galois form.  Gram entry
 value, so the hull drops to exactly the target.
 
 dial_hull and dial_galois_hull start from a self-orthogonal code, whose
-hull is the whole code; reduce_hull starts from the measured hull of any
-code.  P1's columns are the pivots of P, found on growing column prefixes
-of P: h columns, then 2h, 4h, ..., and finally all of P.  The leftmost
-pivots of a prefix are the leftmost pivots of P, so once a prefix holds h
-of them the rest of P is never reduced.  For an MDS code (every GRS code
-is one) the first h x h block is already P1.  One core serves the three
+hull is the whole code; reduce_hull starts from the rows that span the
+hull of any code, leftnull(G sigma(G)^T) G, and reduces them only in the
+arrangement (a row space has one reduced echelon form).  P1's columns
+are the pivots of P, found on growing column prefixes of P: h columns,
+then 2h, 4h, ..., and finally all of P.  The leftmost pivots of a prefix
+are the leftmost pivots of P, so once a prefix holds h of them the rest
+of P is never reduced.  For an MDS code (every GRS code is one) the
+first h x h block is already P1.  One core serves the three
 transforms and the EAQEC sweep, and dials all of its targets in one
 stacked pass: one arrangement of the basis, one (T, k, n) stack of scaled
 generators and one stacked product for their T Gram matrices.  Each
@@ -36,12 +38,7 @@ from .errors import (
     SmallFieldError,
     VerificationFailedError,
 )
-from .code import (
-    LinearCode,
-    hull,
-    is_galois_self_orthogonal,
-    is_hermitian_self_orthogonal,
-)
+from .code import LinearCode, _hull_span, is_galois_self_orthogonal, is_hermitian_self_orthogonal
 from .field import digit_columns
 from .matrix import FieldMatrix, _columns_first, matmul, rank, rref, standard_form
 
@@ -204,18 +201,23 @@ def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
     """Equivalent code whose Hermitian hull dimension drops to l_prime.
 
     Works for any linear code over GF(q^2), from 0 up to its measured hull
-    dimension: the same scaling as dial_hull, applied to the hull basis in
-    place of the whole code.  On a self-orthogonal code the two give the
-    same result.
+    dimension: the same scaling as dial_hull, applied to the rows
+    leftnull(G sigma(G)^T) G that span the hull in place of the whole code.
+    On a self-orthogonal code the two give the same result.
     """
-    basis = hull(c, "hermitian").basis
-    return _scale_down(c, basis, [l_prime], None, c.field.subfield_order + 1)[0]
+    return _hermitian_dials(c, [l_prime])[0]
 
 
 def _hermitian_dials(c: LinearCode, targets: Iterable[int] | None = None) -> list[DialResult]:
     """dial_hull's result for each target if c is Hermitian self-orthogonal,
     else reduce_hull's; by default every target from 0 to the hull dimension."""
-    basis = c.gen if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").basis
+    basis, sigma_gt = _hull_span(c, "hermitian", None)
+    # hull()'s checks, on the span itself (its reduction is the one the
+    # arrangement reuses); G passed them with its zero Gram matrix
+    if basis is not c.gen and (rank(basis) != basis.rows or np.any(matmul(basis, sigma_gt).data)):
+        raise VerificationFailedError(
+            "hull span is not the left null space of the Gram matrix"
+        )  # pragma: no cover
     if targets is None:
         targets = range(basis.rows + 1)
     return _scale_down(c, basis, targets, None, c.field.subfield_order + 1)

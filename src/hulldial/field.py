@@ -555,21 +555,23 @@ class Field:
         """Most products one lane sum may hold (sys.maxsize for p = 2)."""
         return self._lanes[2]
 
-    def dot_lanes(self, a, b, into: np.ndarray | None = None) -> np.ndarray:
-        """The lane sum over t of a[..., t] * b[..., t], a and b broadcast
-        together, added to the lane sum ``into`` (in place) when given.
+    def dot_lanes(self, a, b, into: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+        """The lane sum over t of a * b, broadcast together with t on ``axis``
+        (0 or -1), added to the lane sum ``into`` (in place) when given.
 
         Each product is one lookup of the lane table at log a + log b (log 0
         lands on the zero part of exp), and one integer reduction sums the
-        last axis: XOR for p = 2, np.add otherwise.  A lane sum, with every
+        t axis: XOR for p = 2, np.add otherwise.  A lane sum, with every
         sum added into it, holds at most ``lane_capacity`` products;
         ``from_lanes`` reads it back as elements.
         """
         lanes, log = self._lanes[0], self._tables["log"]
         add = np.bitwise_xor if self.p == 2 else np.add
         terms = lanes.take(log.take(a) + log.take(b))
-        # one term is its own sum: reducing it would only copy it
-        sums = terms[..., 0] if terms.shape[-1] == 1 else add.reduce(terms, axis=-1)
+        if terms.shape[axis] == 1:  # one term is its own sum: reducing it would only copy it
+            sums = terms[0] if axis == 0 else terms[..., 0]
+        else:
+            sums = add.reduce(terms, axis=axis)
         return sums if into is None else add(into, sums, out=into)
 
     def from_lanes(self, sums: np.ndarray) -> np.ndarray:

@@ -13,13 +13,14 @@ every product a * b at log a + log b as an int64 with each base-p digit in
 its own lane of floor(63/e) bits, so a plain integer sum of up to the
 field's ``lane_capacity`` products carries from no lane into the next
 (for p = 2 the code itself, summed by XOR, with no capacity bound).  One
-lookup forms the (stack, rows, cols, slice) tensor of products a[s, i, t]
-* b[s, t, j] for a slice of t and one reduction sums it over t; the
-slices' sums add up as integers until the capacity is reached, and one
-shift, mask and % p per digit reads them back as elements.  Slices hold
-at most ``_PRODUCT_BUDGET`` entries, and each later capacity's worth of
-terms is added with one ``add_array``, so the memory a product needs does
-not grow with its inner dimension or its stack.
+lookup forms the tensor of products a[s, i, t] * b[s, t, j] for a slice of
+t, with t leading when one rows x cols layer holds at least as many
+entries as t has values and last otherwise, and one reduction sums it
+over t; the slices' sums add up as integers until the capacity is
+reached, and one shift, mask and % p per digit reads them back as
+elements.  Slices hold at most ``_PRODUCT_BUDGET`` entries, and each later
+capacity's worth of terms is added with one ``add_array``, so the memory
+a product needs does not grow with its inner dimension or its stack.
 
 Results whose entries are valid by construction (field-table lookups, or
 entries of an already checked matrix) are wrapped with
@@ -193,11 +194,13 @@ def matmul(a, b):
     cols)), and the inner index t of that group in slices of max(1,
     _PRODUCT_BUDGET // (group * rows * cols)) values, at most the field's
     ``lane_capacity``.  One ``Field.dot_lanes`` call takes the logs of a
-    slice, looks up its (group, rows, cols, slice) products in the lane
-    table and sums the slice axis in one integer reduction, adding the
-    result to the lane sums of the slices before it.  Every whole number
-    of slices that fits the lane capacity is read back as elements once,
-    and one ``add_array`` call adds each later such chunk to the first
+    slice, looks up its products in the lane table and sums the slice axis
+    in one integer reduction, adding the result to the lane sums of the
+    slices before it: (slice, group, rows, cols) when rows * cols >= inner,
+    so a few terms add up as whole layers, else (group, rows, cols, slice),
+    so each entry sums a long row.  Every whole number of slices that fits
+    the lane capacity is read back as elements once, and one
+    ``add_array`` call adds each later such chunk to the first
     (capacities fall below the budget only for odd p with e >= 3).  So
     the tensor held at once never exceeds the budget, or one rows x cols
     layer when that alone is larger, whatever the inner dimension.  The
@@ -224,21 +227,26 @@ def matmul(a, b):
     else:
         A, B = a[0].data[None], b[0].data[None]
     (size, rows, inner), cols = A.shape, B.shape[2]
-    # (size, rows, 1, inner) and (size, 1, cols, inner): a slice of t is a slice of the last axis
-    A, B = A[:, :, None, :], B.swapaxes(1, 2)[:, None]
     layer = max(1, rows * cols)
+    axis = 0 if layer >= inner else -1
+    if axis == 0:  # (inner, size, rows, 1) and (inner, size, 1, cols)
+        A, B = A.transpose(2, 0, 1)[..., None], B.transpose(1, 0, 2)[:, :, None]
+    else:  # (size, rows, 1, inner) and (size, 1, cols, inner)
+        A, B = A[:, :, None, :], B.swapaxes(1, 2)[:, None]
     group = max(1, _PRODUCT_BUDGET // layer)
     capacity = field.lane_capacity
     out = []
     for g in range(0, size, group):
-        Ag, Bg = A[g : g + group], B[g : g + group]
-        step = min(capacity, max(1, _PRODUCT_BUDGET // (len(Ag) * layer)))
+        stack = np.s_[:, g : g + group] if axis == 0 else np.s_[g : g + group]
+        Ag, Bg = A[stack], B[stack]
+        step = min(capacity, max(1, _PRODUCT_BUDGET // (min(group, size - g) * layer)))
         chunk = capacity // step * step  # whole slices, at most capacity terms
         acc = None
         for c in range(0, inner, chunk):
             lanes = None
             for s in range(c, min(c + chunk, inner), step):
-                lanes = field.dot_lanes(Ag[..., s : s + step], Bg[..., s : s + step], lanes)
+                t = np.s_[s : s + step] if axis == 0 else np.s_[..., s : s + step]
+                lanes = field.dot_lanes(Ag[t], Bg[t], lanes, axis)
             sums = field.from_lanes(lanes)
             acc = sums if c == 0 else field.add_array(acc, sums)
         out.append(acc)
@@ -277,24 +285,24 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     pivots: list[int] = []
     r = c = 0
     while r < rows and c < cols:
-        nz = R[r:, c].nonzero()[0]
-        if nz.size == 0:
-            live = R[r:, c:].any(axis=0).nonzero()[0]
-            if live.size == 0:
-                break
-            c += int(live[0])
+        if not R[r, c]:
             nz = R[r:, c].nonzero()[0]
-        pr = r + int(nz[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
+            if nz.size == 0:
+                live = R[r:, c:].any(axis=0).nonzero()[0]
+                if live.size == 0:
+                    break
+                c += int(live[0])
+                nz = R[r:, c].nonzero()[0]
+            pr = r + int(nz[0])
+            if pr != r:
+                R[[r, pr]] = R[[pr, r]]
         pivot = int(R[r, c])
         if pivot != 1:
             inv_p = field.inv(pivot)
             R[r] = field.mul_array(R[r], np.int64(inv_p))
-        col_vals = R[:, c].copy()
-        col_vals[r] = 0
-        if col_vals.any():
-            factors = field.neg_array(col_vals)
+        if np.count_nonzero(R[:, c]) > 1:  # the pivot is not alone in its column
+            factors = field.neg_array(R[:, c])
+            factors[r] = 0
             R = field.add_array(R, field.mul_array(factors[:, None], R[r][None, :]))
         pivots.append(c)
         r, c = r + 1, c + 1

@@ -5,13 +5,15 @@ only: full message-space enumeration, Laplace-expansion determinants,
 inner products summed term by term.  None of it shares code paths with
 the library's echelon-form machinery, so agreement is meaningful.  The
 scalar arithmetic itself is checked against ``poly_*``, which compute on
-base-p digit lists and read only p, e and the modulus of a Field.  Two
+base-p digit lists and read only p, e and the modulus of a Field.  Three
 exceptions are references kept from earlier designs.
 ``random_phase_by_whole_chunks`` is one for the order of the multiplier
 solver's seeded draws, too long to walk with scalars; it sums on element
 arrays, without the library's ``matmul``.  ``arrange_p1_by_full_reduction``
 is one for the columns the hull arrangement picks; it row-reduces all of P
-with the library's own ``rref``.
+with the library's own ``rref``.  ``dials_from_measured_hull`` is one for
+the Hermitian dials of any code; it scales down the canonical basis that
+``hull`` reports, with the library's own dialing core.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from hulldial.errors import RankDeficientError, VerificationFailedError
 from hulldial.field import Field
-from hulldial.code import LinearCode
+from hulldial.code import LinearCode, hull, is_hermitian_self_orthogonal
+from hulldial.dial import _scale_down
 from hulldial.matrix import FieldMatrix, matmul, rref, standard_form
 from hulldial.grs import _CHUNK, PREFIX_SCAN_BUDGET, RANDOM_BUDGET, MultiplierProblem
 from hulldial.eaqec import EaqecParams, _families, classified
@@ -425,6 +428,15 @@ def arrange_p1_by_full_reduction(
         LinearCode(field, FieldMatrix._trusted(field, rows[:, perm2]), check=False),
         tuple(perm1[j] for j in perm2),
     )
+
+
+def dials_from_measured_hull(c: LinearCode, targets=None) -> list:
+    """``dial._hermitian_dials`` as it was while it scaled down ``hull(c).basis``
+    whenever a separate self-orthogonality check failed, kept verbatim."""
+    basis = c.gen if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").basis
+    if targets is None:
+        targets = range(basis.rows + 1)
+    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1)
 
 
 @functools.cache

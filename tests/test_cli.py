@@ -521,6 +521,26 @@ def test_golden_dial_of_a_long_full_field_code(capsys, tmp_path):
     assert code == 0 and out.encode() == (GOLDEN_CLI / "rs169_dial_h3_h0.json").read_bytes()
 
 
+def test_golden_hull_span_at_n_169(capsys, tmp_path):
+    # Recorded while hull() still multiplied a zero Gram matrix's left null
+    # space into G, and reduce_hull still dialed from hull().basis: the hull
+    # of the self-orthogonal full-field [169, 6] code (a zero Gram matrix),
+    # and the hull, eaqec sweep and dial to 1 of its 3-dimensional-hull
+    # dialed output.
+    codefile = tmp_path / "code.json"
+    assert _run(capsys, "construct", "--q", "13", "--family", "full-field", "--k", "6",
+                "--out", str(codefile))[0] == 0
+    dialed = str(GOLDEN_CLI / "rs169_dial_h3.json")
+    for argv, golden in (
+        (["hull", str(codefile)], "rs169_hull.json"),
+        (["hull", dialed], "rs169_dial_h3_hull.json"),
+        (["eaqec", dialed, "--format", "json"], "rs169_dial_h3_eaqec_json.json"),
+        (["dial", dialed, "--h", "1"], "rs169_dial_h3_h1.json"),
+    ):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and out.encode() == (GOLDEN_CLI / golden).read_bytes(), golden
+
+
 _BATCHED_TABLES = [
     ("q8_full", ["--q", "8"]),
     ("q9_rows300", ["--q", "9", "--max-rows", "300", "--format", "pretty"]),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from hulldial import dial
+from hulldial import code as code_module, dial
 from hulldial.eaqec import eaqec_sweep
 from hulldial.errors import (
     BadTargetError,
@@ -41,6 +41,7 @@ from hulldial.grs import MultiplierProblem, full_field_rs, solve_multipliers
 from oracles import (
     arrange_p1_by_full_reduction,
     brute_hull_dim,
+    dials_from_measured_hull,
     dual_block_generator,
     scalar_rref,
 )
@@ -424,6 +425,92 @@ def test_reduce_hull_across_corpus_hulls(gf9, gf25):
             assert res.achieved_h == target
             assert min_distance(res.code) == min_distance(c)
         tested += 1
+
+
+@st.composite
+def _codes_of_every_hull_dimension(draw):
+    """(code, h): a code over GF(9), GF(16) or GF(25) with Hermitian hull
+    dimension h, any of 0..k.  A full-field [q^2, k] code dialed to h (h = k
+    keeps its zero Gram matrix), its generator mixed by an invertible matrix
+    and its columns permuted; k = 0 gives the zero code."""
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    field = _FIELDS[q]
+    k = draw(st.integers(0, q - 1))
+    if k == 0:
+        return LinearCode.zero(field, q * q), 0
+    h = draw(st.integers(0, k))
+    code = full_field_rs(field, k).code()
+    if h < k:
+        code = dial_hull(code, h).code
+    entries = draw(st.lists(st.integers(0, field.order - 1), min_size=k * k, max_size=k * k))
+    mix = FieldMatrix(field, np.array(entries, dtype=np.int64).reshape(k, k))
+    assume(rank(mix) == k)
+    perm = draw(st.permutations(range(code.n)))
+    return permute(LinearCode(field, matmul(mix, code.gen), check=False), perm), h
+
+
+def _dial_fields(results):
+    return [(r.to_dict(), r.lambdas) for r in results]
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_codes_of_every_hull_dimension())
+def test_dials_from_the_hull_span_match_the_measured_hull_route(case):
+    code, h = case
+    assert hull(code).dim == h
+    want = dials_from_measured_hull(code)
+    assert len(want) == h + 1
+    assert _dial_fields(dial._hermitian_dials(code)) == _dial_fields(want)
+    for target in range(h + 1):
+        got = reduce_hull(code, target)
+        assert _dial_fields([got]) == _dial_fields(dials_from_measured_hull(code, [target]))
+
+
+def _recording_products(monkeypatch):
+    """(a, b, a @ b) for every product the code and dial modules form, in call order."""
+    products = []
+
+    def recording(original):
+        def product(a, b):
+            products.append((a, b, original(a, b)))
+            return products[-1][2]
+
+        return product
+
+    for module in (code_module, dial):
+        monkeypatch.setattr(module, "matmul", recording(module.matmul))
+    return products
+
+
+def test_hull_of_a_self_orthogonal_code_forms_the_gram_product_and_its_check(monkeypatch):
+    code = full_field_rs(make_quadratic_field(13), 6).code()
+    products = _recording_products(monkeypatch)
+    report = hull(code)
+    # the Gram matrix is zero, so the hull is the code itself: no left null
+    # space and no product with it, only the check of the canonical basis
+    assert report.dim == 6 and same_row_space(report.basis, code.gen)
+    assert [out.shape for _, _, out in products] == [(6, 6), (6, 6)]
+    assert products[0][0] is code.gen and products[1][0] is report.basis
+    assert not any(out.data.any() for _, _, out in products)
+
+
+def test_reduce_hull_reduces_its_span_once(monkeypatch, eliminations):
+    field = make_quadratic_field(13)
+    dialed = dial_hull(full_field_rs(field, 6).code(), 3).code
+    eliminations.clear()
+    products = _recording_products(monkeypatch)
+    res = reduce_hull(dialed, 0)
+    assert res.achieved_h == 0
+    # the Gram matrix, then span = leftnull(Gram) G, checked against sigma(G)^T
+    (_, sigma_gt, gram), (_, _, span), (checked, twist, check) = products[:3]
+    assert gram.data.any() and twist is sigma_gt
+    assert span.shape == (3, dialed.n) and checked is span and not check.data.any()
+    # the arrangement's standard form is the span's one reduction; no other
+    # 3 x n matrix (such as the reversed span hull() canonicalises) is reduced
+    assert [m is span for m in eliminations if m.shape == span.shape] == [True]
 
 
 def test_dial_result_serialization(rs92):

@@ -257,20 +257,19 @@ def test_sweep_arranges_once_and_checks_its_input_once(
     code = LinearCode(field, FieldMatrix(field, data), check=False)
     counts = collections.Counter()
     for module, name in (
-        (dial, "arrange_p1_nonsingular"), (dial, "hull"), (code_module, "gram_matrix")
+        (dial, "arrange_p1_nonsingular"), (dial, "_hull_span"), (code_module, "gram_matrix")
     ):
         _counting(monkeypatch, module, name, counts, code)
     records = eaqec_sweep(code)
     assert len(records) == (code.k + 1 if self_orthogonal else 2)
     counts["rref"] = sum(m is code.gen for m in eliminations)
-    # one Gram check of the input, and (failing it) one hull measurement;
-    # the dialed codes are measured on themselves.  The input is arranged
-    # once, and its generator is row-reduced once: the arrangement (of the
-    # input itself, when it is self-orthogonal) and the MDS certificate
-    # share that elimination
-    assert counts == collections.Counter(
-        arrange_p1_nonsingular=1, gram_matrix=1, hull=0 if self_orthogonal else 1, rref=1
-    )
+    # one Gram matrix of the input, which is its self-orthogonality check
+    # and (failing it) its hull measurement, and no second one; the dialed
+    # codes are measured on themselves.  The input is arranged once, and its
+    # generator is row-reduced once: the arrangement (of the input itself,
+    # when it is self-orthogonal) and the MDS certificate share that
+    # elimination
+    assert counts == collections.Counter(arrange_p1_nonsingular=1, _hull_span=1, rref=1)
 
 
 def test_sweep_singleton_law_across_corpus(self_orthogonal_corpus):

@@ -103,14 +103,14 @@ def _stack_case(field, size, rows, inner, cols, seed):
 
 
 def _kernel_calls(monkeypatch, field):
-    """Record the product tensor shape of every dot_lanes call (matmul's
-    slices: their last axis holds the terms summed) and count add_array calls."""
+    """Record the product tensor shape and the summed axis of every dot_lanes
+    call (matmul's slices) and count add_array calls."""
     shapes, adds = [], []
     dot_lanes, add_array = field.dot_lanes, field.add_array
 
-    def recording(a, b, into=None):
-        shapes.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
-        return dot_lanes(a, b, into)
+    def recording(a, b, into=None, axis=-1):
+        shapes.append((np.broadcast_shapes(np.shape(a), np.shape(b)), axis))
+        return dot_lanes(a, b, into, axis)
 
     monkeypatch.setattr(field, "dot_lanes", recording)
     monkeypatch.setattr(field, "add_array", lambda a, b: adds.append(1) or add_array(a, b))
@@ -148,7 +148,7 @@ def test_stacked_matmul_edge_stacks(monkeypatch, gf9, size, rows, inner, cols):
     shapes, _ = _kernel_calls(monkeypatch, gf9)
     stacked = matmul(a, b)
     assert [m.shape for m in stacked] == [(rows, cols)] * size
-    assert max(map(math.prod, shapes), default=0) <= matrix._PRODUCT_BUDGET
+    assert max((math.prod(s) for s, _ in shapes), default=0) <= matrix._PRODUCT_BUDGET
     assert stacked == [matmul(x, y) for x, y in zip(a, b)]
     assert [m.tolist() for m in stacked] == [
         poly_matmul(gf9, x.data, y.data) for x, y in zip(a, b)
@@ -160,7 +160,7 @@ def test_stacked_matmul_tensor_stays_within_budget_or_one_layer(monkeypatch, gf9
     a, b = _stack_case(gf9, 2, 300, 3, 300, seed=5)
     shapes, _ = _kernel_calls(monkeypatch, gf9)
     stacked = matmul(a, b)
-    assert max(map(math.prod, shapes)) == 300 * 300 > matrix._PRODUCT_BUDGET
+    assert max(math.prod(s) for s, _ in shapes) == 300 * 300 > matrix._PRODUCT_BUDGET
     assert stacked == [matmul(x, y) for x, y in zip(a, b)]
 
 
@@ -217,7 +217,8 @@ def test_matmul_sums_each_slice_in_one_reduction(monkeypatch):
     shapes, adds = _kernel_calls(monkeypatch, field)
     gram = gram_matrix(code)
     assert not np.any(gram.data)  # the [169, 6] full-field code is self-orthogonal
-    assert (shapes, adds) == ([(1, 6, 6, code.n)], [])  # one reduction, nothing to add
+    # one reduction over the last axis, nothing to add
+    assert (shapes, adds) == ([((1, 6, 6, code.n), -1)], [])
     # whatever the inner length: 3 * 3 entries a layer leave room for
     # 7281-term slices, and GF(13^2) lanes hold far more terms than that,
     # so the slices' lane sums add up as integers, with no add_array
@@ -228,12 +229,15 @@ def test_matmul_sums_each_slice_in_one_reduction(monkeypatch):
         shapes.clear()
         out = matmul(a, b)
         assert len(shapes) == math.ceil(inner / 7281) and not adds
-        assert max(s[-1] for s in shapes) <= 7281
+        assert max(s[axis] for s, axis in shapes) <= 7281
         assert np.array_equal(out.data, a.data @ b.data % 13)
 
 
-@pytest.mark.parametrize("field", [make_field(3, 6), make_field(3, 12), make_field(5, 4)],
-                         ids=["GF(3^6)", "GF(3^12)", "GF(5^4)"])
+_LANE_FIELDS = [make_field(3, 6), make_field(3, 12), make_field(5, 4)]
+_LANE_IDS = ["GF(3^6)", "GF(3^12)", "GF(5^4)"]
+
+
+@pytest.mark.parametrize("field", _LANE_FIELDS, ids=_LANE_IDS)
 @pytest.mark.parametrize("over", [0, 1])
 @pytest.mark.parametrize("budget", [matrix._PRODUCT_BUDGET, 2 * 2 * 7])
 def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
@@ -248,7 +252,7 @@ def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
     shapes, adds = _kernel_calls(monkeypatch, field)
     monkeypatch.setattr(matrix, "_PRODUCT_BUDGET", budget)
     out = matmul(FieldMatrix(field, a), FieldMatrix(field, b))
-    widths = [s[-1] for s in shapes]
+    widths = [s[axis] for s, axis in shapes]
     assert sum(widths) == inner and max(widths) <= min(capacity, budget // 4)
     if budget == 2 * 2 * 7:  # 7-term slices: lane sums of whole slices up to the capacity
         assert len(adds) == math.ceil(inner / (capacity // 7 * 7)) - 1
@@ -257,6 +261,82 @@ def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
     assert out.data[0, 0] == field.mul(inner % field.p, field.order - 1)
     assert out.tolist() == poly_matmul(field, a, b)
     assert capacity == {729: 511, 3**12: 15, 625: 8191}[field.order]
+
+
+def _layout_case(field, size, rows, inner, cols, seed):
+    """Operands as 2-D matrices (size None) or stacks, with every digit p - 1
+    on a fifth of the entries: lane sums as full as a random case gets."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for shape in ((size or 1, rows, inner), (size or 1, inner, cols)):
+        m = rng.integers(0, field.order, size=shape)
+        m[rng.random(shape) < 0.2] = field.order - 1
+        stacks.append([FieldMatrix(field, x) for x in m])
+    return stacks if size else (stacks[0][0], stacks[1][0])
+
+
+@pytest.mark.parametrize("field", _LANE_FIELDS, ids=_LANE_IDS)
+@pytest.mark.parametrize("size, rows, inner, cols, axis", [
+    # one rows x cols layer at least as large as the inner dimension: t leads
+    (None, 4, 0, 30, 0),
+    (None, 3, 1, 40, 0),
+    (None, 5, 2, 25, 0),
+    (None, 6, 3, 20, 0),
+    (3, 2, 1, 30, 0),
+    (3, 2, 3, 30, 0),
+    (None, 2, 2, 1, 0),  # layer == inner
+    # a smaller layer: t stays last
+    (None, 1, 3, 2, -1),  # layer one short of inner
+    (None, 2, 700, 1, -1),  # inner >> rows * cols, past GF(3^6)'s and GF(3^12)'s capacity
+    (2, 1, 300, 2, -1),
+    (4, 3, 40, 3, -1),
+])
+def test_matmul_layout_follows_the_layer_and_matches_the_oracle(
+    monkeypatch, field, size, rows, inner, cols, axis
+):
+    a, b = _layout_case(field, size, rows, inner, cols, seed=rows * 1000 + inner)
+    shapes, _ = _kernel_calls(monkeypatch, field)
+    out = matmul(a, b)
+    assert {summed for _, summed in shapes} == ({axis} if inner else set())
+    assert sum(s[summed] for s, summed in shapes) == inner
+    pairs = zip(a, b) if size else [(a, b)]
+    want = [poly_matmul(field, x.data, y.data) for x, y in pairs]
+    assert [m.tolist() for m in out] == want if size else out.tolist() == want[0]
+
+
+@pytest.mark.parametrize("rows, inner, cols", [(1, 2**14, 2), (300, 3, 200)],
+                         ids=["inner-last", "inner-first"])
+def test_matmul_layouts_against_integer_products(monkeypatch, rows, inner, cols):
+    # entries in the prime subfield GF(5) of GF(5^4), so a @ b % 5 checks them;
+    # 2^14 terms are past GF(5^4)'s lane capacity of 8191
+    field = make_field(5, 4)
+    rng = np.random.default_rng(rows + inner)
+    a = FieldMatrix(field, rng.integers(0, 5, size=(rows, inner)))
+    b = FieldMatrix(field, rng.integers(0, 5, size=(inner, cols)))
+    shapes, adds = _kernel_calls(monkeypatch, field)
+    out = matmul(a, b)
+    assert np.array_equal(out.data, a.data @ b.data % 5)
+    assert {axis for _, axis in shapes} == {0 if rows * cols >= inner else -1}
+    assert len(adds) == math.ceil(inner / 8191) - 1
+
+
+@pytest.mark.parametrize("size, rows, inner, cols, axis", [
+    (3, 20, 4, 30, 0),
+    (5, 8, 9, 8, 0),
+    (3, 2, 500, 3, -1),
+    (2, 1, 2000, 1, -1),
+])
+@pytest.mark.parametrize("budget", [1, 7, 100, 1000, 5000, matrix._PRODUCT_BUDGET])
+def test_matmul_tensor_stays_within_budget_or_one_layer_in_both_layouts(
+    monkeypatch, gf9, size, rows, inner, cols, axis, budget
+):
+    a, b = _stack_case(gf9, size, rows, inner, cols, seed=budget + inner)
+    want = [matmul(x, y) for x, y in zip(a, b)]
+    shapes, _ = _kernel_calls(monkeypatch, gf9)
+    monkeypatch.setattr(matrix, "_PRODUCT_BUDGET", budget)
+    assert matmul(a, b) == want
+    assert {summed for _, summed in shapes} == {axis}
+    assert max(math.prod(s) for s, _ in shapes) <= max(budget, rows * cols)
 
 
 def test_conj_transpose_examples(gf9):
