@@ -181,10 +181,8 @@ def _cmd_construct(args) -> int:
         seed=args.seed,
     )
     payload = {
-        "status": result.status,
+        **vars(result),
         "field": field.to_dict(),
-        "null_dim": result.null_dim,
-        "attempts": result.attempts,
         "grs": result.grs.to_dict() if result.found else None,
         "code": result.grs.code().to_dict() if result.found else None,
     }
@@ -246,13 +244,7 @@ def _cmd_distance(args) -> int:
 def _cmd_hull(args) -> int:
     code = _load_code(args.codefile)
     report = hull(code, args.kind, args.l)
-    payload = {
-        "kind": report.kind,
-        "l": report.l,
-        "dim": report.dim,
-        "basis": report.basis.to_dict(),
-    }
-    _emit([_json_text(payload)], args.out)
+    _emit([_json_text({**vars(report), "basis": report.basis.to_dict()})], args.out)
     return EXIT_OK
 
 

@@ -217,12 +217,14 @@ def hermitian_dual(c: LinearCode) -> LinearCode:
 def _hull_span(c: LinearCode, kind: str, l: int | None) -> tuple[FieldMatrix, FieldMatrix]:
     """Rows spanning the named hull, and sigma(G)^T to check them with.  A
     codeword mG lies in the twisted dual iff m G sigma(G)^T = 0, so the rows
-    are leftnull(G sigma(G)^T) G, or G itself when that Gram matrix is zero."""
+    are leftnull(G sigma(G)^T) G, G itself when that Gram matrix is zero,
+    and none, with no product formed, when it is nonsingular."""
     sigma_gt = transpose(frobenius_entrywise(c.gen, _frobenius_index(c.field, kind, l)))
     gram = matmul(c.gen, sigma_gt)
     if not np.any(gram.data):
         return c.gen, sigma_gt
-    return matmul(null_space(transpose(gram)), c.gen), sigma_gt
+    left = null_space(transpose(gram))
+    return matmul(left, c.gen) if left.rows else FieldMatrix.zeros(c.field, 0, c.n), sigma_gt
 
 
 def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullReport:
@@ -237,7 +239,7 @@ def hull(c: LinearCode, kind: str = "hermitian", l: int | None = None) -> HullRe
     span, sigma_gt = _hull_span(c, kind, l)
     reduced, pivots = rref(FieldMatrix._trusted(field, span.data[:, ::-1]))
     basis = FieldMatrix._trusted(field, reduced.data[: len(pivots)][::-1, ::-1])
-    if len(pivots) != span.rows or np.any(matmul(basis, sigma_gt).data):
+    if len(pivots) != span.rows or (pivots and np.any(matmul(basis, sigma_gt).data)):
         raise VerificationFailedError(
             "hull basis is not the left null space of the Gram matrix"
         )  # pragma: no cover

@@ -3,25 +3,26 @@
 All three transforms are one step, the paper's main theorem.  Write a
 basis of the hull as (I_h | P1 | P2) with P1 nonsingular, complete it to a
 generator with rows that vanish on the first h coordinates, and scale the
-first h - target coordinates by constants x with x^e != 1, where e = q + 1
-for the Hermitian form and p^l + 1 for the l-Galois form.  Gram entry
-(i, i) of hull row i becomes x_i^e - 1 and every other Gram entry keeps its
-value, so the hull drops to exactly the target.
+first h - target coordinates by constants x with x^(p^sigma + 1) != 1,
+where a -> a^(p^sigma) is the form's twist: sigma = e/2 (so p^sigma = q)
+for the Hermitian form and l for the l-Galois form.  Gram entry (i, i) of
+hull row i becomes x_i^(p^sigma + 1) - 1 and every other Gram entry keeps
+its value, so the hull drops to exactly the target.
 
-dial_hull and dial_galois_hull start from a self-orthogonal code, whose
-hull is the whole code; reduce_hull starts from the rows that span the
-hull of any code, leftnull(G sigma(G)^T) G, and reduces them only in the
-arrangement (a row space has one reduced echelon form).  P1's columns
-are the pivots of P, found on growing column prefixes of P: h columns,
-then 2h, 4h, ..., and finally all of P.  The leftmost pivots of a prefix
-are the leftmost pivots of P, so once a prefix holds h of them the rest
-of P is never reduced.  For an MDS code (every GRS code is one) the
-first h x h block is already P1.  One core serves the three
-transforms and the EAQEC sweep, and dials all of its targets in one
-stacked pass: one arrangement of the basis, one (T, k, n) stack of scaled
-generators and one stacked product for their T Gram matrices.  Each
-output's hull dimension is measured on itself as k - rank(G sigma(G)^T)
-from its own Gram matrix; a missed target is refused.
+One core, keyed by the form (kind, l), serves dial_hull, dial_galois_hull,
+reduce_hull and the EAQEC sweep.  One Gram matrix G sigma(G)^T is zero for
+a self-orthogonal code, whose hull G spans; else leftnull(G sigma(G)^T) G
+spans it, and only reduce_hull and the sweep go on.  The span is reduced
+only in the arrangement (a row space has one reduced echelon form).  P1's
+columns are the pivots of P, found on growing column prefixes of P: h
+columns, then 2h, 4h, ..., and finally all of P.  The leftmost pivots of a
+prefix are the leftmost pivots of P, so once a prefix holds h of them the
+rest of P is never reduced.  For an MDS code (every GRS code is one) the
+first h x h block is already P1.  The scaling gets only sigma and dials
+all targets in one stacked pass: one arrangement of the basis, one
+(T, k, n) stack of scaled generators and one stacked product for their
+T Gram matrices.  Each output's hull dimension is measured on itself as
+k - rank(G sigma(G)^T) from its own Gram matrix; a missed target is refused.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     SmallFieldError,
     VerificationFailedError,
 )
-from .code import LinearCode, _hull_span, is_galois_self_orthogonal, is_hermitian_self_orthogonal
+from .code import LinearCode, _frobenius_index, _hull_span
 from .field import digit_columns
 from .matrix import FieldMatrix, _columns_first, matmul, rank, rref, standard_form
 
@@ -120,39 +121,29 @@ def _scaled_stack(gen: FieldMatrix, weights: np.ndarray) -> np.ndarray:
 
 
 def _scale_down(
-    c: LinearCode,
-    basis: FieldMatrix,
-    targets: Iterable[int],
-    l: int | None,
-    exponent: int,
+    c: LinearCode, basis: FieldMatrix, targets: Iterable[int], sigma: int
 ) -> list[DialResult]:
-    """Scale c so that its hull, spanned by ``basis``, drops to each target.
+    """Scale c so that its hull under a -> a^(p^sigma), spanned by ``basis``, drops to each target.
 
-    Target t takes the first h - t of one prefix-stable run of constants.  All
-    targets below h are dialed together: one arrangement, one (T, k, n)
-    stack of scaled generators, one Frobenius call for their twists
-    (sigma(a) = a^(p^l), conjugation when l is None) and one stacked matmul
-    for their T Gram matrices.  Each Gram matrix is rank-checked on its own,
-    so every output's hull dimension k - rank(G sigma(G)^T) is measured on
-    that output, and a missed target is refused.
+    Target t takes the first h - t of one prefix-stable run of constants x
+    with x^(p^sigma + 1) != 1.  All targets below h are dialed together: one
+    arrangement, one (T, k, n) stack of scaled generators, one Frobenius
+    call for their twists and one stacked matmul for their T Gram matrices.
+    Each Gram matrix is rank-checked on its own, so every output's hull
+    dimension k - rank(G sigma(G)^T) is measured on that output, and a
+    missed target is refused.
     """
     field, h, n = c.field, basis.rows, c.n
-    targets = list(targets)
-    for target in targets:
-        if not 0 <= target <= h:
-            raise BadTargetError(f"target hull dimension {target} outside [0, {h}]")
     lower = list(dict.fromkeys(t for t in targets if t != h))
     dialed = {}
     if lower:
-        if l is None and field.subfield_order == 2:
-            raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
         arranged, perm = arrange_p1_nonsingular(c, basis)
-        constants = field.find_power_non_one(exponent, h - min(lower))
+        constants = field.find_power_non_one(field.p**sigma + 1, h - min(lower))
         weights = np.ones((len(lower), n), dtype=np.int64)
         for row, target in zip(weights, lower):
             row[: h - target] = constants[: h - target]
         stack = _scaled_stack(arranged.gen, weights)
-        twisted = field.frobenius_array(stack, field.e // 2 if l is None else l)
+        twisted = field.frobenius_array(stack, sigma)
         gens = [FieldMatrix._trusted(field, g) for g in stack]
         grams = matmul(gens, [FieldMatrix._trusted(field, t.T) for t in twisted])
         for target, gen, gram in zip(lower, gens, grams):
@@ -165,11 +156,40 @@ def _scale_down(
             v = lambdas + (1,) * (n - len(lambdas))
             out = LinearCode(field, gen, check=False)
             dialed[target] = DialResult(out, v, perm, target, achieved, lambdas)
-    # target h is already verified: dial_hull and dial_galois_hull ran their
-    # self-orthogonality gate, and a zero Gram matrix means the hull
-    # dimension is exactly k; reduce_hull measured h just now
+    # target h is already verified: basis spans the hull, measured from
+    # the Gram matrix of c by its caller
     unchanged = DialResult(c, (1,) * n, tuple(range(n)), h, h, ())
     return [dialed.get(target, unchanged) for target in targets]
+
+
+def _dials(
+    c: LinearCode, kind: str, l: int | None, targets: Iterable[int] | None, refuse: str = ""
+) -> list[DialResult]:
+    """The one transform behind every dial, for the form (kind, l) of code.hull.
+
+    One Gram matrix G sigma(G)^T gives the rows that span the hull: G when
+    it is zero (c is self-orthogonal), else leftnull(G sigma(G)^T) G, or
+    NotSelfOrthogonalError(refuse) when ``refuse`` is set.  Targets run
+    from 0 to the hull dimension, by default all of them.
+    """
+    basis, sigma_gt = _hull_span(c, kind, l)
+    if basis is not c.gen:
+        if refuse:
+            raise NotSelfOrthogonalError(refuse)
+        # hull()'s checks, on the span itself (its reduction is the one the
+        # arrangement reuses)
+        if rank(basis) != basis.rows or (basis.rows and np.any(matmul(basis, sigma_gt).data)):
+            raise VerificationFailedError(
+                "hull span is not the left null space of the Gram matrix"
+            )  # pragma: no cover
+    h = basis.rows
+    targets = range(h + 1) if targets is None else list(targets)
+    for target in targets:
+        if not 0 <= target <= h:
+            raise BadTargetError(f"target hull dimension {target} outside [0, {h}]")
+    if kind == "hermitian" and c.field.subfield_order == 2 and min(targets, default=h) < h:
+        raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
+    return _scale_down(c, basis, targets, _frobenius_index(c.field, kind, l))
 
 
 def dial_hull(c: LinearCode, h: int) -> DialResult:
@@ -180,9 +200,7 @@ def dial_hull(c: LinearCode, h: int) -> DialResult:
     have q >= 3 whenever an actual scaling is needed, since the scaling
     constants must have norm different from 1.
     """
-    if not is_hermitian_self_orthogonal(c):
-        raise NotSelfOrthogonalError("dial_hull needs a Hermitian self-orthogonal code")
-    return _scale_down(c, c.gen, [h], None, c.field.subfield_order + 1)[0]
+    return _dials(c, "hermitian", None, [h], "dial_hull needs a Hermitian self-orthogonal code")[0]
 
 
 def dial_galois_hull(c: LinearCode, h: int, l: int) -> DialResult:
@@ -192,9 +210,7 @@ def dial_galois_hull(c: LinearCode, h: int, l: int) -> DialResult:
     exists in the field, NoSuchElementError is raised (this is the exact
     condition the construction needs, rather than a blanket q >= 3 rule).
     """
-    if not is_galois_self_orthogonal(c, l):
-        raise NotSelfOrthogonalError(f"dial_galois_hull needs C inside its {l}-Galois dual")
-    return _scale_down(c, c.gen, [h], l, c.field.p**l + 1)[0]
+    return _dials(c, "galois", l, [h], f"dial_galois_hull needs C inside its {l}-Galois dual")[0]
 
 
 def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
@@ -205,19 +221,10 @@ def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
     leftnull(G sigma(G)^T) G that span the hull in place of the whole code.
     On a self-orthogonal code the two give the same result.
     """
-    return _hermitian_dials(c, [l_prime])[0]
+    return _dials(c, "hermitian", None, [l_prime])[0]
 
 
 def _hermitian_dials(c: LinearCode, targets: Iterable[int] | None = None) -> list[DialResult]:
     """dial_hull's result for each target if c is Hermitian self-orthogonal,
     else reduce_hull's; by default every target from 0 to the hull dimension."""
-    basis, sigma_gt = _hull_span(c, "hermitian", None)
-    # hull()'s checks, on the span itself (its reduction is the one the
-    # arrangement reuses); G passed them with its zero Gram matrix
-    if basis is not c.gen and (rank(basis) != basis.rows or np.any(matmul(basis, sigma_gt).data)):
-        raise VerificationFailedError(
-            "hull span is not the left null space of the Gram matrix"
-        )  # pragma: no cover
-    if targets is None:
-        targets = range(basis.rows + 1)
-    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1)
+    return _dials(c, "hermitian", None, targets)

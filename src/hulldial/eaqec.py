@@ -19,7 +19,7 @@ gate and the Singleton bound with equality.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -87,19 +87,7 @@ class EaqecParams(NamedTuple):
         return (self.n, self.k_q, self.d, self.c)
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "k_q": self.k_q,
-            "d": self.d,
-            "c": self.c,
-            "gate": self.gate,
-            "mds": self.mds,
-            "families": list(self.families),
-            "witnessed": self.witnessed,
-            "witness_digest": self.witness_digest,
-            "hull_dim": self.hull_dim,
-        }
+        return {**self._asdict(), "families": list(self.families)}
 
 
 def claim(q: int, n: int, k_q: int, d: int, c: int, **extra) -> EaqecParams:
@@ -144,10 +132,11 @@ def tsv_row(rec: EaqecParams) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _assisted_record(c: LinearCode, h: int, dd: int, digest: str) -> EaqecParams:
-    """[[n, n-k-h, d_dual, k-h]]_q witnessed by c."""
+def _witnessed(c: LinearCode, h: int, k: int, d: int, digest: str) -> EaqecParams:
+    """[[n, k-h, d, n-k-h]]_q witnessed by c with Hermitian hull dimension h;
+    k and d are those of c, or n - k and d_dual for the record of its dual."""
     return classified(
-        c.field.subfield_order, c.n, c.n - c.k - h, dd, c.k - h,
+        c.field.subfield_order, c.n, k - h, d, c.n - k - h,
         witnessed=True, witness_digest=digest, hull_dim=h,
     )
 
@@ -162,11 +151,7 @@ def eaqec_from_code(c: LinearCode, cap: int | None = None) -> tuple[EaqecParams,
     d = min_distance(c, cap)
     dd = dual_min_distance(c, cap)
     digest = witness_digest(c)
-    first = classified(
-        c.field.subfield_order, c.n, c.k - h, d, c.n - c.k - h,
-        witnessed=True, witness_digest=digest, hull_dim=h,
-    )
-    return first, _assisted_record(c, h, dd, digest)
+    return _witnessed(c, h, c.k, d, digest), _witnessed(c, h, c.n - c.k, dd, digest)
 
 
 def eaqec_from_dial(c: LinearCode, l: int, cap: int | None = None) -> EaqecParams:
@@ -184,8 +169,8 @@ def eaqec_from_dial(c: LinearCode, l: int, cap: int | None = None) -> EaqecParam
 def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
     """All records for l = 0 .. hull ceiling (k for self-orthogonal inputs).
 
-    One self-orthogonality check (or, failing it, one hull measurement)
-    picks the basis, and every l is dialed in one stacked pass from one
+    One Gram matrix picks the basis (G when it is zero, else the rows that
+    span the hull), and every l is dialed in one stacked pass from one
     arrangement of it.  Each dialed code has its hull dimension measured by
     the rank of its own Gram matrix, and gets its own witness digest.  Every
     dialed code is the input with its coordinates permuted and scaled by
@@ -199,7 +184,7 @@ def _dialed_records(c: LinearCode, targets: list[int] | None, cap: int | None) -
     """eaqec_sweep's records for the given targets (by default every one)."""
     dials = _hermitian_dials(c, targets)
     dd = dual_min_distance(c, cap)
-    return [_assisted_record(r.code, r.achieved_h, dd, witness_digest(r.code)) for r in dials]
+    return [_witnessed(r.code, r.achieved_h, c.n - c.k, dd, witness_digest(r.code)) for r in dials]
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +479,7 @@ class Verdict:
     checks: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "gate_applicable": self.gate_applicable,
-            "failures": list(self.failures),
-            "checks": list(self.checks),
-        }
+        return {**asdict(self), "failures": list(self.failures), "checks": list(self.checks)}
 
 
 def verify_claim(

@@ -430,7 +430,7 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
 # family driver
 # ---------------------------------------------------------------------------
 
-#: Each family and the optional parameters it takes; giving it any other is an error.
+#: Each family and the parameters it needs; giving it any other is an error.
 _FAMILY_PARAMS = {
     "full-field": (),
     "q2plus1": (),
@@ -464,14 +464,14 @@ def construct_family(
     """Build the evaluation set for a named family and run the solver.
 
     Family parameters are validated against the family's constraints
-    before any search starts; a parameter the family does not take is an
-    error.  Every solver family but trace-poly has a length that follows
-    from q and m (or m1, m2), so a set longer than MAX_SOLVER_LENGTH is
-    refused before it is built, and before the field's tables are.  A
-    found code is re-verified Hermitian self-orthogonal and MDS (dual
-    distance k + 1).  Every family output is
-    GRS, so dual_min_distance's Cauchy-structure certificate answers the MDS
-    check; were it ever to refuse, the column-subset search or the dual
+    before any search starts; the family must get exactly the parameters
+    _FAMILY_PARAMS lists for it.  Every solver family but trace-poly has a
+    length that follows from q and m (or m1, m2), so a set longer than
+    MAX_SOLVER_LENGTH is refused before it is built, and before the field's
+    tables are.  A found code is re-verified Hermitian self-orthogonal and
+    MDS (dual distance k + 1).  Every family output is GRS, so
+    dual_min_distance's Cauchy-structure certificate answers the MDS check;
+    were it ever to refuse, the column-subset search or the dual
     enumeration (under the default cap) would decide, and a check that
     cannot finish raises TooLargeToEnumerateError rather than being skipped.
     """
@@ -484,18 +484,15 @@ def construct_family(
     foreign = [p for p, v in given.items() if v is not None and p not in _FAMILY_PARAMS[family]]
     if foreign:
         raise BadFamilyParamsError(f"the {family} family takes no {', '.join(foreign)}")
-    if family == "full-field":
-        spec = full_field_rs(field, k)
-        result = MultiplierSearch(STATUS_FOUND, spec, 0, 0)
-    elif family == "q2plus1":
+    missing = [p for p in _FAMILY_PARAMS[family] if given[p] is None]
+    if missing:
+        raise BadFamilyParamsError(f"the {family} family needs {' and '.join(missing)}")
+    if family == "q2plus1":
         if k > q or k == q - 1:
             raise BadFamilyParamsError(f"needs 1 <= k <= q = {q} and k != q-1")
         _check_solver_length(field.order + 1)
-        problem = MultiplierProblem(field, tuple(field.elements()), k, extended=True)
-        result = solve_multipliers(problem, seed)
+        pts = tuple(field.elements())
     elif family == "trace-poly":
-        if g is None:
-            raise BadFamilyParamsError("trace-poly needs the polynomial g")
         if k > q - 1:
             raise BadFamilyParamsError(f"needs k <= q-1 = {q - 1}")
         deg = len(_coefficients(g)) - 1
@@ -504,10 +501,7 @@ def construct_family(
         pts = trace_nonzero_eval_set(field, g)
         if len(pts) < max(k, 1):
             raise BadFamilyParamsError("evaluation set smaller than k")
-        result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
     elif family == "subgroup":
-        if m is None:
-            raise BadFamilyParamsError("subgroup family needs m")
         if m % 2 == 0 or (q + 1) % m != 0:
             raise BadFamilyParamsError(f"m = {m} must be an odd divisor of q+1 = {q + 1}")
         k0 = (m - 1) // 2
@@ -517,10 +511,7 @@ def construct_family(
             )
         _check_solver_length((field.order - 1) // m)
         pts = subgroup_eval_set(field, m)
-        result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
     elif family == "two-subgroup":
-        if m1 is None or m2 is None:
-            raise BadFamilyParamsError("two-subgroup family needs m1 and m2")
         if m1 % 2 == 0 or m2 % 2 == 0:
             raise BadFamilyParamsError("m1, m2 must be odd")
         if (q + 1) % m1 != 0 or (q + 1) % m2 != 0:
@@ -532,10 +523,7 @@ def construct_family(
         o = field.order - 1
         _check_solver_length(o // m1 + o // m2 - o // (m1 * m2))
         pts = subgroup_union_eval_set(field, m1, m2)
-        result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
-    else:  # even-subgroup
-        if m is None:
-            raise BadFamilyParamsError("even-subgroup family needs m")
+    elif family == "even-subgroup":
         if q % 2 == 0 or m % 2 != 0 or m < 6 or (q - 1) % m != 0:
             raise BadFamilyParamsError(
                 f"m = {m} must be an even divisor >= 6 of q-1 = {q - 1} with q odd"
@@ -545,8 +533,11 @@ def construct_family(
             raise BadFamilyParamsError(f"needs k <= {bound}")
         _check_solver_length((field.order - 1) // m)
         pts = subgroup_eval_set(field, m)
-        result = solve_multipliers(MultiplierProblem(field, pts, k), seed)
-
+    if family == "full-field":
+        result = MultiplierSearch(STATUS_FOUND, full_field_rs(field, k), 0, 0)
+    else:
+        problem = MultiplierProblem(field, pts, k, extended=family == "q2plus1")
+        result = solve_multipliers(problem, seed)
     if result.found and not is_mds(result.grs.code()):
         raise VerificationFailedError("family output is not MDS")
     return result

@@ -436,7 +436,7 @@ def dials_from_measured_hull(c: LinearCode, targets=None) -> list:
     basis = c.gen if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").basis
     if targets is None:
         targets = range(basis.rows + 1)
-    return _scale_down(c, basis, targets, None, c.field.subfield_order + 1)
+    return _scale_down(c, basis, targets, c.field.e // 2)
 
 
 @functools.cache

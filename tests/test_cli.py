@@ -278,6 +278,63 @@ def test_construct_rejects_parameters_its_family_does_not_take(capsys, argv, for
     assert f"takes no {foreign}\n" in err
 
 
+@pytest.mark.parametrize(
+    "family, params, missing",
+    [
+        ("trace-poly", {}, "g"),
+        ("subgroup", {}, "m"),
+        ("two-subgroup", {"m2": 3}, "m1"),
+        ("two-subgroup", {"m1": 1}, "m2"),
+        ("two-subgroup", {}, "m1 and m2"),
+        ("even-subgroup", {}, "m"),
+    ],
+)
+def test_construct_refuses_a_missing_family_parameter(capsys, family, params, missing):
+    from hulldial.errors import BadFamilyParamsError
+    from hulldial.field import make_quadratic_field
+    from hulldial.grs import construct_family
+
+    with pytest.raises(BadFamilyParamsError, match=f"^the {family} family needs {missing}$"):
+        construct_family(make_quadratic_field(7), family, k=1, **params)
+    flags = [arg for p, v in params.items() for arg in (f"--{p}", str(v))]
+    code, out, err = _run(capsys, "construct", "--q", "7", "--family", family, "--k", "1", *flags)
+    assert code == 1 and out == ""
+    assert err == f"hulldial: error: the {family} family needs {missing}\n"
+
+
+def test_dial_refusals_keep_their_error_types(tmp_path, capsys):
+    from hulldial.code import LinearCode
+    from hulldial.dial import dial_galois_hull, dial_hull, reduce_hull
+    from hulldial.errors import NoSuchElementError, NotSelfOrthogonalError, SmallFieldError
+    from hulldial.field import make_field
+
+    # the [7, 3] GF(9) code has a 1-dimensional l-Galois hull for l = 0 and 1
+    gf9_file = GOLDEN_CLI / "gf9_code.json"
+    gf9 = LinearCode.from_dict(json.loads(gf9_file.read_text()))
+    for l in (0, 1):
+        with pytest.raises(NotSelfOrthogonalError):
+            dial_galois_hull(gf9, 0, l)
+        code, out, err = _run(capsys, "dial", str(gf9_file), "--h", "0", "--galois-l", str(l))
+        assert code == 1 and out == ""
+        assert err == f"hulldial: error: dial_galois_hull needs C inside its {l}-Galois dual\n"
+    # (1, 1) over GF(4) is self-orthogonal under every form; a Hermitian
+    # scaling needs x^3 != 1, which no element of GF(4) has
+    gf4 = LinearCode(make_field(2, 2), [[1, 1]])
+    for dial in (dial_hull, reduce_hull):
+        with pytest.raises(SmallFieldError):
+            dial(gf4, 0)
+    gf4_file = tmp_path / "gf4.json"
+    gf4_file.write_text(json.dumps(gf4.to_dict()))
+    code, out, err = _run(capsys, "dial", str(gf4_file), "--h", "0")
+    assert code == 1 and out == ""
+    assert err == "hulldial: error: GF(4) has no element of norm != 1; need q >= 3\n"
+    # the 1-Galois twist of GF(4) is conjugation too, but that refusal names
+    # the missing element itself; the 0-Galois form has constants to scale by
+    with pytest.raises(NoSuchElementError):
+        dial_galois_hull(gf4, 0, 1)
+    assert dial_galois_hull(gf4, 0, 0).achieved_h == 0
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the cap was checked")
 
@@ -450,6 +507,14 @@ def _golden_cases():
                                            "--k", "2", "--g", "0,1"]
     yield "construct", "q5_subgroup_k2", ["construct", "--q", "5", "--family", "subgroup",
                                           "--k", "2", "--m", "3"]
+    # recorded while each family checked its own required parameters and
+    # dial_galois_hull ran a separate self-orthogonality gate; the full-field
+    # [16, 3] code is Euclidean (0-Galois) self-orthogonal
+    yield "construct", "q5_twosubgroup_k2", ["construct", "--q", "5", "--family", "two-subgroup",
+                                             "--k", "2", "--m1", "1", "--m2", "3"]
+    yield "construct", "q7_evensubgroup_k2", ["construct", "--q", "7", "--family",
+                                              "even-subgroup", "--k", "2", "--m", "6"]
+    yield "rs16", "dial_galois_l0_h1", ["dial", "--h", "1", "--galois-l", "0"]
     # found by the solver's second random pass, which draws nonzero digits
     # only; checked on its own below
     yield "construct", "q13_q2plus1_k3", ["construct", "--q", "13", "--family", "q2plus1",

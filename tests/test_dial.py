@@ -497,6 +497,18 @@ def test_hull_of_a_self_orthogonal_code_forms_the_gram_product_and_its_check(mon
     assert not any(out.data.any() for _, _, out in products)
 
 
+def test_zero_hull_forms_only_the_gram_product(monkeypatch):
+    # a nonsingular Gram matrix leaves an empty span: neither hull() nor the
+    # dial core forms the (0 x k)(k x n) span or its (0 x n)(n x k) check
+    code = dial_hull(full_field_rs(make_quadratic_field(5), 2).code(), 0).code
+    products = _recording_products(monkeypatch)
+    report = hull(code)
+    assert report.dim == 0 and report.basis.shape == (0, code.n)
+    res = reduce_hull(code, 0)
+    assert res.code is code and res.achieved_h == 0
+    assert [out.shape for _, _, out in products] == [(2, 2), (2, 2)]
+
+
 def test_reduce_hull_reduces_its_span_once(monkeypatch, eliminations):
     field = make_quadratic_field(13)
     dialed = dial_hull(full_field_rs(field, 6).code(), 3).code
