@@ -18,11 +18,11 @@ columns are the pivots of P, found on growing column prefixes of P: h
 columns, then 2h, 4h, ..., and finally all of P.  The leftmost pivots of a
 prefix are the leftmost pivots of P, so once a prefix holds h of them the
 rest of P is never reduced.  For an MDS code (every GRS code is one) the
-first h x h block is already P1.  The scaling gets only sigma and dials
-all targets in one stacked pass: one arrangement of the basis, one
-(T, k, n) stack of scaled generators and one stacked product for their
-T Gram matrices.  Each output's hull dimension is measured on itself as
-k - rank(G sigma(G)^T) from its own Gram matrix; a missed target is refused.
+first h x h block is already P1.  The scaling gets only sigma; one
+arrangement of the basis and one run of constants serve every target, and
+each target below h gets its own scaled generator G and its own Gram
+matrix G sigma(G)^T, so its hull dimension k - rank(G sigma(G)^T) is
+measured on that output; a missed target is refused.
 """
 
 from __future__ import annotations
@@ -41,7 +41,17 @@ from .errors import (
 )
 from .code import LinearCode, _frobenius_index, _hull_span
 from .field import digit_columns
-from .matrix import FieldMatrix, _columns_first, matmul, rank, rref, standard_form
+from .matrix import (
+    FieldMatrix,
+    _columns_first,
+    frobenius_entrywise,
+    matmul,
+    rank,
+    rref,
+    scale_columns,
+    standard_form,
+    transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -115,23 +125,17 @@ def arrange_p1_nonsingular(
     )
 
 
-def _scaled_stack(gen: FieldMatrix, weights: np.ndarray) -> np.ndarray:
-    """The (T, k, n) stack of gen with column j scaled by weights[t, j], for each row t."""
-    return gen.field.mul_array(gen.data, weights[:, None, :])
-
-
 def _scale_down(
     c: LinearCode, basis: FieldMatrix, targets: Iterable[int], sigma: int
 ) -> list[DialResult]:
     """Scale c so that its hull under a -> a^(p^sigma), spanned by ``basis``, drops to each target.
 
     Target t takes the first h - t of one prefix-stable run of constants x
-    with x^(p^sigma + 1) != 1.  All targets below h are dialed together: one
-    arrangement, one (T, k, n) stack of scaled generators, one Frobenius
-    call for their twists and one stacked matmul for their T Gram matrices.
-    Each Gram matrix is rank-checked on its own, so every output's hull
-    dimension k - rank(G sigma(G)^T) is measured on that output, and a
-    missed target is refused.
+    with x^(p^sigma + 1) != 1.  Every target below h is dialed from one
+    arrangement of the basis, in turn: its scaled generator G and its Gram
+    matrix G sigma(G)^T are formed, and its hull dimension
+    k - rank(G sigma(G)^T) is measured on that output; a missed target is
+    refused.
     """
     field, h, n = c.field, basis.rows, c.n
     lower = list(dict.fromkeys(t for t in targets if t != h))
@@ -139,21 +143,15 @@ def _scale_down(
     if lower:
         arranged, perm = arrange_p1_nonsingular(c, basis)
         constants = field.find_power_non_one(field.p**sigma + 1, h - min(lower))
-        weights = np.ones((len(lower), n), dtype=np.int64)
-        for row, target in zip(weights, lower):
-            row[: h - target] = constants[: h - target]
-        stack = _scaled_stack(arranged.gen, weights)
-        twisted = field.frobenius_array(stack, sigma)
-        gens = [FieldMatrix._trusted(field, g) for g in stack]
-        grams = matmul(gens, [FieldMatrix._trusted(field, t.T) for t in twisted])
-        for target, gen, gram in zip(lower, gens, grams):
-            achieved = c.k - rank(gram)
+        for target in lower:
+            lambdas = constants[: h - target]
+            v = lambdas + (1,) * (n - len(lambdas))
+            gen = scale_columns(arranged.gen, v)
+            achieved = c.k - rank(matmul(gen, transpose(frobenius_entrywise(gen, sigma))))
             if achieved != target:
                 raise VerificationFailedError(
                     f"scaling reached hull dimension {achieved}, wanted {target}"
                 )
-            lambdas = constants[: h - target]
-            v = lambdas + (1,) * (n - len(lambdas))
             out = LinearCode(field, gen, check=False)
             dialed[target] = DialResult(out, v, perm, target, achieved, lambdas)
     # target h is already verified: basis spans the hull, measured from
@@ -187,9 +185,11 @@ def _dials(
     for target in targets:
         if not 0 <= target <= h:
             raise BadTargetError(f"target hull dimension {target} outside [0, {h}]")
-    if kind == "hermitian" and c.field.subfield_order == 2 and min(targets, default=h) < h:
-        raise SmallFieldError("GF(4) has no element of norm != 1; need q >= 3")
-    return _scale_down(c, basis, targets, _frobenius_index(c.field, kind, l))
+    field, sigma = c.field, _frobenius_index(c.field, kind, l)
+    exponent = field.p**sigma + 1
+    if min(targets, default=h) < h and exponent % (field.order - 1) == 0:
+        raise SmallFieldError(f"no x in GF({field.order}) has x^{exponent} != 1 to scale by")
+    return _scale_down(c, basis, targets, sigma)
 
 
 def dial_hull(c: LinearCode, h: int) -> DialResult:
@@ -207,8 +207,9 @@ def dial_galois_hull(c: LinearCode, h: int, l: int) -> DialResult:
     """l-Galois variant of dial_hull for codes with C contained in C^perp_l.
 
     The scaling constants must satisfy x^(p^l + 1) != 1; if no such element
-    exists in the field, NoSuchElementError is raised (this is the exact
-    condition the construction needs, rather than a blanket q >= 3 rule).
+    exists in the field, SmallFieldError is raised before the arrangement,
+    as for dial_hull (this is the exact condition the construction needs,
+    rather than a blanket q >= 3 rule).
     """
     return _dials(c, "galois", l, [h], f"dial_galois_hull needs C inside its {l}-Galois dual")[0]
 

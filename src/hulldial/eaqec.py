@@ -170,9 +170,9 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
     """All records for l = 0 .. hull ceiling (k for self-orthogonal inputs).
 
     One Gram matrix picks the basis (G when it is zero, else the rows that
-    span the hull), and every l is dialed in one stacked pass from one
-    arrangement of it.  Each dialed code has its hull dimension measured by
-    the rank of its own Gram matrix, and gets its own witness digest.  Every
+    span the hull), and every l is dialed in turn from one arrangement of
+    it.  Each dialed code has its hull dimension measured by the rank of its
+    own Gram matrix, and gets its own witness digest.  Every
     dialed code is the input with its coordinates permuted and scaled by
     nonzero constants, which preserves the dual distance, so it is measured
     once, on the input.

@@ -66,7 +66,7 @@ class BadTargetError(HulldialError):
 
 
 class SmallFieldError(HulldialError):
-    """Base field GF(q) with q = 2 cannot supply scaling constants."""
+    """The field has no scaling constant x with x^(p^sigma + 1) != 1 for the form's twist."""
 
 
 class VerificationFailedError(HulldialError):

@@ -13,14 +13,14 @@ every product a * b at log a + log b as an int64 with each base-p digit in
 its own lane of floor(63/e) bits, so a plain integer sum of up to the
 field's ``lane_capacity`` products carries from no lane into the next
 (for p = 2 the code itself, summed by XOR, with no capacity bound).  One
-lookup forms the tensor of products a[s, i, t] * b[s, t, j] for a slice of
-t, with t leading when one rows x cols layer holds at least as many
-entries as t has values and last otherwise, and one reduction sums it
-over t; the slices' sums add up as integers until the capacity is
-reached, and one shift, mask and % p per digit reads them back as
-elements.  Slices hold at most ``_PRODUCT_BUDGET`` entries, and each later
-capacity's worth of terms is added with one ``add_array``, so the memory
-a product needs does not grow with its inner dimension or its stack.
+lookup forms the tensor of products a[i, t] * b[t, j] for a slice of t,
+with t leading when one rows x cols layer holds at least as many entries
+as t has values and last otherwise, and one reduction sums it over t; the
+slices' sums add up as integers until the capacity is reached, and one
+shift, mask and % p per digit reads them back as elements.  Slices hold at
+most ``_PRODUCT_BUDGET`` entries, and each later capacity's worth of terms
+is added with one ``add_array``, so the memory a product needs does not
+grow with its inner dimension.
 
 Results whose entries are valid by construction (field-table lookups, or
 entries of an already checked matrix) are wrapped with
@@ -183,78 +183,47 @@ def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 _PRODUCT_BUDGET = 1 << 16
 
 
-def matmul(a, b):
-    """Matrix product over the shared field, or the products of two stacks.
+def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """Matrix product over the shared field.
 
-    ``a`` and ``b`` are FieldMatrix operands, giving a FieldMatrix; or two
-    equally long sequences of equally shaped FieldMatrix operands, a stack
-    of T (rows, inner) and one of T (inner, cols) matrices, giving the list
-    of the T products a[s] @ b[s].  One kernel computes both: it takes as
-    many stack entries at once as fit max(1, _PRODUCT_BUDGET // (rows *
-    cols)), and the inner index t of that group in slices of max(1,
-    _PRODUCT_BUDGET // (group * rows * cols)) values, at most the field's
-    ``lane_capacity``.  One ``Field.dot_lanes`` call takes the logs of a
-    slice, looks up its products in the lane table and sums the slice axis
-    in one integer reduction, adding the result to the lane sums of the
-    slices before it: (slice, group, rows, cols) when rows * cols >= inner,
-    so a few terms add up as whole layers, else (group, rows, cols, slice),
-    so each entry sums a long row.  Every whole number of slices that fits
-    the lane capacity is read back as elements once, and one
-    ``add_array`` call adds each later such chunk to the first
-    (capacities fall below the budget only for odd p with e >= 3).  So
-    the tensor held at once never exceeds the budget, or one rows x cols
-    layer when that alone is larger, whatever the inner dimension.  The
-    sums are valid entries by construction, so the results are wrapped
-    without re-validating them.
+    The inner index t is taken in slices of max(1, _PRODUCT_BUDGET // (rows
+    * cols)) values, at most the field's ``lane_capacity``.  One
+    ``Field.dot_lanes`` call takes the logs of a slice, looks up its
+    products in the lane table and sums the slice axis in one integer
+    reduction, adding the result to the lane sums of the slices before it:
+    (slice, rows, cols) when rows * cols >= inner, so a few terms add up as
+    whole layers, else (rows, cols, slice), so each entry sums a long row.
+    Every whole number of slices that fits the lane capacity is read back
+    as elements once, and one ``add_array`` call adds each later such chunk
+    to the first (capacities fall below the budget only for odd p with
+    e >= 3).  So the tensor held at once never exceeds the budget, or one
+    rows x cols layer when that alone is larger, whatever the inner
+    dimension.  The sums are valid entries by construction, so the result
+    is wrapped without re-validating it.
     """
-    stacked = not isinstance(a, FieldMatrix)
-    if stacked:
-        if len(a) != len(b):
-            raise ShapeMismatchError(f"cannot multiply a stack of {len(a)} by one of {len(b)}")
-        if not a:
-            return []
-        if len({m.shape for m in a}) > 1 or len({m.shape for m in b}) > 1:
-            raise ShapeMismatchError("stacked operands must share one shape")
-    else:
-        a, b = [a], [b]
-    field = a[0].field
-    for m in (*a, *b):
-        ensure_same_field(field, m.field)
-    if a[0].cols != b[0].rows:
-        raise ShapeMismatchError(f"cannot multiply {a[0].shape} by {b[0].shape}")
-    if stacked:
-        A, B = np.stack([m.data for m in a]), np.stack([m.data for m in b])
-    else:
-        A, B = a[0].data[None], b[0].data[None]
-    (size, rows, inner), cols = A.shape, B.shape[2]
+    field = a.field
+    ensure_same_field(field, b.field)
+    if a.cols != b.rows:
+        raise ShapeMismatchError(f"cannot multiply {a.shape} by {b.shape}")
+    (rows, inner), cols = a.shape, b.cols
     layer = max(1, rows * cols)
     axis = 0 if layer >= inner else -1
-    if axis == 0:  # (inner, size, rows, 1) and (inner, size, 1, cols)
-        A, B = A.transpose(2, 0, 1)[..., None], B.transpose(1, 0, 2)[:, :, None]
-    else:  # (size, rows, 1, inner) and (size, 1, cols, inner)
-        A, B = A[:, :, None, :], B.swapaxes(1, 2)[:, None]
-    group = max(1, _PRODUCT_BUDGET // layer)
+    if axis == 0:  # (inner, rows, 1) and (inner, 1, cols)
+        A, B = a.data.T[:, :, None], b.data[:, None]
+    else:  # (rows, 1, inner) and (1, cols, inner)
+        A, B = a.data[:, None], b.data.T[None]
     capacity = field.lane_capacity
-    out = []
-    for g in range(0, size, group):
-        stack = np.s_[:, g : g + group] if axis == 0 else np.s_[g : g + group]
-        Ag, Bg = A[stack], B[stack]
-        step = min(capacity, max(1, _PRODUCT_BUDGET // (min(group, size - g) * layer)))
-        chunk = capacity // step * step  # whole slices, at most capacity terms
-        acc = None
-        for c in range(0, inner, chunk):
-            lanes = None
-            for s in range(c, min(c + chunk, inner), step):
-                t = np.s_[s : s + step] if axis == 0 else np.s_[..., s : s + step]
-                lanes = field.dot_lanes(Ag[t], Bg[t], lanes, axis)
-            sums = field.from_lanes(lanes)
-            acc = sums if c == 0 else field.add_array(acc, sums)
-        out.append(acc)
-    if not inner:  # sums of no terms
-        out = [np.zeros((size, rows, cols), dtype=np.int64)]
-    out = out[0] if len(out) == 1 else np.concatenate(out)  # one group's read-back, uncopied
-    products = [FieldMatrix._trusted(field, m) for m in out]
-    return products if stacked else products[0]
+    step = min(capacity, max(1, _PRODUCT_BUDGET // layer))
+    chunk = capacity // step * step  # whole slices, at most capacity terms
+    out = np.zeros((rows, cols), dtype=np.int64)  # the sums of no terms, if inner is 0
+    for c in range(0, inner, chunk):
+        lanes = None
+        for s in range(c, min(c + chunk, inner), step):
+            t = np.s_[s : s + step] if axis == 0 else np.s_[..., s : s + step]
+            lanes = field.dot_lanes(A[t], B[t], lanes, axis)
+        sums = field.from_lanes(lanes)
+        out = sums if c == 0 else field.add_array(out, sums)
+    return FieldMatrix._trusted(field, out)
 
 
 def transpose(m: FieldMatrix) -> FieldMatrix:

@@ -305,7 +305,7 @@ def test_construct_refuses_a_missing_family_parameter(capsys, family, params, mi
 def test_dial_refusals_keep_their_error_types(tmp_path, capsys):
     from hulldial.code import LinearCode
     from hulldial.dial import dial_galois_hull, dial_hull, reduce_hull
-    from hulldial.errors import NoSuchElementError, NotSelfOrthogonalError, SmallFieldError
+    from hulldial.errors import NotSelfOrthogonalError, SmallFieldError
     from hulldial.field import make_field
 
     # the [7, 3] GF(9) code has a 1-dimensional l-Galois hull for l = 0 and 1
@@ -318,20 +318,24 @@ def test_dial_refusals_keep_their_error_types(tmp_path, capsys):
         assert code == 1 and out == ""
         assert err == f"hulldial: error: dial_galois_hull needs C inside its {l}-Galois dual\n"
     # (1, 1) over GF(4) is self-orthogonal under every form; a Hermitian
-    # scaling needs x^3 != 1, which no element of GF(4) has
+    # scaling needs x^3 != 1, which no element of GF(4) has, and so does
+    # the 1-Galois one (its twist is conjugation too): each entry point
+    # refuses before arranging anything
+    from hulldial import dial as dial_module
+
     gf4 = LinearCode(make_field(2, 2), [[1, 1]])
-    for dial in (dial_hull, reduce_hull):
-        with pytest.raises(SmallFieldError):
-            dial(gf4, 0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dial_module, "arrange_p1_nonsingular", _must_not_run)
+        for dial in (dial_hull, reduce_hull, lambda c, h: dial_galois_hull(c, h, 1)):
+            with pytest.raises(SmallFieldError):
+                dial(gf4, 0)
     gf4_file = tmp_path / "gf4.json"
     gf4_file.write_text(json.dumps(gf4.to_dict()))
-    code, out, err = _run(capsys, "dial", str(gf4_file), "--h", "0")
-    assert code == 1 and out == ""
-    assert err == "hulldial: error: GF(4) has no element of norm != 1; need q >= 3\n"
-    # the 1-Galois twist of GF(4) is conjugation too, but that refusal names
-    # the missing element itself; the 0-Galois form has constants to scale by
-    with pytest.raises(NoSuchElementError):
-        dial_galois_hull(gf4, 0, 1)
+    for galois in ([], ["--galois-l", "1"]):
+        code, out, err = _run(capsys, "dial", str(gf4_file), "--h", "0", *galois)
+        assert code == 1 and out == ""
+        assert err == "hulldial: error: no x in GF(4) has x^3 != 1 to scale by\n"
+    # the 0-Galois form has constants to scale by
     assert dial_galois_hull(gf4, 0, 0).achieved_h == 0
 
 
@@ -515,6 +519,9 @@ def _golden_cases():
     yield "construct", "q7_evensubgroup_k2", ["construct", "--q", "7", "--family",
                                               "even-subgroup", "--k", "2", "--m", "6"]
     yield "rs16", "dial_galois_l0_h1", ["dial", "--h", "1", "--galois-l", "0"]
+    # a 16-target sweep of the full-field [256, 15] code at q = 16, recorded
+    # while every target was still dialed from one (T, k, n) stack
+    yield "rs256", "eaqec_json", ["eaqec", "--format", "json"]
     # found by the solver's second random pass, which draws nonzero digits
     # only; checked on its own below
     yield "construct", "q13_q2plus1_k3", ["construct", "--q", "13", "--family", "q2plus1",
@@ -529,11 +536,21 @@ def _golden_cases():
     yield "table", "q9_nogeneric", ["table", "--q", "9", "--no-generic", "--format", "pretty"]
 
 
+#: Codes too long to keep as golden files, built by construct for each run
+_CONSTRUCTED = {"rs256": ["--q", "16", "--family", "full-field", "--k", "15"]}
+
+
 @pytest.mark.parametrize(
     "name,tag,argv", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _golden_cases()]
 )
-def test_golden_cli_bytes(capsys, name, tag, argv):
-    files = [] if name in ("construct", "table") else [str(GOLDEN_CLI / f"{name}_code.json")]
+def test_golden_cli_bytes(capsys, tmp_path, name, tag, argv):
+    if name in ("construct", "table"):
+        files = []
+    elif name in _CONSTRUCTED:
+        files = [str(tmp_path / "code.json")]
+        assert _run(capsys, "construct", *_CONSTRUCTED[name], "--out", files[0])[0] == 0
+    else:
+        files = [str(GOLDEN_CLI / f"{name}_code.json")]
     code, out, _ = _run(capsys, argv[0], *files, *argv[1:])
     assert code == 0
     if "--format" in argv:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -577,20 +579,28 @@ def test_norm_one_constants_are_refused(monkeypatch, self_orthogonal_corpus):
                 run()
 
 
-def _corrupting(monkeypatch, unit, which=slice(None)):
-    """Make dial's scaled stack put back the unit-th norm-1 element in place
-    of the first scaled coordinate of row 0, in the generators stack[which]."""
-    build = dial._scaled_stack
+def _corrupting(monkeypatch, unit, which=None):
+    """Make dial's per-target scaling put back the unit-th norm-1 element in
+    place of the first scaled coordinate of row 0, in every output or, for
+    a self-orthogonal input (whose hull is the whole code), in the output
+    for target ``which`` alone.  Returns the targets it corrupted."""
+    scale, corrupted_targets = dial.scale_columns, []
 
-    def corrupted(gen, weights):
-        stack = build(gen, weights)
+    def corrupted(gen, v):
+        out = scale(gen, v)
+        target = gen.rows - sum(x != 1 for x in v)  # the constants are never 1
+        if which is not None and target != which % gen.rows:
+            return out
+        corrupted_targets.append(target)
         field = gen.field
         exponent = field.subfield_order + 1
         units = [x for x in range(1, field.order) if field.pow(x, exponent) == 1]
-        stack[which, 0, 0] = units[unit - 1]
-        return stack
+        data = out.data.copy()
+        data[0, 0] = units[unit - 1]
+        return FieldMatrix(field, data)
 
-    monkeypatch.setattr(dial, "_scaled_stack", corrupted)
+    monkeypatch.setattr(dial, "scale_columns", corrupted)
+    return corrupted_targets
 
 
 @pytest.mark.parametrize("unit", [1, 2])
@@ -607,16 +617,38 @@ def test_corrupted_output_entry_is_refused(monkeypatch, self_orthogonal_corpus, 
 
 @pytest.mark.parametrize("unit", [1, 2])
 def test_one_corrupted_target_of_a_sweep_is_refused(monkeypatch, self_orthogonal_corpus, unit):
-    # every target below k but one is dialed correctly: the stacked pass
-    # still measures each output on itself and refuses the sweep
+    # every target below k but one is dialed correctly: the sweep still
+    # measures each output on itself and refuses the sweep
     swept = 0
     for which in (0, -1):  # target 0 alone, or target k - 1 alone
         with monkeypatch.context() as m:
-            _corrupting(m, unit, which)
+            corrupted = _corrupting(m, unit, which)
             for tag, code in self_orthogonal_corpus:
                 if code.k < 2:
                     continue
                 swept += 1
+                corrupted.clear()
                 with pytest.raises(VerificationFailedError):
                     eaqec_sweep(code)
+                assert corrupted == [which % code.k], tag
     assert swept
+
+
+def test_a_sweep_holds_one_target_at_a_time():
+    # the full-field [1024, 31] code at q = 32 has 31 targets below its
+    # hull: their generators take 7.5 MiB, and dialing them one by one
+    # holds little more (a (T, k, n) stack of them and its conjugate would
+    # add about 24 MiB)
+    field = make_quadratic_field(32)
+    dial._hermitian_dials(full_field_rs(field, 31).code())  # builds the field's tables
+    code = full_field_rs(field, 31).code()
+    tracemalloc.start()
+    try:
+        dials = dial._hermitian_dials(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.achieved_h for r in dials] == list(range(32))
+    outputs = sum(r.code.gen.data.nbytes for r in dials if r.code is not code)
+    assert outputs == 31 * 31 * 1024 * 8
+    assert peak - outputs <= 4 * 2**20, f"peak {peak} bytes, outputs {outputs}"

@@ -73,12 +73,12 @@ _MATMUL_FIELDS = [make_field(2, 2), make_field(3, 2), make_field(2, 8),
                   make_field(7, 1), make_field(5, 4), make_field(3, 6), make_field(3, 12)]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(
     field=st.sampled_from(_MATMUL_FIELDS),
     shape=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
     # small budgets cut the inner axis into slices of every length
-    budget=st.sampled_from([1, 2, 3, 5, 8, 13, matrix._PRODUCT_BUDGET]),
+    budget=st.sampled_from([1, 2, 3, 5, 8, 13, 40, matrix._PRODUCT_BUDGET]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_matmul_matches_scalar_oracle(field, shape, budget, seed):
@@ -94,12 +94,17 @@ def test_matmul_matches_scalar_oracle(field, shape, budget, seed):
     assert out.tolist() == poly_matmul(field, a, b)
 
 
-def _stack_case(field, size, rows, inner, cols, seed):
+def _pairs(field, count, rows, inner, cols, seed):
+    """``count`` random (rows x inner, inner x cols) operand pairs, a third
+    of the left entries zero."""
     rng = np.random.default_rng(seed)
-    a = rng.integers(0, field.order, size=(size, rows, inner))
-    b = rng.integers(0, field.order, size=(size, inner, cols))
-    a[rng.random(a.shape) < 0.3] = 0
-    return [FieldMatrix(field, m) for m in a], [FieldMatrix(field, m) for m in b]
+    pairs = []
+    for _ in range(count):
+        a = rng.integers(0, field.order, size=(rows, inner))
+        b = rng.integers(0, field.order, size=(inner, cols))
+        a[rng.random(a.shape) < 0.3] = 0
+        pairs.append((FieldMatrix(field, a), FieldMatrix(field, b)))
+    return pairs
 
 
 def _kernel_calls(monkeypatch, field):
@@ -117,51 +122,19 @@ def _kernel_calls(monkeypatch, field):
     return shapes, adds
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    field=st.sampled_from(_MATMUL_FIELDS),
-    shape=st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 5), st.integers(0, 4)),
-    # small budgets split the stack into groups and cut the inner axis into slices
-    budget=st.sampled_from([1, 2, 3, 5, 8, 13, 40, matrix._PRODUCT_BUDGET]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_stacked_matmul_matches_separate_products_and_oracle(field, shape, budget, seed):
-    size, rows, inner, cols = shape
-    a, b = _stack_case(field, size, rows, inner, cols, seed)
-    with mock.patch.object(matrix, "_PRODUCT_BUDGET", budget):
-        stacked = matmul(a, b)
-        separate = [matmul(x, y) for x, y in zip(a, b)]
-    assert stacked == separate
-    assert [m.tolist() for m in stacked] == [
-        poly_matmul(field, x.data, y.data) for x, y in zip(a, b)
-    ]
-
-
-@pytest.mark.parametrize("size, rows, inner, cols", [
-    (3, 4, 1500, 5),  # 3 * 4 * 5 entries a layer: the budget cuts inner into 1092-wide slices
-    (1, 3, 7, 2),  # a stack of one
-    (4, 0, 6, 3),  # no rows
-    (2, 3, 0, 4),  # empty inner dimension: zero products
+@pytest.mark.parametrize("rows, inner, cols", [
+    (12, 1500, 5),  # 12 * 5 entries a layer: the budget cuts inner into 1092-wide slices
+    (0, 6, 3),  # no rows
+    (3, 0, 4),  # empty inner dimension: zero products
 ])
-def test_stacked_matmul_edge_stacks(monkeypatch, gf9, size, rows, inner, cols):
-    a, b = _stack_case(gf9, size, rows, inner, cols, seed=size * 1000 + inner)
+def test_matmul_edge_cases(monkeypatch, gf9, rows, inner, cols):
+    ((a, b),) = _pairs(gf9, 1, rows, inner, cols, seed=rows * 1000 + inner)
     shapes, _ = _kernel_calls(monkeypatch, gf9)
-    stacked = matmul(a, b)
-    assert [m.shape for m in stacked] == [(rows, cols)] * size
+    out = matmul(a, b)
+    assert out.shape == (rows, cols)
     assert max((math.prod(s) for s, _ in shapes), default=0) <= matrix._PRODUCT_BUDGET
-    assert stacked == [matmul(x, y) for x, y in zip(a, b)]
-    assert [m.tolist() for m in stacked] == [
-        poly_matmul(gf9, x.data, y.data) for x, y in zip(a, b)
-    ]
-
-
-def test_stacked_matmul_tensor_stays_within_budget_or_one_layer(monkeypatch, gf9):
-    # one rows x cols layer (300 * 300) is past the budget: one layer at a time
-    a, b = _stack_case(gf9, 2, 300, 3, 300, seed=5)
-    shapes, _ = _kernel_calls(monkeypatch, gf9)
-    stacked = matmul(a, b)
-    assert max(math.prod(s) for s, _ in shapes) == 300 * 300 > matrix._PRODUCT_BUDGET
-    assert stacked == [matmul(x, y) for x, y in zip(a, b)]
+    assert sum(s[axis] for s, axis in shapes) == inner
+    assert out.tolist() == poly_matmul(gf9, a.data, b.data)
 
 
 def test_matmul_checks_field_equality_not_identity():
@@ -169,28 +142,12 @@ def test_matmul_checks_field_equality_not_identity():
     one, twin = Field(3, 2), Field(3, 2)
     other = Field(3, 2, modulus=(2, 1, 1))  # x^2 + x + 2, irreducible over GF(3)
     assert one is not twin and one == twin and one != other
-    a, b = _stack_case(one, 2, 2, 3, 2, seed=3)
-    b_twin = [FieldMatrix(twin, m.data) for m in b]
+    ((a, b),) = _pairs(one, 1, 2, 3, 2, seed=3)
     want = matmul(a, b)
-    assert matmul(a[0], b_twin[0]) == want[0]
-    assert matmul(a, b_twin) == want
+    assert matmul(a, FieldMatrix(twin, b.data)) == want
+    assert matmul(FieldMatrix(twin, a.data), b) == want
     with pytest.raises(SpecMismatchError):
-        matmul(a[0], FieldMatrix(other, b[0].data))
-    with pytest.raises(SpecMismatchError):
-        matmul(a, [b[0], FieldMatrix(other, b[1].data)])
-
-
-def test_stacked_matmul_errors(gf9, gf25):
-    a, b = _stack_case(gf9, 2, 2, 3, 2, seed=1)
-    assert matmul([], []) == []
-    with pytest.raises(ShapeMismatchError):
-        matmul(a, b[:1])
-    with pytest.raises(ShapeMismatchError):
-        matmul(a, [b[0], FieldMatrix.zeros(gf9, 3, 3)])
-    with pytest.raises(ShapeMismatchError):
-        matmul(a, a)
-    with pytest.raises(SpecMismatchError):
-        matmul(a, [b[0], FieldMatrix.zeros(gf25, 3, 2)])
+        matmul(a, FieldMatrix(other, b.data))
 
 
 def test_matmul_memory_does_not_grow_with_the_inner_dimension():
@@ -218,7 +175,7 @@ def test_matmul_sums_each_slice_in_one_reduction(monkeypatch):
     gram = gram_matrix(code)
     assert not np.any(gram.data)  # the [169, 6] full-field code is self-orthogonal
     # one reduction over the last axis, nothing to add
-    assert (shapes, adds) == ([((1, 6, 6, code.n), -1)], [])
+    assert (shapes, adds) == ([((6, 6, code.n), -1)], [])
     # whatever the inner length: 3 * 3 entries a layer leave room for
     # 7281-term slices, and GF(13^2) lanes hold far more terms than that,
     # so the slices' lane sums add up as integers, with no add_array
@@ -263,20 +220,24 @@ def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
     assert capacity == {729: 511, 3**12: 15, 625: 8191}[field.order]
 
 
-def _layout_case(field, size, rows, inner, cols, seed):
-    """Operands as 2-D matrices (size None) or stacks, with every digit p - 1
-    on a fifth of the entries: lane sums as full as a random case gets."""
+def _layout_case(field, count, rows, inner, cols, seed):
+    """``count or 1`` operand pairs, with every digit p - 1 on a fifth of
+    the entries: lane sums as full as a random case gets."""
     rng = np.random.default_rng(seed)
-    stacks = []
-    for shape in ((size or 1, rows, inner), (size or 1, inner, cols)):
-        m = rng.integers(0, field.order, size=shape)
-        m[rng.random(shape) < 0.2] = field.order - 1
-        stacks.append([FieldMatrix(field, x) for x in m])
-    return stacks if size else (stacks[0][0], stacks[1][0])
+    pairs = []
+    for _ in range(count or 1):
+        pair = []
+        for shape in ((rows, inner), (inner, cols)):
+            m = rng.integers(0, field.order, size=shape)
+            m[rng.random(shape) < 0.2] = field.order - 1
+            pair.append(FieldMatrix(field, m))
+        pairs.append(tuple(pair))
+    return pairs
 
 
 @pytest.mark.parametrize("field", _LANE_FIELDS, ids=_LANE_IDS)
-@pytest.mark.parametrize("size, rows, inner, cols, axis", [
+# count operand pairs of each shape (one for None)
+@pytest.mark.parametrize("count, rows, inner, cols, axis", [
     # one rows x cols layer at least as large as the inner dimension: t leads
     (None, 4, 0, 30, 0),
     (None, 3, 1, 40, 0),
@@ -292,16 +253,15 @@ def _layout_case(field, size, rows, inner, cols, seed):
     (4, 3, 40, 3, -1),
 ])
 def test_matmul_layout_follows_the_layer_and_matches_the_oracle(
-    monkeypatch, field, size, rows, inner, cols, axis
+    monkeypatch, field, count, rows, inner, cols, axis
 ):
-    a, b = _layout_case(field, size, rows, inner, cols, seed=rows * 1000 + inner)
     shapes, _ = _kernel_calls(monkeypatch, field)
-    out = matmul(a, b)
-    assert {summed for _, summed in shapes} == ({axis} if inner else set())
-    assert sum(s[summed] for s, summed in shapes) == inner
-    pairs = zip(a, b) if size else [(a, b)]
-    want = [poly_matmul(field, x.data, y.data) for x, y in pairs]
-    assert [m.tolist() for m in out] == want if size else out.tolist() == want[0]
+    for a, b in _layout_case(field, count, rows, inner, cols, seed=rows * 1000 + inner):
+        shapes.clear()
+        out = matmul(a, b)
+        assert {summed for _, summed in shapes} == ({axis} if inner else set())
+        assert sum(s[summed] for s, summed in shapes) == inner
+        assert out.tolist() == poly_matmul(field, a.data, b.data)
 
 
 @pytest.mark.parametrize("rows, inner, cols", [(1, 2**14, 2), (300, 3, 200)],
@@ -320,21 +280,24 @@ def test_matmul_layouts_against_integer_products(monkeypatch, rows, inner, cols)
     assert len(adds) == math.ceil(inner / 8191) - 1
 
 
-@pytest.mark.parametrize("size, rows, inner, cols, axis", [
+# count operand pairs of each shape
+@pytest.mark.parametrize("count, rows, inner, cols, axis", [
     (3, 20, 4, 30, 0),
     (5, 8, 9, 8, 0),
     (3, 2, 500, 3, -1),
     (2, 1, 2000, 1, -1),
+    (1, 300, 3, 300, 0),  # one 300 x 300 layer is past the default budget
 ])
 @pytest.mark.parametrize("budget", [1, 7, 100, 1000, 5000, matrix._PRODUCT_BUDGET])
 def test_matmul_tensor_stays_within_budget_or_one_layer_in_both_layouts(
-    monkeypatch, gf9, size, rows, inner, cols, axis, budget
+    monkeypatch, gf9, count, rows, inner, cols, axis, budget
 ):
-    a, b = _stack_case(gf9, size, rows, inner, cols, seed=budget + inner)
-    want = [matmul(x, y) for x, y in zip(a, b)]
+    pairs = _pairs(gf9, count, rows, inner, cols, seed=budget + inner)
+    with mock.patch.object(matrix, "_PRODUCT_BUDGET", rows * inner * cols):
+        want = [matmul(a, b) for a, b in pairs]  # each whole product tensor at once
     shapes, _ = _kernel_calls(monkeypatch, gf9)
     monkeypatch.setattr(matrix, "_PRODUCT_BUDGET", budget)
-    assert matmul(a, b) == want
+    assert [matmul(a, b) for a, b in pairs] == want
     assert {summed for _, summed in shapes} == {axis}
     assert max(math.prod(s) for s, _ in shapes) <= max(budget, rows * cols)
 
