@@ -122,6 +122,28 @@ def _kernel_calls(monkeypatch, field):
     return shapes, adds
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(_MATMUL_FIELDS),
+    shape=st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 5), st.integers(0, 4)),
+    # small budgets cut the inner axis into slices
+    budget=st.sampled_from([1, 2, 3, 5, 8, 13, 40, matrix._PRODUCT_BUDGET]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_matmul_matches_separate_products_and_oracle(field, shape, budget, seed):
+    # a run of same-shape products, as a dial sweep makes them one target
+    # at a time: under any budget each equals its product at the default
+    # budget and the scalar oracle, whatever was multiplied before it
+    count, rows, inner, cols = shape
+    pairs = _pairs(field, count, rows, inner, cols, seed)
+    with mock.patch.object(matrix, "_PRODUCT_BUDGET", budget):
+        stacked = [matmul(x, y) for x, y in pairs]
+    assert stacked == [matmul(x, y) for x, y in pairs]
+    assert [m.tolist() for m in stacked] == [
+        poly_matmul(field, x.data, y.data) for x, y in pairs
+    ]
+
+
 @pytest.mark.parametrize("rows, inner, cols", [
     (12, 1500, 5),  # 12 * 5 entries a layer: the budget cuts inner into 1092-wide slices
     (0, 6, 3),  # no rows
