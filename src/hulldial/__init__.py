@@ -30,7 +30,7 @@ from .errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from .field import Field, make_field, make_quadratic_field
+from .field import Field, make_quadratic_field
 from .matrix import (
     FieldMatrix,
     conj_transpose,

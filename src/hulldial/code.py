@@ -47,9 +47,7 @@ from .matrix import (
     null_space,
     permute_columns,
     rank,
-    row_space_contains,
     rref,
-    same_row_space,
     scale_columns,
     standard_form,
     transpose,
@@ -127,13 +125,6 @@ class LinearCode:
     def full(cls, field: Field, n: int) -> "LinearCode":
         return cls(field, FieldMatrix.identity(field, n))
 
-    def same_code(self, other: "LinearCode") -> bool:
-        """Row-space equality (the right notion of code equality)."""
-        return same_row_space(self.gen, other.gen)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return row_space_contains(self.gen, vec)
-
     def to_dict(self) -> dict:
         return {
             "field": self.field.to_dict(),
@@ -144,9 +135,11 @@ class LinearCode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearCode":
-        """Load the to_dict layout.  Keys, JSON types, sizes (n at most
-        MAX_CODE_LENGTH) and coefficient ranges [0, p) are checked before any
-        entry is converted."""
+        """Load the to_dict layout in one checked pass, in this order, before
+        any entry is converted: keys and JSON types; sizes (n at most
+        MAX_CODE_LENGTH); every coefficient an int (true is none) in [0, p);
+        the field; at most e digits per entry (fewer are leading zeros).  The
+        generator is then read in one array step and its rank checked."""
         spec, gen = _json_value(d, "field", dict), _json_value(d, "generator", dict)
         n, k = _json_value(d, "n", int), _json_value(d, "k", int)
         rows, cols = _json_value(gen, "rows", int), _json_value(gen, "cols", int)
@@ -156,14 +149,23 @@ class LinearCode:
                 f"[n, k] = [{n}, {k}] with a {rows} x {cols} generator of {len(entries)} "
                 f"entries (needs 0 <= k <= n <= {MAX_CODE_LENGTH})"
             )
-        arrays = (modulus, *entries)
-        if not all(type(cs) is list and all(type(x) is int for x in cs) for cs in arrays):
+        if not set(map(type, entries)) <= {list}:
+            raise MalformedCodeError("coefficient arrays must be lists of integers")
+        coeffs = list(itertools.chain(modulus, *entries))
+        if not set(map(type, coeffs)) <= {int}:
             raise MalformedCodeError("coefficient arrays must be lists of integers")
         p = _json_value(spec, "p", int)
-        if not all(0 <= x < p for cs in arrays for x in cs):
+        if coeffs and not 0 <= min(coeffs) <= max(coeffs) < p:
             raise MalformedCodeError(f"coefficients must lie in [0, p) = [0, {p})")
         field = Field(p, _json_value(spec, "e", int), modulus)
-        return cls(field, FieldMatrix.from_dict(field, gen))
+        e = field.e
+        lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+        if np.any(over := lengths > e):
+            raise ValueError(f"expected at most {e} coefficients, got {lengths[over.argmax()]}")
+        digits = np.zeros((len(entries), e), dtype=np.int64)
+        digits[np.arange(e) < lengths[:, None]] = coeffs[len(modulus):]
+        values = (digits @ p ** np.arange(e, dtype=np.int64)).reshape(k, n)
+        return cls(field, FieldMatrix._trusted(field, values))
 
 
 @dataclass(frozen=True)

@@ -323,9 +323,6 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self._tables["inv"][a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         """a**n with the convention 0**0 = 1; negative n inverts a first."""
         self._check(a)
@@ -465,10 +462,10 @@ class Field:
         """
         p, e, m = self.p, self.e, self.order - 1
         g = self.coeffs(self.primitive_element())
-        x_powers = ((0,) * i + (1,) for i in range(e))
-        times_g = np.array(
-            [self.coeffs(self.element(_pmulmod(g, xi, self.modulus, p))) for xi in x_powers]
-        )
+        times_g = np.zeros((e, e), dtype=np.int64)
+        for i in range(e):  # digits of g * x^i
+            gx = _pmulmod(g, (0,) * i + (1,), self.modulus, p)
+            times_g[i, : len(gx)] = gx
 
         def images(lo: int, hi: int) -> np.ndarray:  # digits of g*a, a in span(x^lo..x^(hi-1))
             vals = np.arange(p ** (hi - lo), dtype=np.int64)
@@ -543,11 +540,8 @@ class Field:
             return exp, 1, sys.maxsize
         width, lanes = 63 // e, exp
         if e > 1:
-            values, packed = np.arange(self.order, dtype=np.int64), 0
-            for j in range(e):
-                values, digit = np.divmod(values, p)
-                packed = packed + (digit << (width * j))
-            lanes = np.take(packed, exp)
+            shifts = np.int64(1) << width * np.arange(e, dtype=np.int64)
+            lanes = np.take(digit_columns(np.arange(self.order), p, e) @ shifts, exp)
         return lanes, width, ((1 << width) - 1) // (p - 1)
 
     @property
@@ -643,11 +637,6 @@ class Field:
         first = np.array(["[" + t + sep for t in texts(w)], dtype=object)
         second = np.array([t + "]" for t in texts(self.e - w)], dtype=object)
         return first, second, self.p**w
-
-
-def make_field(p: int, e: int) -> Field:
-    """GF(p^e) with the canonical (lexicographically smallest) modulus."""
-    return Field(p, e)
 
 
 def _check_base_field(q: int, least: int) -> None:

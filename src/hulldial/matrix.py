@@ -22,10 +22,10 @@ most ``_PRODUCT_BUDGET`` entries, and each later capacity's worth of terms
 is added with one ``add_array``, so the memory a product needs does not
 grow with its inner dimension.
 
-Results whose entries are valid by construction (field-table lookups, or
-entries of an already checked matrix) are wrapped with
-``FieldMatrix._trusted``; only the constructor that user data reaches,
-``FieldMatrix(field, data)``, copies and range-checks.
+Results whose entries are valid by construction (field-table lookups,
+entries of an already checked matrix, or digits ``LinearCode.from_dict``
+has checked) are wrapped with ``FieldMatrix._trusted``; the constructor
+``FieldMatrix(field, data)`` copies and range-checks any other data.
 
 Each matrix is row-reduced at most once: ``rref`` keeps its result on the
 matrix it reduced, so ``rank``, ``null_space`` and ``standard_form`` of one
@@ -125,17 +125,6 @@ class FieldMatrix:
     def to_dict(self) -> dict:
         coeffs = digit_columns(self.data.reshape(-1), self.field.p, self.field.e)
         return {"rows": self.rows, "cols": self.cols, "entries": coeffs.tolist()}
-
-    @classmethod
-    def from_dict(cls, field: Field, d: dict) -> "FieldMatrix":
-        rows, cols = int(d["rows"]), int(d["cols"])
-        if not all(0 <= x < field.p for cs in d["entries"] for x in cs):
-            raise ValueError(f"matrix coefficients outside the field's digit range [0, {field.p})")
-        entries = [field.element(c) for c in d["entries"]]
-        if len(entries) != rows * cols:
-            raise ShapeMismatchError("entry count does not match rows*cols")
-        arr = np.array(entries, dtype=np.int64).reshape(rows, cols)
-        return cls(field, arr)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hulldial import code, dial, eaqec, matrix
-from hulldial.field import make_field, make_quadratic_field
+from hulldial.field import Field, make_quadratic_field
 from hulldial.code import LinearCode
 from hulldial.grs import MultiplierProblem, construct_family, full_field_rs, solve_multipliers
 
 
 @pytest.fixture(scope="session")
 def gf9():
-    return make_field(3, 2)
+    return Field(3, 2)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ is one for the columns the hull arrangement picks; it row-reduces all of P
 with the library's own ``rref``.  ``dials_from_measured_hull`` is one for
 the Hermitian dials of any code; it scales down the canonical basis that
 ``hull`` reports, with the library's own dialing core.
+``reference_code_from_dict`` is one for reading a code file; it converts
+each entry with ``Field.element``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,20 @@ import math
 
 import numpy as np
 
-from hulldial.errors import RankDeficientError, VerificationFailedError
+from hulldial.errors import (
+    MalformedCodeError,
+    RankDeficientError,
+    ShapeMismatchError,
+    VerificationFailedError,
+)
 from hulldial.field import Field
-from hulldial.code import LinearCode, hull, is_hermitian_self_orthogonal
+from hulldial.code import (
+    MAX_CODE_LENGTH,
+    LinearCode,
+    _json_value,
+    hull,
+    is_hermitian_self_orthogonal,
+)
 from hulldial.dial import _scale_down
 from hulldial.matrix import FieldMatrix, matmul, rref, standard_form
 from hulldial.grs import _CHUNK, PREFIX_SCAN_BUDGET, RANDOM_BUDGET, MultiplierProblem
@@ -274,7 +287,7 @@ def gram_by_power_sums(field: Field, points, k: int) -> list[list[int]]:
 def subfield_coordinates(field: Field, z: int) -> tuple[int, int]:
     """Coordinates (z0, z1) of z in the GF(q)-basis {1, x}: z = z0 + z1*x."""
     beta = field.extension_generator()
-    z1 = field.div(field.sub(z, field.conj(z)), field.sub(beta, field.conj(beta)))
+    z1 = field.mul(field.sub(z, field.conj(z)), field.inv(field.sub(beta, field.conj(beta))))
     z0 = field.sub(z, field.mul(z1, beta))
     assert field.in_subfield(z0) and field.in_subfield(z1)
     return z0, z1
@@ -437,6 +450,37 @@ def dials_from_measured_hull(c: LinearCode, targets=None) -> list:
     if targets is None:
         targets = range(basis.rows + 1)
     return _scale_down(c, basis, targets, c.field.e // 2)
+
+
+def reference_code_from_dict(d: dict) -> LinearCode:
+    """``LinearCode.from_dict`` as it was while it handed the generator to
+    a ``FieldMatrix.from_dict`` that converted one entry at a time, kept
+    verbatim but for the inlined matrix reader."""
+    spec, gen = _json_value(d, "field", dict), _json_value(d, "generator", dict)
+    n, k = _json_value(d, "n", int), _json_value(d, "k", int)
+    rows, cols = _json_value(gen, "rows", int), _json_value(gen, "cols", int)
+    entries, modulus = _json_value(gen, "entries", list), _json_value(spec, "modulus", list)
+    if not 0 <= k <= n <= MAX_CODE_LENGTH or (rows, cols) != (k, n) or len(entries) != k * n:
+        raise MalformedCodeError(
+            f"[n, k] = [{n}, {k}] with a {rows} x {cols} generator of {len(entries)} "
+            f"entries (needs 0 <= k <= n <= {MAX_CODE_LENGTH})"
+        )
+    arrays = (modulus, *entries)
+    if not all(type(cs) is list and all(type(x) is int for x in cs) for cs in arrays):
+        raise MalformedCodeError("coefficient arrays must be lists of integers")
+    p = _json_value(spec, "p", int)
+    if not all(0 <= x < p for cs in arrays for x in cs):
+        raise MalformedCodeError(f"coefficients must lie in [0, p) = [0, {p})")
+    field = Field(p, _json_value(spec, "e", int), modulus)
+    # the matrix reader, FieldMatrix.from_dict(field, gen), inlined
+    rows, cols = int(gen["rows"]), int(gen["cols"])
+    if not all(0 <= x < field.p for cs in gen["entries"] for x in cs):
+        raise ValueError(f"matrix coefficients outside the field's digit range [0, {field.p})")
+    values = [field.element(c) for c in gen["entries"]]
+    if len(values) != rows * cols:
+        raise ShapeMismatchError("entry count does not match rows*cols")
+    arr = np.array(values, dtype=np.int64).reshape(rows, cols)
+    return LinearCode(field, FieldMatrix(field, arr))
 
 
 @functools.cache

@@ -306,7 +306,7 @@ def test_dial_refusals_keep_their_error_types(tmp_path, capsys):
     from hulldial.code import LinearCode
     from hulldial.dial import dial_galois_hull, dial_hull, reduce_hull
     from hulldial.errors import NotSelfOrthogonalError, SmallFieldError
-    from hulldial.field import make_field
+    from hulldial.field import Field
 
     # the [7, 3] GF(9) code has a 1-dimensional l-Galois hull for l = 0 and 1
     gf9_file = GOLDEN_CLI / "gf9_code.json"
@@ -323,7 +323,7 @@ def test_dial_refusals_keep_their_error_types(tmp_path, capsys):
     # refuses before arranging anything
     from hulldial import dial as dial_module
 
-    gf4 = LinearCode(make_field(2, 2), [[1, 1]])
+    gf4 = LinearCode(Field(2, 2), [[1, 1]])
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dial_module, "arrange_p1_nonsingular", _must_not_run)
         for dial in (dial_hull, reduce_hull, lambda c, h: dial_galois_hull(c, h, 1)):
@@ -455,10 +455,10 @@ def test_hull_l_needs_galois_kind(tmp_path, capsys):
 def test_search_miss_exit_2(tmp_path, capsys):
     # two points, k = 2: provably no self-orthogonal multiplier assignment
     codefile = tmp_path / "unused.json"
-    from hulldial.field import make_field
+    from hulldial.field import Field
     from hulldial.grs import MultiplierProblem, solve_multipliers
 
-    res = solve_multipliers(MultiplierProblem(make_field(3, 2), (0, 1), 2))
+    res = solve_multipliers(MultiplierProblem(Field(3, 2), (0, 1), 2))
     assert res.status == "no-solution"
     # the CLI surfaces the same outcome through construct on a family whose
     # solver finds nothing; trace-poly over a 2-point set with k = 2
@@ -519,6 +519,14 @@ def _golden_cases():
     yield "construct", "q7_evensubgroup_k2", ["construct", "--q", "7", "--family",
                                               "even-subgroup", "--k", "2", "--m", "6"]
     yield "rs16", "dial_galois_l0_h1", ["dial", "--h", "1", "--galois-l", "0"]
+    # distance and verify, recorded while each code file entry was still
+    # converted on its own: gf9 and gf16 are not MDS, so neither distance
+    # has a certificate; verify passes on rs16 and fails with one reason on gf9
+    yield "gf9", "distance", ["distance"]
+    yield "gf16", "distance", ["distance"]
+    yield "rs16", "verify_q4_16_10_4_0", ["verify", "--q", "4", "--params", "16,10,4,0",
+                                          "--witness"]
+    yield "gf9", "verify_q3_7_4_2_3", ["verify", "--q", "3", "--params", "7,4,2,3", "--witness"]
     # a 16-target sweep of the full-field [256, 15] code at q = 16, recorded
     # while every target was still dialed from one (T, k, n) stack
     yield "rs256", "eaqec_json", ["eaqec", "--format", "json"]
@@ -551,7 +559,7 @@ def test_golden_cli_bytes(capsys, tmp_path, name, tag, argv):
         assert _run(capsys, "construct", *_CONSTRUCTED[name], "--out", files[0])[0] == 0
     else:
         files = [str(GOLDEN_CLI / f"{name}_code.json")]
-    code, out, _ = _run(capsys, argv[0], *files, *argv[1:])
+    code, out, _ = _run(capsys, *argv, *files)  # the file last, so --witness takes it
     assert code == 0
     if "--format" in argv:
         suffix = argv[argv.index("--format") + 1]

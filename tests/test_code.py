@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,20 +9,23 @@ from hulldial import code as code_module
 from hulldial.errors import (
     BadGaloisIndexError,
     CapExceededError,
+    MalformedCodeError,
     RankDeficientError,
     ShapeMismatchError,
     TooLargeToEnumerateError,
     ZeroMultiplierError,
 )
-from hulldial.field import make_field, make_quadratic_field
+from hulldial.field import Field, make_quadratic_field
 from hulldial.dial import dial_hull
 from hulldial.grs import GrsSpec, full_field_rs
 from hulldial.matrix import (
     FieldMatrix,
     conj_transpose,
     null_space,
+    rank,
     row_space_contains,
     rref,
+    same_row_space,
     standard_form,
 )
 from hulldial.code import (
@@ -49,6 +53,7 @@ from oracles import (
     brute_hull_dim,
     brute_min_distance,
     in_twisted_dual,
+    reference_code_from_dict,
     weight_vector_inverse_conj,
 )
 
@@ -69,7 +74,7 @@ def test_constructor_rejects_dependent_rows(gf9):
 
 def test_json_round_trip(rs92):
     again = LinearCode.from_dict(rs92.to_dict())
-    assert again.same_code(rs92)
+    assert same_row_space(again.gen, rs92.gen)
     assert again.gen == rs92.gen
 
 
@@ -77,15 +82,15 @@ def test_euclidean_dual_dimensions(gf9, rs92):
     full = LinearCode.full(gf9, 4)
     assert dual_of_kind(full, "euclidean").k == 0
     zero = LinearCode.zero(gf9, 4)
-    assert dual_of_kind(zero, "euclidean").same_code(full)
+    assert same_row_space(dual_of_kind(zero, "euclidean").gen, full.gen)
     assert dual_of_kind(rs92, "euclidean").k == 7
-    assert dual_of_kind(dual_of_kind(rs92, "euclidean"), "euclidean").same_code(rs92)
+    assert same_row_space(dual_of_kind(dual_of_kind(rs92, "euclidean"), "euclidean").gen, rs92.gen)
 
 
 def test_hermitian_dual_structure(gf9, rs92):
     hd = hermitian_dual(rs92)
     assert hd.k == 7
-    assert hermitian_dual(hd).same_code(rs92)
+    assert same_row_space(hermitian_dual(hd).gen, rs92.gen)
     # standard-form structural containment: rowspace(-conj(P)^T | I) in the dual
     sf, perm = standard_form(rs92.gen)
     P = FieldMatrix(gf9, sf.data[:, 2:])
@@ -101,8 +106,8 @@ def test_hermitian_dual_distance(rs92):
 
 
 def test_galois_dual_reductions(gf9, rs92):
-    assert dual_of_kind(rs92, "galois", 0).same_code(dual_of_kind(rs92, "euclidean"))
-    assert dual_of_kind(rs92, "galois", 1).same_code(hermitian_dual(rs92))
+    assert same_row_space(dual_of_kind(rs92, "galois", 0).gen, dual_of_kind(rs92, "euclidean").gen)
+    assert same_row_space(dual_of_kind(rs92, "galois", 1).gen, hermitian_dual(rs92).gen)
     assert dual_of_kind(rs92, "galois", 1).k == 7
     with pytest.raises(BadGaloisIndexError):
         dual_of_kind(rs92, "galois", 2)
@@ -124,7 +129,7 @@ def test_dual_dimension_law(gf9, kind, l):
         d = dual_of_kind(c, kind, l)
         assert c.k + d.k == c.n
         dd = dual_of_kind(d, kind, l)
-        assert dd.same_code(c)
+        assert same_row_space(dd.gen, c.gen)
 
 
 def _hull_kinds(field):
@@ -149,7 +154,7 @@ def test_hull_reports(gf9, gf16, rs92):
             dual = dual_of_kind(c, kind, l)
             for i in range(rep.basis.rows):
                 row = rep.basis.row(i)
-                assert c.contains(row) and dual.contains(row)
+                assert row_space_contains(c.gen, row) and row_space_contains(dual.gen, row)
                 assert in_twisted_dual(c, row, l_eff)
     for kind, l, _ in _hull_kinds(gf16):
         rep = hull(LinearCode.zero(gf16, 3), kind, l)
@@ -211,7 +216,7 @@ def test_gram_zero_iff_hull_full(gf9):
 
 
 def test_scale_identity_and_errors(gf9, rs92):
-    assert scale(rs92, (1,) * 9).same_code(rs92)
+    assert same_row_space(scale(rs92, (1,) * 9).gen, rs92.gen)
     with pytest.raises(ZeroMultiplierError):
         scale(rs92, (0,) + (1,) * 8)
     with pytest.raises(ShapeMismatchError):
@@ -233,7 +238,7 @@ def test_scaling_dual_identity_seeded(gf9, gf16):
             v = tuple(int(x) for x in rng.integers(1, field.order, 6))
             lhs = hermitian_dual(scale(c, v))
             rhs = scale(hermitian_dual(c), weight_vector_inverse_conj(field, v))
-            assert lhs.same_code(rhs)
+            assert same_row_space(lhs.gen, rhs.gen)
 
 
 def test_inverse_conj_two_orders_agree(gf9):
@@ -249,7 +254,7 @@ def test_scale_preserves_distance(gf9, rs92):
 
 def test_permute_examples(gf9, rs92):
     ident = list(range(9))
-    assert permute(rs92, ident).same_code(rs92)
+    assert same_row_space(permute(rs92, ident).gen, rs92.gen)
     perm = [8, 0, 1, 2, 3, 4, 5, 6, 7]
     inverse = sorted(range(9), key=perm.__getitem__)
     roundtrip = permute(permute(rs92, perm), inverse)
@@ -309,7 +314,7 @@ def test_min_distance_search_answers_past_the_enumeration_preference(monkeypatch
 def test_subset_count_stops_once_past_the_budget(monkeypatch):
     # [20000, 1] over GF(4) with one zero coordinate: summing C(20000, w) up
     # to w = n - k would take thousands of huge binomials
-    field = make_field(2, 2)
+    field = Field(2, 2)
     calls = []
     comb = math.comb
     monkeypatch.setattr(math, "comb", lambda n, w: calls.append(w) or comb(n, w))
@@ -321,7 +326,7 @@ def test_subset_count_stops_once_past_the_budget(monkeypatch):
 def test_budget_errors_on_huge_counts_are_typed():
     # 2^20 to the power 797 or 750 has more than the 4,300 digits Python
     # will print as one int, so each count is written as a power
-    field = make_field(2, 20)
+    field = Field(2, 20)
     rng = np.random.default_rng(17)
 
     def systematic(k, n):  # (I | A) with a zero in A, so no certificate applies
@@ -369,7 +374,7 @@ MDS_FIELDS = ((2, 2), (3, 2), (2, 4), (5, 2))
 def _mds_candidates(draw):
     """GRS codes (MDS), GRS codes with one column zeroed or copied, and
     codes with zero, repeated, sparse and dense columns; k = n included."""
-    field = make_field(*draw(st.sampled_from(MDS_FIELDS)))
+    field = Field(*draw(st.sampled_from(MDS_FIELDS)))
     k = draw(st.integers(1, 3))
     n = draw(st.integers(k, min(7, field.order)))
     nonzero = st.integers(1, field.order - 1)
@@ -459,13 +464,13 @@ def test_support_search_finds_dependency_past_first_chunk():
     # such pairs, then both points of one more pair, then Q, leaves exactly
     # one dependent triple: the last three columns, the last subset of
     # weight 3 in lexicographic order.
-    field = make_field(2, 8)
+    field = Field(2, 8)
     c = 2
     root = field.pow(c, 128)  # the square root of c
     pairs, used = [], {0, root}
     for s in range(1, field.order):
         if s not in used:
-            pairs.append((s, field.div(c, s)))
+            pairs.append((s, field.mul(c, field.inv(s))))
             used.update(pairs[-1])
     point = lambda t: [1, t, field.mul(t, t)]  # noqa: E731
     cols = [point(s) for s, _ in pairs[:67]] + [point(t) for t in pairs[67]] + [[1, 0, c]]
@@ -480,7 +485,7 @@ PROPERTY_FIELDS = ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (37, 2))
 @st.composite
 def _column_codes(draw):
     """Codes whose generators mix zero, repeated, sparse and dense columns."""
-    field = make_field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    field = Field(*draw(st.sampled_from(PROPERTY_FIELDS)))
     k = draw(st.integers(1, 3))
     n = draw(st.integers(k + 1, 7))
     nonzero = st.integers(1, field.order - 1)
@@ -541,7 +546,7 @@ def _grs_and_mutants(draw):
     multiplier).  A mutant may be replaced by its dual, arranged as
     (I | -A^T), so that its repeated points fall in the rows of the new A.
     Returns (code, mutated)."""
-    field = make_field(*draw(st.sampled_from(CERTIFICATE_FIELDS)))
+    field = Field(*draw(st.sampled_from(CERTIFICATE_FIELDS)))
     extended = draw(st.booleans())
     longest = min(8, field.order + extended)
     shape = draw(st.sampled_from(("k = 1", "n - k = 1", "longest", "longest", "any")))
@@ -593,3 +598,89 @@ def test_zero_code_round_trip(gf9):
     assert z.to_dict()["k"] == 0
     assert LinearCode.from_dict(z.to_dict()).k == 0
     assert hull(z).dim == 0
+
+
+# ---------------------------------------------------------------------------
+# reading a code file
+# ---------------------------------------------------------------------------
+
+#: GF(4), GF(9), GF(27), GF(16^2) and GF(37^2)
+_READ_FIELDS = [(2, 2), (3, 2), (3, 3), (2, 8), (37, 2)]
+_COEFFICIENT_MUTATIONS = ["bool", "float", "nested", "p", "-1", "2^63"]
+_ENTRY_MUTATIONS = ["non-list", "e + 1 digits", "rank"]
+
+
+@st.composite
+def _code_files(draw):
+    """(dict, expected generator or None, mutation): a code file whose entries
+    may be short digit lists, unchanged (None) or mutated once."""
+    field = Field(*draw(st.sampled_from(_READ_FIELDS)))
+    p, e = field.p, field.e
+    mutation = draw(st.sampled_from(
+        [None, None, "rows", "cols", *_COEFFICIENT_MUTATIONS, *_ENTRY_MUTATIONS]))
+    n = draw(st.integers(1 if mutation in _ENTRY_MUTATIONS else 0, 6))
+    k = draw(st.integers(1 if mutation in _ENTRY_MUTATIONS else 0, n))
+    values = draw(st.lists(st.integers(0, field.order - 1), min_size=k * n, max_size=k * n))
+    entries = []
+    for v in values:  # drop some of the trailing zero digits
+        digits = list(field.coeffs(v))
+        while digits and digits[-1] == 0 and draw(st.booleans()):
+            digits.pop()
+        entries.append(digits)
+    d = {
+        "field": field.to_dict(), "n": n, "k": k,
+        "generator": {"rows": k, "cols": n, "entries": entries},
+    }
+    arrays = [d["field"]["modulus"], *entries]
+    if mutation in ("rows", "cols"):
+        d["generator"][mutation] += draw(st.sampled_from([-1, 1]))
+    elif mutation in _COEFFICIENT_MUTATIONS:
+        array = draw(st.sampled_from([a for a in arrays if a]))
+        i = draw(st.integers(0, len(array) - 1))
+        array[i] = {
+            "bool": bool(array[i] % 2), "float": float(array[i]), "nested": [array[i]],
+            "p": p, "-1": -1, "2^63": 2**63,
+        }[mutation]
+    elif mutation == "non-list":
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = draw(st.sampled_from([0, None, "0", {"0": 0}]))
+    elif mutation == "e + 1 digits":
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = [*entries[i], *[0] * (e - len(entries[i])), draw(st.integers(0, p - 1))]
+    elif mutation == "rank":  # a zero first row
+        entries[:n] = [[0]] * n
+    expected = FieldMatrix(field, np.array(values, dtype=np.int64).reshape(k, n))
+    return d, (expected if mutation is None else None), mutation
+
+
+def _read(reader, d):
+    """The generator the reader loads from a copy of d, or the type and text it raises."""
+    try:
+        return reader(copy.deepcopy(d)).gen
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_code_files())
+def test_code_reader_matches_the_per_entry_reader(case):
+    d, expected, mutation = case
+    got = _read(LinearCode.from_dict, d)
+    assert got == _read(reference_code_from_dict, d)
+    if mutation is not None:
+        assert type(got) is tuple, mutation
+        expected_errors = {"rank": RankDeficientError, "e + 1 digits": ValueError}
+        assert got[0] is expected_errors.get(mutation, MalformedCodeError), got
+    elif expected.rows == 0 or rank(expected) == expected.rows:
+        assert got == expected
+
+
+def test_reading_a_code_file_converts_no_entry_on_its_own(monkeypatch):
+    # the full-field [256, 15] code at q = 16: 3840 entries, read in one array step
+    code = full_field_rs(make_quadratic_field(16), 15).code()
+    d = code.to_dict()
+    calls = []
+    element = Field.element
+    monkeypatch.setattr(Field, "element", lambda f, cs: calls.append(cs) or element(f, cs))
+    assert LinearCode.from_dict(d).gen == code.gen
+    assert calls == []

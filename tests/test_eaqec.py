@@ -15,7 +15,7 @@ from hulldial.errors import (
     BadTargetError,
     CapExceededError,
 )
-from hulldial.field import is_prime_power, make_field, make_quadratic_field
+from hulldial.field import Field, is_prime_power, make_quadratic_field
 from hulldial.code import (
     LinearCode,
     dual_min_distance,

@@ -8,7 +8,7 @@ from hulldial.errors import (
     NotPrimeError,
     OddExtensionError,
 )
-from hulldial.field import Field, make_field, make_quadratic_field, smallest_irreducible
+from hulldial.field import Field, make_quadratic_field, smallest_irreducible
 from oracles import poly_add, poly_inv, poly_mul, poly_neg, poly_pow, subfield_coordinates
 
 OMEGA = 3  # x in GF(9) with the canonical modulus x^2 + 1
@@ -16,34 +16,34 @@ OMEGA = 3  # x in GF(9) with the canonical modulus x^2 + 1
 
 def test_canonical_modulus_gf9():
     # x^2 reducible, x^2 + x and x^2 + 2x have root 0, so x^2 + 1 wins
-    assert make_field(3, 2).modulus == (1, 0, 1)
+    assert Field(3, 2).modulus == (1, 0, 1)
 
 
 def test_prime_field_modulus_is_x():
-    assert make_field(2, 1).modulus == (0, 1)
-    assert make_field(5, 1).modulus == (0, 1)
+    assert Field(2, 1).modulus == (0, 1)
+    assert Field(5, 1).modulus == (0, 1)
 
 
 def test_gf25_modulus_has_no_roots():
-    f = make_field(5, 2)
+    f = Field(5, 2)
     a0, a1, _ = f.modulus
     for x in range(5):
         assert (a0 + a1 * x + x * x) % 5 != 0
 
 
-def test_make_field_deterministic():
-    assert make_field(3, 2).modulus == make_field(3, 2).modulus
-    assert make_field(2, 6).modulus == make_field(2, 6).modulus
+def test_default_modulus_deterministic():
+    assert Field(3, 2).modulus == Field(3, 2).modulus
+    assert Field(2, 6).modulus == Field(2, 6).modulus
 
 
 def test_not_prime_rejected():
     with pytest.raises(NotPrimeError):
-        make_field(6, 1)
+        Field(6, 1)
 
 
 def test_cap_enforced():
     with pytest.raises(CapExceededError):
-        make_field(2, 21)
+        Field(2, 21)
     # checked before trial division of p, factorization of q, or forming p**e
     with pytest.raises(CapExceededError):
         Field(10**18 + 3, 1)
@@ -77,7 +77,7 @@ def test_found_modulus_is_not_tested_again(monkeypatch):
 
 
 def test_gf9_arithmetic_examples():
-    f = make_field(3, 2)
+    f = Field(3, 2)
     w1 = f.element((1, 1))  # omega + 1
     assert f.mul(w1, w1) == f.element((0, 2))  # (w+1)^2 = 2w
     assert f.inv(2) == 2  # 2*2 = 4 = 1 mod 3
@@ -86,7 +86,7 @@ def test_gf9_arithmetic_examples():
 
 
 def test_frobenius_examples():
-    f = make_field(3, 2)
+    f = Field(3, 2)
     assert f.frobenius(OMEGA, 1) == f.element((0, 2))  # w^3 = 2w
     for a in f.elements():
         assert f.frobenius(a, f.e) == a
@@ -105,7 +105,7 @@ def test_frobenius_is_automorphism_gf16():
 
 
 def test_conj_examples():
-    f = make_field(3, 2)
+    f = Field(3, 2)
     assert f.conj(OMEGA) == f.element((0, 2))
     assert f.conj(0) == 0
     for a in f.elements():
@@ -115,7 +115,7 @@ def test_conj_examples():
 
 
 def test_conj_rejects_odd_extension():
-    f = make_field(3, 1)
+    f = Field(3, 1)
     with pytest.raises(OddExtensionError):
         f.conj(1)
     with pytest.raises(OddExtensionError):
@@ -123,7 +123,7 @@ def test_conj_rejects_odd_extension():
 
 
 def test_norm_examples():
-    f = make_field(3, 2)
+    f = Field(3, 2)
     assert f.norm(f.element((1, 1))) == 2  # (w+1)^4 = 2
     assert f.norm(1) == 1
     assert f.norm(OMEGA) == 1  # w^4 = (w^2)^2 = 1
@@ -144,14 +144,14 @@ def test_norm_fibers_have_size_q_plus_one(q):
 
 
 def test_find_norm_non_one_gf9():
-    f = make_field(3, 2)
+    f = Field(3, 2)
     picks = f.find_power_non_one(3 + 1, 1)
     assert picks == (4,)  # omega + 1 is the first qualifying element
     assert f.norm(picks[0]) != 1
 
 
 def test_find_norm_non_one_gf4_fails():
-    f = make_field(2, 2)
+    f = Field(2, 2)
     with pytest.raises(NoSuchElementError):
         f.find_power_non_one(2 + 1, 1)
 
@@ -164,7 +164,7 @@ def test_find_norm_non_one_gf25_count():
 
 
 def test_find_norm_non_one_cycles_when_exhausted():
-    f = make_field(3, 2)
+    f = Field(3, 2)
     qualifiers = [a for a in range(1, 9) if f.norm(a) != 1]
     picks = f.find_power_non_one(3 + 1, len(qualifiers) + 2)
     assert picks[: len(qualifiers)] == tuple(qualifiers)
@@ -191,7 +191,7 @@ def test_norm_preimage_round_trip(q):
 
 
 def test_norm_preimage_rejects_bad_input():
-    f = make_field(3, 2)
+    f = Field(3, 2)
     with pytest.raises(ValueError):
         f.norm_preimage(0)
     with pytest.raises(ValueError):
@@ -200,23 +200,23 @@ def test_norm_preimage_rejects_bad_input():
 
 
 def test_enumeration_order():
-    assert list(make_field(3, 1).elements()) == [0, 1, 2]
-    gf4 = make_field(2, 2)
+    assert list(Field(3, 1).elements()) == [0, 1, 2]
+    gf4 = Field(2, 2)
     assert list(gf4.elements()) == [0, 1, 2, 3]
     assert gf4.coeffs(2) == (0, 1)  # alpha
     assert gf4.coeffs(3) == (1, 1)  # alpha + 1
-    assert len(list(make_field(3, 2).elements())) == 9
+    assert len(list(Field(3, 2).elements())) == 9
 
 
 def test_element_coeffs_round_trip():
-    f = make_field(5, 2)
+    f = Field(5, 2)
     for a in f.elements():
         assert f.element(f.coeffs(a)) == a
 
 
 def test_field_axioms_exhaustive_gf81():
     # pairs and triples via vectorised identities
-    f = make_field(3, 4)
+    f = Field(3, 4)
     assert f.order == 81
     a = np.arange(81).reshape(81, 1, 1)
     b = np.arange(81).reshape(1, 81, 1)
@@ -235,7 +235,7 @@ def test_field_axioms_exhaustive_gf81():
 
 def test_axioms_random_above_table_regime():
     # property-style spot check with scalar arithmetic on a larger field
-    f = make_field(2, 12)  # 4096 elements, above the exhaustive regime
+    f = Field(2, 12)  # 4096 elements, above the exhaustive regime
     rng = np.random.default_rng(5)
     for _ in range(200):
         a, b, c = (int(x) for x in rng.integers(0, f.order, 3))
@@ -324,3 +324,17 @@ def test_subfield_elements_are_found_once(gf9):
     assert gf9.subfield_elements.tolist() == [0, 1, 2]
     assert gf9.subfield_elements is gf9.subfield_elements
     assert not gf9.subfield_elements.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "p,e", [(3, 2), (3, 6), (3, 12), (5, 3), (5, 4), (7, 2), (37, 2), (1021, 2)]
+)
+def test_lane_table_puts_each_digit_in_its_own_lane(p, e):
+    # the per-digit divmod loop the lane table was once packed with
+    field = Field(p, e)
+    lanes, width, _ = field._lanes
+    values, packed = np.arange(field.order, dtype=np.int64), 0
+    for j in range(e):
+        values, digit = np.divmod(values, p)
+        packed = packed + (digit << (width * j))
+    assert np.array_equal(lanes, np.take(packed, field._tables["exp"]))

@@ -14,7 +14,7 @@ from hulldial.errors import (
     VerificationFailedError,
     ZeroMultiplierError,
 )
-from hulldial.field import Field, make_field, make_quadratic_field
+from hulldial.field import Field, make_quadratic_field
 from hulldial.code import is_hermitian_self_orthogonal, is_mds, min_distance
 from hulldial import code as code_module, grs
 from hulldial.cli import main

@@ -15,7 +15,7 @@ from hulldial.errors import (
 )
 from hulldial import matrix
 from hulldial.code import gram_matrix
-from hulldial.field import Field, make_field, make_quadratic_field
+from hulldial.field import Field, make_quadratic_field
 from hulldial.grs import full_field_rs
 from hulldial.matrix import (
     FieldMatrix,
@@ -39,7 +39,7 @@ from oracles import minor_rank, poly_matmul, scalar_rref
 
 @pytest.fixture(scope="module")
 def gf3():
-    return make_field(3, 1)
+    return Field(3, 1)
 
 
 def _random_matrix(field, rng, rows, cols):
@@ -68,9 +68,9 @@ def test_matmul_shape_and_spec_errors(gf9, gf3, gf25):
 
 # p = 2 and odd p, on both sides of TABLE_LIMIT; a prime field; and odd p
 # with e >= 4, where the lane capacity is small enough to cut slices
-_MATMUL_FIELDS = [make_field(2, 2), make_field(3, 2), make_field(2, 8),
-                  make_quadratic_field(37), make_field(2, 12), make_quadratic_field(101),
-                  make_field(7, 1), make_field(5, 4), make_field(3, 6), make_field(3, 12)]
+_MATMUL_FIELDS = [Field(2, 2), Field(3, 2), Field(2, 8),
+                  make_quadratic_field(37), Field(2, 12), make_quadratic_field(101),
+                  Field(7, 1), Field(5, 4), Field(3, 6), Field(3, 12)]
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
@@ -212,7 +212,7 @@ def test_matmul_sums_each_slice_in_one_reduction(monkeypatch):
         assert np.array_equal(out.data, a.data @ b.data % 13)
 
 
-_LANE_FIELDS = [make_field(3, 6), make_field(3, 12), make_field(5, 4)]
+_LANE_FIELDS = [Field(3, 6), Field(3, 12), Field(5, 4)]
 _LANE_IDS = ["GF(3^6)", "GF(3^12)", "GF(5^4)"]
 
 
@@ -227,7 +227,7 @@ def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
     b = rng.integers(0, field.order, size=(inner, 2))
     # column 0 of the product sums only products whose digits are all p - 1:
     # every lane of every term is full, the worst case for a carry
-    b[:, 0] = [field.div(field.order - 1, int(x)) for x in a[0]]
+    b[:, 0] = [field.mul(field.order - 1, field.inv(int(x))) for x in a[0]]
     shapes, adds = _kernel_calls(monkeypatch, field)
     monkeypatch.setattr(matrix, "_PRODUCT_BUDGET", budget)
     out = matmul(FieldMatrix(field, a), FieldMatrix(field, b))
@@ -291,7 +291,7 @@ def test_matmul_layout_follows_the_layer_and_matches_the_oracle(
 def test_matmul_layouts_against_integer_products(monkeypatch, rows, inner, cols):
     # entries in the prime subfield GF(5) of GF(5^4), so a @ b % 5 checks them;
     # 2^14 terms are past GF(5^4)'s lane capacity of 8191
-    field = make_field(5, 4)
+    field = Field(5, 4)
     rng = np.random.default_rng(rows + inner)
     a = FieldMatrix(field, rng.integers(0, 5, size=(rows, inner)))
     b = FieldMatrix(field, rng.integers(0, 5, size=(inner, cols)))
@@ -388,7 +388,7 @@ def test_rref_is_kept_on_the_matrix_it_reduced(gf9, eliminations):
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
-    field=st.sampled_from([make_field(3, 1), make_field(3, 2), make_field(2, 4)]),
+    field=st.sampled_from([Field(3, 1), Field(3, 2), Field(2, 4)]),
     shape=st.tuples(st.integers(0, 6), st.integers(0, 9)),
     rank_=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
@@ -419,7 +419,7 @@ def test_rref_stops_scanning_once_the_remaining_rows_are_zero(gf9, monkeypatch):
     nonzero = np.nonzero
     monkeypatch.setattr(matrix.np, "nonzero", lambda a: scans.append(1) or nonzero(a))
     r, pivots = rref(FieldMatrix(gf9, data))
-    assert pivots == (150,) and r.row(0)[150:152] == (1, gf9.div(1, 3)) and not r.data[1:].any()
+    assert pivots == (150,) and r.row(0)[150:152] == (1, gf9.inv(3)) and not r.data[1:].any()
     assert len(scans) <= 5
 
 
@@ -516,14 +516,22 @@ def test_stacking(gf9):
     assert vstack(a, b) == FieldMatrix(gf9, [[1, 2], [3, 4]])
 
 
+def _code_dict(field, rows, cols, entries):
+    gen = {"rows": rows, "cols": cols, "entries": entries}
+    return {"field": field.to_dict(), "n": cols, "k": rows, "generator": gen}
+
+
 def test_matrix_json_round_trip(gf9):
+    # the matrix layer writes a code file's entries; LinearCode.from_dict reads them
+    from hulldial.code import LinearCode
+
     rng = np.random.default_rng(9)
-    for field in (gf9, make_field(2, 8), make_quadratic_field(37)):
+    for field in (gf9, Field(2, 8), make_quadratic_field(37)):
         m = _random_matrix(field, rng, 2, 3)
         d = m.to_dict()
         assert d["entries"] == [list(field.coeffs(x)) for x in m.data.reshape(-1).tolist()]
         assert all(type(c) is int for entry in d["entries"] for c in entry)
-        assert FieldMatrix.from_dict(field, d) == m
+        assert LinearCode.from_dict(_code_dict(field, 2, 3, d["entries"])).gen == m
     assert FieldMatrix.zeros(gf9, 0, 3).to_dict() == {"rows": 0, "cols": 3, "entries": []}
 
 
@@ -538,13 +546,14 @@ def test_out_of_range_entries_are_refused_where_user_data_enters(gf9):
             LinearCode(gf9, [[1, 0, bad]])
     # a stored entry has e = 2 coefficients; a third would leave GF(9)
     with pytest.raises(ValueError, match="at most 2 coefficients"):
-        FieldMatrix.from_dict(gf9, {"rows": 1, "cols": 1, "entries": [[0, 1, 1]]})
+        LinearCode.from_dict(_code_dict(gf9, 1, 1, [[0, 1, 1]]))
     # a coefficient outside [0, p) is refused, not reduced mod p
     for entries in ([[0, 3], [5, -1]], [[0, 1], [2, 3]], [[-1], [0]]):
-        with pytest.raises(ValueError, match="outside the field"):
-            FieldMatrix.from_dict(gf9, {"rows": 1, "cols": 2, "entries": entries})
-    ok = FieldMatrix.from_dict(gf9, {"rows": 1, "cols": 2, "entries": [[0, 2], [2]]})
-    assert ok.row(0) == (6, 2)
+        with pytest.raises(MalformedCodeError, match=r"must lie in \[0, p\) = \[0, 3\)"):
+            LinearCode.from_dict(_code_dict(gf9, 1, 2, entries))
+    # fewer than e digits are leading zeros
+    ok = LinearCode.from_dict(_code_dict(gf9, 1, 2, [[0, 2], [2]]))
+    assert ok.gen.row(0) == (6, 2)
     d = LinearCode(gf9, [[1, 2]]).to_dict()
     d["generator"]["entries"][1] = [0, gf9.p]
     with pytest.raises(MalformedCodeError):
