@@ -329,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "cap" in args:
             enumeration_cap(args.cap)  # a bad cap fails before any work
         return args.fn(args)
-    except (HulldialError, ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
+    except (HulldialError, ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"hulldial: error: {exc}\n")
         return EXIT_ERROR
 

@@ -270,14 +270,13 @@ def is_galois_self_orthogonal(c: LinearCode, l: int) -> bool:
 
 
 def check_weight_vector(field: Field, v: Sequence[int], n: int) -> tuple[int, ...]:
-    v = tuple(element_codes(v).tolist())
-    if len(v) != n:
-        raise ShapeMismatchError(f"weight vector length {len(v)} != n = {n}")
-    for x in v:
-        field._check(x)
-        if x == 0:
-            raise ZeroMultiplierError("weight vector entries must all be nonzero")
-    return v
+    """v read by ``element_codes`` as a tuple of n nonzero element codes."""
+    codes = element_codes(v, field.order)
+    if len(codes) != n:
+        raise ShapeMismatchError(f"weight vector length {len(codes)} != n = {n}")
+    if not codes.all():
+        raise ZeroMultiplierError("weight vector entries must all be nonzero")
+    return tuple(codes.tolist())
 
 
 def scale(c: LinearCode, v: Sequence[int]) -> LinearCode:

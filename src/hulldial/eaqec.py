@@ -97,16 +97,24 @@ def claim(q: int, n: int, k_q: int, d: int, c: int, **extra) -> EaqecParams:
     return EaqecParams(q=q, n=n, k_q=k_q, d=d, c=c, gate=gate, mds=mds, **extra)
 
 
+def _bound_failures(q: int, n: int, k_q: int, d: int, c: int) -> list[str]:
+    """Why [[n, k_q, d, c]]_q is impossible: nonsensical values, or past the
+    Singleton bound under its gate d <= (n+2)/2; empty when neither."""
+    failures = []
+    if n < 1 or d < 1 or k_q < 0 or c < 0:
+        failures.append(f"nonsensical parameters [[{n},{k_q},{d},{c}]]_{q}")
+    if 2 * d <= n + 2 and 2 * d + k_q > n + c + 2:
+        failures.append(f"singleton bound violated: 2*{d}+{k_q} = {2 * d + k_q} > {n + c + 2}")
+    return failures
+
+
 def classified(q: int, n: int, k_q: int, d: int, c: int, **extra) -> EaqecParams:
-    """Like claim(), but enforces the Singleton inequality for gated records."""
-    rec = claim(q, n, k_q, d, c, **extra)
-    if k_q < 0 or c < 0 or d < 1 or n < 1:
-        raise VerificationFailedError(f"nonsensical parameters [[{n},{k_q},{d},{c}]]")
-    if rec.gate and 2 * d + k_q > n + c + 2:
-        raise VerificationFailedError(
-            f"[[{n},{k_q},{d},{c}]]_{q} violates the Singleton bound"
-        )
-    return rec
+    """Like claim(), but refuses (VerificationFailedError) a record that
+    verify_claim's sanity or Singleton check fails, with its first reason."""
+    failures = _bound_failures(q, n, k_q, d, c)
+    if failures:
+        raise VerificationFailedError(failures[0])
+    return claim(q, n, k_q, d, c, **extra)
 
 
 TSV_HEADER = "q\tn\tk_q\td\tc\tfamily\twitnessed\tmds\tgate"
@@ -494,19 +502,10 @@ def verify_claim(
     is past the field-order cap, raises before any check runs.
     """
     _check_base_field(params.q, least=2)
-    failures: list[str] = []
-    checks: list[str] = []
     n, k_q, d, c, q = params.n, params.k_q, params.d, params.c, params.q
-    checks.append("sanity")
-    if n < 1 or d < 1 or k_q < 0 or c < 0:
-        failures.append(f"nonsensical parameters [[{n},{k_q},{d},{c}]]_{q}")
     gate = 2 * d <= n + 2
-    if gate:
-        checks.append("singleton-bound")
-        if 2 * d + k_q > n + c + 2:
-            failures.append(
-                f"singleton bound violated: 2*{d}+{k_q} = {2 * d + k_q} > {n + c + 2}"
-            )
+    checks = ["sanity", "singleton-bound"] if gate else ["sanity"]
+    failures = _bound_failures(q, n, k_q, d, c)
     if witness is not None:
         checks.append("witness")
         try:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import sys
 from typing import Iterable, Sequence
 
@@ -185,13 +186,16 @@ def digit_columns(values, base: int, width: int) -> np.ndarray:
     return out
 
 
-def element_codes(values) -> np.ndarray:
-    """``values`` as a new int64 array, refusing (ValueError) any entry that
-    is not an integer rather than truncating it; size-0 data, which numpy
-    gives a float dtype, passes."""
+def element_codes(values, below: int) -> np.ndarray:
+    """``values`` as a new int64 array, the one reader of element codes from
+    outside the library: it refuses (ValueError) non-integer data and, in one
+    vectorised check, any entry outside [0, below), never truncating or
+    reducing it; size-0 data, which numpy gives a float dtype, passes."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "biu":
         raise ValueError(f"element codes must be int64 integers, got {arr.dtype} data")
+    if arr.size and not 0 <= arr.min() <= arr.max() < below:
+        raise ValueError(f"element codes span [{arr.min()}, {arr.max()}], outside [0, {below})")
     return arr.astype(np.int64)
 
 
@@ -216,7 +220,8 @@ class Field:
     e:
         Extension degree, at least 1.
     modulus:
-        Optional e+1 coefficients of the modulus, constant term first.
+        Optional e+1 coefficients of the modulus, constant term first, each
+        an integer in [0, p) (anything else is refused, not reduced mod p).
         Defaults to the lexicographically smallest monic irreducible
         polynomial, which is deterministic for a given (p, e).
 
@@ -238,7 +243,7 @@ class Field:
         if modulus is None:  # already irreducible by construction
             modulus = smallest_irreducible(p, e)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(element_codes(modulus, p).tolist())
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e, constant term first")
             if not _is_irreducible(modulus, p):
@@ -276,36 +281,31 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Base-p digits of a, constant term first, length e."""
-        self._check(a)
+        a = self._check(a)
         out = []
         for _ in range(self.e):
             a, r = divmod(a, self.p)
             out.append(r)
         return tuple(out)
 
-    def element(self, coeffs: Iterable[int]) -> int:
-        """Encode a coefficient sequence (constant term first) as an element."""
-        coeffs = list(coeffs)
-        if len(coeffs) > self.e:
-            raise ValueError(f"expected at most {self.e} coefficients, got {len(coeffs)}")
-        value = 0
-        for c in reversed(coeffs):
-            value = value * self.p + (int(c) % self.p)
-        return value
-
     def elements(self) -> range:
         """All field elements in canonical (counting) order."""
         return range(self.order)
 
-    def _check(self, a: int) -> int:
-        if not 0 <= a < self.order:
+    def _check(self, a) -> int:
+        """a as the int that indexes the tables; ValueError unless an integer in [0, order)."""
+        try:
+            code = operator.index(a)
+        except TypeError:
+            code = -1
+        if not 0 <= code < self.order:
             raise ValueError(f"{a} is not an element of GF({self.p}^{self.e})")
-        return a
+        return code
 
     # -- scalar arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        self._check(a), self._check(b)
+        a, b = self._check(a), self._check(b)
         return int(self._tables["add"](a, b))
 
     def neg(self, a: int) -> int:
@@ -315,17 +315,17 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        self._check(a), self._check(b)
+        a, b = self._check(a), self._check(b)
         return int(self._tables["mul"](a, b))
 
     def inv(self, a: int) -> int:
-        if self._check(a) == 0:
+        if (a := self._check(a)) == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self._tables["inv"][a])
 
     def pow(self, a: int, n: int) -> int:
         """a**n with the convention 0**0 = 1; negative n inverts a first."""
-        self._check(a)
+        a = self._check(a)
         if n < 0:
             return self.pow(self.inv(a), -n)
         if a == 0:
@@ -395,7 +395,7 @@ class Field:
         ``w`` must be a nonzero subfield element; the norm maps GF(q^2)*
         onto GF(q)*, so a preimage always exists.
         """
-        self._check(w)
+        w = self._check(w)
         if w == 0:
             raise ValueError("0 has no norm preimage among nonzero multipliers")
         if not self.in_subfield(w):
@@ -446,7 +446,7 @@ class Field:
         """
         if self.e == 1:
             raise ValueError("prime field has no extension generator")
-        return self.element((0, 1))
+        return self.p  # the code of the element with digits (0, 1)
 
     # -- vectorised arithmetic (numpy arrays of element ints) ---------------------------
 

@@ -85,7 +85,8 @@ class GrsSpec:
     """Evaluation points, column multipliers and dimension of a GRS code.
 
     ``multipliers`` has one entry per evaluation point, plus a final entry
-    for the extension column when ``extended`` is set.
+    for the extension column when ``extended`` is set.  Both are read by
+    ``element_codes`` into tuples of ints; the points must be distinct.
     """
 
     field: Field
@@ -95,22 +96,13 @@ class GrsSpec:
     extended: bool = False
 
     def __post_init__(self):
-        pts = tuple(element_codes(self.eval_points).tolist())
-        mults = tuple(element_codes(self.multipliers).tolist())
-        object.__setattr__(self, "eval_points", pts)
-        object.__setattr__(self, "multipliers", mults)
-        for a in pts:
-            self.field._check(a)
-        if len(set(pts)) != len(pts):
-            raise DuplicateEvalPointsError("evaluation points must be pairwise distinct")
-        if len(mults) != len(pts) + (1 if self.extended else 0):
-            raise ShapeMismatchError(
-                f"expected {len(pts) + (1 if self.extended else 0)} multipliers, got {len(mults)}"
-            )
-        for v in mults:
-            self.field._check(v)
-            if v == 0:
-                raise ZeroMultiplierError("multipliers must be nonzero")
+        object.__setattr__(self, "eval_points", _points(self.field, self.eval_points))
+        mults = element_codes(self.multipliers, self.field.order)
+        object.__setattr__(self, "multipliers", tuple(mults.tolist()))
+        if len(mults) != self.length:
+            raise ShapeMismatchError(f"expected {self.length} multipliers, got {len(mults)}")
+        if not mults.all():
+            raise ZeroMultiplierError("multipliers must be nonzero")
         if not 1 <= self.k <= self.length:
             raise BadDimensionError(f"k = {self.k} outside [1, {self.length}]")
 
@@ -136,6 +128,15 @@ class GrsSpec:
             "k": self.k,
             "extended": self.extended,
         }
+
+
+def _points(field: Field, points: Sequence[int]) -> tuple[int, ...]:
+    """Evaluation points read as element codes (see ``element_codes``),
+    refused when two are equal."""
+    pts = tuple(element_codes(points, field.order).tolist())
+    if len(set(pts)) != len(pts):
+        raise DuplicateEvalPointsError("evaluation points must be pairwise distinct")
+    return pts
 
 
 def grs_generator(spec: GrsSpec) -> LinearCode:
@@ -179,12 +180,11 @@ def full_field_rs(field: Field, k: int) -> GrsSpec:
 # ---------------------------------------------------------------------------
 
 
-def _coefficients(g: Sequence[int]) -> list[int]:
-    """g's coefficients as ints, lowest degree first, without zero leading ones."""
-    coeffs = [int(c) for c in g]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _coefficients(field: Field, g: Sequence[int]) -> np.ndarray:
+    """g's coefficients read as element codes (see ``element_codes``),
+    lowest degree first, without zero leading ones."""
+    coeffs = element_codes(g, field.order)
+    return coeffs[: np.flatnonzero(coeffs)[-1] + 1] if coeffs.any() else coeffs[:0]
 
 
 def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
@@ -193,11 +193,12 @@ def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     Any polynomial g of degree at most (q - k)q - 1 whose pointwise
     g + g^q vanishes on exactly q^2 - n points certifies that an
     [n, k] Hermitian self-orthogonal MDS code exists on the complement.
+    g's coefficients, lowest degree first, are read by ``element_codes``.
     The zero polynomial yields an empty set (returned with a warning).
     g is evaluated at every element at once, by Horner steps on arrays;
     their work is checked against ``HORNER_BUDGET`` before the first.
     """
-    coeffs = _coefficients(g)
+    coeffs = _coefficients(field, g)
     if len(coeffs) * field.order > HORNER_BUDGET:
         raise CapExceededError(
             f"evaluating g of degree {len(coeffs) - 1} at {field.order} points takes "
@@ -206,7 +207,7 @@ def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     xs = np.arange(field.order, dtype=np.int64)
     gx = np.zeros_like(xs)
     for c in reversed(coeffs):
-        gx = field.add_array(field.mul_array(gx, xs), field._check(c))
+        gx = field.add_array(field.mul_array(gx, xs), c)
     points = tuple(np.flatnonzero(field.add_array(gx, field.conj_array(gx))).tolist())
     if not points:
         warnings.warn("g + g^q vanishes everywhere; evaluation set is empty", stacklevel=2)
@@ -394,13 +395,12 @@ def solve_multipliers(problem: MultiplierProblem, seed: int = DEFAULT_SEED) -> M
     The subfield-valued unknowns w_l are found in the null space of the
     orthogonality system; each is then lifted to v_l through a norm
     preimage.  The returned code is always re-verified.  Codes longer than
-    MAX_SOLVER_LENGTH are refused before the system is built.
+    MAX_SOLVER_LENGTH are refused before the system is built, and so are
+    points that GrsSpec would refuse: "no-solution" is about the points given.
     """
     f = problem.field
     _check_solver_length(len(problem.eval_points) + (1 if problem.extended else 0))
-    pts = tuple(element_codes(problem.eval_points).tolist())
-    if len(set(pts)) != len(pts):
-        raise DuplicateEvalPointsError("evaluation points must be pairwise distinct")
+    pts = _points(f, problem.eval_points)
     if problem.k < 1:
         raise BadDimensionError("k must be at least 1")
     system = _orthogonality_system(problem)
@@ -495,7 +495,7 @@ def construct_family(
     elif family == "trace-poly":
         if k > q - 1:
             raise BadFamilyParamsError(f"needs k <= q-1 = {q - 1}")
-        deg = len(_coefficients(g)) - 1
+        deg = len(_coefficients(field, g)) - 1
         if deg > (q - k) * q - 1:
             raise BadFamilyParamsError(f"deg g = {deg} exceeds (q-k)q-1 = {(q - k) * q - 1}")
         pts = trace_nonzero_eval_set(field, g)

@@ -53,13 +53,11 @@ class FieldMatrix:
     __slots__ = ("field", "data", "_reduced")
 
     def __init__(self, field: Field, data):
-        arr = element_codes(data)
+        arr = element_codes(data, field.order)
         if arr.size == 0:
             arr = arr.reshape(arr.shape if arr.ndim == 2 else (0, 0))
         if arr.ndim != 2:
             raise ShapeMismatchError(f"matrix data must be 2-D, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.order):
-            raise ValueError("matrix entries outside the field's element range")
         arr.setflags(write=False)
         self.field = field
         self.data = arr
@@ -326,7 +324,7 @@ def null_space(m: FieldMatrix) -> FieldMatrix:
 
 def row_space_contains(m: FieldMatrix, vec: Sequence[int]) -> bool:
     """True iff vec lies in the row space of m."""
-    v = FieldMatrix(m.field, np.array(vec, dtype=np.int64).reshape(1, -1))
+    v = FieldMatrix(m.field, [vec])
     if v.cols != m.cols:
         raise ShapeMismatchError("vector length does not match column count")
     return rank(vstack(m, v)) == rank(m)

@@ -15,7 +15,7 @@ with the library's own ``rref``.  ``dials_from_measured_hull`` is one for
 the Hermitian dials of any code; it scales down the canonical basis that
 ``hull`` reports, with the library's own dialing core.
 ``reference_code_from_dict`` is one for reading a code file; it converts
-each entry with ``Field.element``.
+each entry on its own, as a sum of its digits times powers of p.
 """
 
 from __future__ import annotations
@@ -455,7 +455,8 @@ def dials_from_measured_hull(c: LinearCode, targets=None) -> list:
 def reference_code_from_dict(d: dict) -> LinearCode:
     """``LinearCode.from_dict`` as it was while it handed the generator to
     a ``FieldMatrix.from_dict`` that converted one entry at a time, kept
-    verbatim but for the inlined matrix reader."""
+    verbatim but for the inlined matrix reader and its per-entry
+    ``Field.element`` call, since removed, written out as a digit sum."""
     spec, gen = _json_value(d, "field", dict), _json_value(d, "generator", dict)
     n, k = _json_value(d, "n", int), _json_value(d, "k", int)
     rows, cols = _json_value(gen, "rows", int), _json_value(gen, "cols", int)
@@ -476,7 +477,11 @@ def reference_code_from_dict(d: dict) -> LinearCode:
     rows, cols = int(gen["rows"]), int(gen["cols"])
     if not all(0 <= x < field.p for cs in gen["entries"] for x in cs):
         raise ValueError(f"matrix coefficients outside the field's digit range [0, {field.p})")
-    values = [field.element(c) for c in gen["entries"]]
+    values = []
+    for cs in gen["entries"]:
+        if len(cs) > field.e:
+            raise ValueError(f"expected at most {field.e} coefficients, got {len(cs)}")
+        values.append(_poly_element(field, cs))
     if len(values) != rows * cols:
         raise ShapeMismatchError("entry count does not match rows*cols")
     arr = np.array(values, dtype=np.int64).reshape(rows, cols)

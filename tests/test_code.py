@@ -674,13 +674,3 @@ def test_code_reader_matches_the_per_entry_reader(case):
     elif expected.rows == 0 or rank(expected) == expected.rows:
         assert got == expected
 
-
-def test_reading_a_code_file_converts_no_entry_on_its_own(monkeypatch):
-    # the full-field [256, 15] code at q = 16: 3840 entries, read in one array step
-    code = full_field_rs(make_quadratic_field(16), 15).code()
-    d = code.to_dict()
-    calls = []
-    element = Field.element
-    monkeypatch.setattr(Field, "element", lambda f, cs: calls.append(cs) or element(f, cs))
-    assert LinearCode.from_dict(d).gen == code.gen
-    assert calls == []

@@ -14,6 +14,7 @@ from hulldial.errors import (
     BadFieldError,
     BadTargetError,
     CapExceededError,
+    VerificationFailedError,
 )
 from hulldial.field import Field, is_prime_power, make_quadratic_field
 from hulldial.code import (
@@ -315,8 +316,12 @@ def test_qecc_from_self_orthogonal(rs92, gf9):
 
 
 def test_classified_rejects_bound_violations():
-    with pytest.raises(Exception):
-        classified(3, 9, 7, 3, 1)
+    # the same reasons, in the same words and order, as verify_claim's failures
+    for params in ((9, 7, 3, 1), (0, -1, 1, 0), (4, 9, 1, 0)):
+        failures = verify_claim(claim(3, *params)).failures
+        with pytest.raises(VerificationFailedError) as refused:
+            classified(3, *params)
+        assert failures and str(refused.value) == failures[0]
     rec = claim(3, 9, 7, 3, 1)  # claim() never raises
     assert rec.mds is False
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hulldial import field as field_module
+from hulldial import grs as grs_module
+from hulldial.code import LinearCode, scale
 from hulldial.errors import (
     CapExceededError,
     NoSuchElementError,
@@ -9,7 +11,18 @@ from hulldial.errors import (
     OddExtensionError,
 )
 from hulldial.field import Field, make_quadratic_field, smallest_irreducible
-from oracles import poly_add, poly_inv, poly_mul, poly_neg, poly_pow, subfield_coordinates
+from hulldial.grs import GrsSpec, MultiplierProblem, solve_multipliers, trace_nonzero_eval_set
+from hulldial.matrix import FieldMatrix, row_space_contains
+from oracles import (
+    _poly_element,
+    poly_add,
+    poly_inv,
+    poly_mul,
+    poly_neg,
+    poly_pow,
+    subfield_coordinates,
+    trace_nonzero_points,
+)
 
 OMEGA = 3  # x in GF(9) with the canonical modulus x^2 + 1
 
@@ -78,8 +91,8 @@ def test_found_modulus_is_not_tested_again(monkeypatch):
 
 def test_gf9_arithmetic_examples():
     f = Field(3, 2)
-    w1 = f.element((1, 1))  # omega + 1
-    assert f.mul(w1, w1) == f.element((0, 2))  # (w+1)^2 = 2w
+    w1 = 4  # omega + 1
+    assert f.mul(w1, w1) == 6  # (w+1)^2 = 2w
     assert f.inv(2) == 2  # 2*2 = 4 = 1 mod 3
     for a in f.elements():
         assert f.add(a, f.neg(a)) == 0
@@ -87,7 +100,7 @@ def test_gf9_arithmetic_examples():
 
 def test_frobenius_examples():
     f = Field(3, 2)
-    assert f.frobenius(OMEGA, 1) == f.element((0, 2))  # w^3 = 2w
+    assert f.frobenius(OMEGA, 1) == 6  # w^3 = 2w
     for a in f.elements():
         assert f.frobenius(a, f.e) == a
         assert f.frobenius(a, 0) == a
@@ -106,7 +119,7 @@ def test_frobenius_is_automorphism_gf16():
 
 def test_conj_examples():
     f = Field(3, 2)
-    assert f.conj(OMEGA) == f.element((0, 2))
+    assert f.conj(OMEGA) == 6  # 2w
     assert f.conj(0) == 0
     for a in f.elements():
         assert f.conj(f.conj(a)) == a
@@ -124,7 +137,7 @@ def test_conj_rejects_odd_extension():
 
 def test_norm_examples():
     f = Field(3, 2)
-    assert f.norm(f.element((1, 1))) == 2  # (w+1)^4 = 2
+    assert f.norm(4) == 2  # (w+1)^4 = 2
     assert f.norm(1) == 1
     assert f.norm(OMEGA) == 1  # w^4 = (w^2)^2 = 1
     assert f.norm(f.mul(4, 5)) == f.mul(f.norm(4), f.norm(5))
@@ -211,7 +224,7 @@ def test_enumeration_order():
 def test_element_coeffs_round_trip():
     f = Field(5, 2)
     for a in f.elements():
-        assert f.element(f.coeffs(a)) == a
+        assert _poly_element(f, f.coeffs(a)) == a
 
 
 def test_field_axioms_exhaustive_gf81():
@@ -338,3 +351,62 @@ def test_lane_table_puts_each_digit_in_its_own_lane(p, e):
         values, digit = np.divmod(values, p)
         packed = packed + (digit << (width * j))
     assert np.array_equal(lanes, np.take(packed, field._tables["exp"]))
+
+
+#: Each entry point that reads element codes from its caller: a valid
+#: sequence, the reader's bound, and the call, returning what it read.
+#: GF(9) throughout; its modulus digits lie below p = 3.
+_READERS = {
+    "FieldMatrix": ((1, 2, 8), 9, lambda f, seq: FieldMatrix(f, [seq]).row(0)),
+    "LinearCode": ((1, 2, 8), 9, lambda f, seq: LinearCode(f, [seq]).gen.row(0)),
+    "GrsSpec points": ((0, 1, 2, 8), 9, lambda f, seq: GrsSpec(f, seq, (1,) * 4, 2).eval_points),
+    "GrsSpec multipliers": (
+        (1, 2, 5, 8), 9, lambda f, seq: GrsSpec(f, (0, 1, 2, 3), seq, 2).multipliers
+    ),
+    # k = 2 is solvable on (0, ..., 7); at k = 3 the points (0, ..., 6, -1)
+    # were once solved as if -1 were 8 and reported no-solution
+    "solve_multipliers": (
+        tuple(range(8)), 9,
+        lambda f, seq: solve_multipliers(MultiplierProblem(f, seq, 2)).grs.eval_points,
+    ),
+    "scale": ((1, 2, 8), 9, lambda f, seq: scale(LinearCode(f, [[1, 1, 1]]), seq).gen.row(0)),
+    "row_space_contains": (
+        (1, 2, 8), 9, lambda f, seq: row_space_contains(FieldMatrix(f, [[1, 2, 8]]), seq) and seq
+    ),
+    "trace_nonzero_eval_set": ((5, 1), 9, trace_nonzero_eval_set),
+    "Field modulus": ((1, 0, 1), 3, lambda f, seq: Field(3, 2, seq).modulus),
+}
+
+
+def _with_first(seq, bad, bound):
+    """seq with its first entry replaced by the bad value named."""
+    if bad == "2**63 as uint64":
+        return np.array((2**63, *seq[1:]), dtype=np.uint64)
+    return (bound if bad == "bound" else bad, *seq[1:])
+
+
+@pytest.mark.parametrize("bad", [-1, "bound", "2**63 as uint64", 1.5])
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_reader_refuses_bad_element_codes_before_any_work(monkeypatch, gf9, reader, bad):
+    valid, bound, call = _READERS[reader]
+    expected = trace_nonzero_points(gf9, valid) if call is trace_nonzero_eval_set else valid
+    assert call(gf9, valid) == expected
+    # no arithmetic, no orthogonality system and no irreducibility test may
+    # start before the codes are refused
+    def work(*args):
+        raise AssertionError(f"{reader} started work on a bad code")
+
+    for name in ("add_array", "mul_array", "pow_array"):
+        monkeypatch.setattr(Field, name, work)
+    monkeypatch.setattr(grs_module, "_orthogonality_system", work)
+    monkeypatch.setattr(field_module, "_is_irreducible", work)
+    with pytest.raises(ValueError, match=rf"must be int64 integers|outside \[0, {bound}\)"):
+        call(gf9, _with_first(valid, bad, bound))
+
+
+def test_scalar_arithmetic_refuses_non_integers(gf9):
+    for call in (lambda: gf9.add(1.5, 2), lambda: gf9.norm_preimage(1.0), lambda: gf9.pow(9, 2)):
+        with pytest.raises(ValueError, match=r"is not an element of GF\(3\^2\)"):
+            call()
+    # integers of any kind index the tables as the ints they stand for
+    assert gf9.inv(True) == 1 and gf9.mul(np.int64(4), np.uint8(4)) == 6
