@@ -7,15 +7,21 @@ canonical, so equality of integers is equality of elements, and the
 integer order 0, 1, 2, ... is the canonical enumeration order used by
 every "first qualifying element" rule in the toolkit.
 
-Arithmetic is polynomial arithmetic modulo a monic irreducible modulus,
-done through tables of O(p^e) size that every field builds on first use:
-exp[i] = g^i for the smallest primitive element g, its inverse log, and
-Zech logarithms zech[i] = log(1 + g^i), so that a + b = a(1 + b/a) (Huber,
-"Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4),
-1990).  Fields of at most ``TABLE_LIMIT`` elements also cache their full
-add/mul grids, computed from the tables, behind the same methods.  Sums of
-products (``dot_lanes``, the kernel of matrix products) read a lane copy of
-exp, built on the first such sum, whose plain integer sums are field sums.
+The field is GF(p)[x]/(f) for a monic irreducible f of degree e, set up on
+e x e digit matrices over GF(p): with X the companion matrix of f,
+digits(a * x) = digits(a) @ X mod p, and multiplication by b is the matrix
+b(X) (Lidl and Niederreiter, "Finite Fields", ch. 2).  The default modulus
+is the first f in constant-term-first order to pass Rabin's test on X
+(SIAM J. Comput. 9(2), 1980), and the primitive element g the first
+element in canonical order whose g(X) has order p^e - 1.  Arithmetic goes
+through tables of O(p^e) size that every field builds from g(X) on first
+use: exp[i] = g^i, its inverse log, and Zech logarithms
+zech[i] = log(1 + g^i), so that a + b = a(1 + b/a) (Huber, "Some comments
+on Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990).  Fields of at
+most ``TABLE_LIMIT`` elements also cache their full add/mul grids, computed
+from the tables, behind the same methods.  Sums of products (``dot_lanes``,
+the kernel of matrix products) read a lane copy of exp, built on the first
+such sum, whose plain integer sums are field sums.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import functools
 import itertools
 import operator
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,101 +70,55 @@ def is_prime_power(q: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p).  Coefficient tuples, constant term first,
-# no trailing zeros; the zero polynomial is ().
+# Set-up on e x e digit matrices over GF(p), entries in [0, p): for e >= 2 the
+# cap keeps p <= 1024, so a product's sums stay below e * (p - 1)^2 < 2^25,
+# and 1 x 1 products stay below 2^40.
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(a: Iterable[int]) -> tuple[int, ...]:
-    a = tuple(a)
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)
-    )
-
-
-def _pmod(a, f, p):
-    """Remainder of a modulo the polynomial f (any nonzero leading coeff)."""
-    a = [x % p for x in a]
-    f = _ptrim(x % p for x in f)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while True:
-        a = list(_ptrim(a))
-        if not a or len(a) - 1 < df:
-            break
-        shift = len(a) - 1 - df
-        factor = (a[-1] * inv_lead) % p
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - factor * fi) % p
-    return _ptrim(a)
-
-
-def _pmulmod(a, b, f, p):
-    """a * b mod the monic f, for a and b of degree below deg f.  Sums are
-    reduced mod p only where a digit is read."""
+def _companion(f: Sequence[int], p: int) -> np.ndarray:
+    """X for the monic f of degree e: row i holds the digits of x^(i+1) mod f."""
     e = len(f) - 1
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for top in range(2 * e - 2, e - 1, -1):  # subtract c x^(top-e) f: f is monic
-        c = prod[top] % p
-        if c:
-            for i in range(e):
-                prod[top - e + i] -= c * f[i]
-    return _ptrim(x % p for x in prod[:e])
+    x = np.eye(e, k=1, dtype=np.int64)
+    x[-1] = np.negative(f[:e]) % p  # x^e = -(f_0 + f_1 x + ... + f_(e-1) x^(e-1))
+    return x
 
 
-def _ppowmod(base, exponent, f, p):
-    result = (1,)
-    base = _pmod(base, f, p)
-    while exponent > 0:
-        if exponent & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        exponent >>= 1
-    return result
+def _matpow(a: np.ndarray, n: int, p: int) -> np.ndarray:
+    """a^n mod p for n >= 1, squaring along the bits of n from the top."""
+    out = a
+    for bit in bin(n)[3:]:
+        out = out @ out % p
+        if bit == "1":
+            out = out @ a % p
+    return out
 
 
-def _pgcd(a, b, p):
-    a, b = _ptrim(x % p for x in a), _ptrim(x % p for x in b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = _ptrim((x * inv_lead) % p for x in a)
-    return a
+def _nonsingular(a: np.ndarray, p: int) -> bool:
+    """Whether the square matrix a is invertible mod p, by elimination."""
+    a = a % p
+    for c in range(len(a)):
+        r = c + a[c:, c].argmax()  # entries lie in [0, p): the largest is nonzero if any is
+        if not a[r, c]:
+            return False
+        a[[c, r]] = a[[r, c]]
+        a[c + 1 :] -= np.multiply.outer(a[c + 1 :, c] * pow(int(a[c, c]), p - 2, p) % p, a[c])
+        a %= p
+    return True
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
-    f = _ptrim(c % p for c in coeffs)
-    e = len(f) - 1
-    if e < 1:
-        return False
+    """Rabin's test for a monic polynomial f of degree e over GF(p), on its
+    companion matrix X: f is irreducible exactly when X^(p^e) = X and
+    X^(p^(e/r)) - X is nonsingular for every prime r dividing e (b is a
+    unit mod f exactly when b(X) is nonsingular)."""
+    e = len(coeffs) - 1
     if e == 1:
         return True
-    if f[0] == 0:  # divisible by x
+    x = _companion(coeffs, p)
+    if not np.array_equal(_matpow(x, p**e, p), x):
         return False
-    x = (0, 1)
-    minus_x = (0, p - 1)
-    # x^(p^e) must equal x mod f
-    if _padd(_ppowmod(x, p**e, f, p), minus_x, p) != ():
-        return False
-    for r in factorize(e):
-        d = e // r
-        g = _padd(_ppowmod(x, p**d, f, p), minus_x, p)  # x^(p^d) - x
-        if _pgcd(g, f, p) != (1,):
-            return False
-    return True
+    return all(_nonsingular(_matpow(x, p ** (e // r), p) - x, p) for r in factorize(e))
 
 
 def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -167,11 +127,12 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     Candidates are compared by their coefficient sequences, constant term
     first.  Returns e+1 coefficients, constant term first.
     """
-    # for e > 1 a zero constant term leaves the factor x, so it starts at 1
-    for low in itertools.product(range(1 if e > 1 else 0, p), *[range(p)] * (e - 1)):
-        cand = low + (1,)
-        if _is_irreducible(cand, p):
-            return cand
+    # for e > 1 a zero constant term leaves the factor x, so it starts at 1; its
+    # range is walked lazily, where itertools.product would copy all p of it
+    for low in range(1 if e > 1 else 0, p):
+        for rest in itertools.product(range(p), repeat=e - 1):
+            if _is_irreducible(cand := (low, *rest, 1), p):
+                return cand
     raise NoSuchElementError(
         f"no irreducible polynomial of degree {e} over GF({p})"
     )  # pragma: no cover
@@ -252,7 +213,6 @@ class Field:
         self.e = e
         self.order = order
         self.modulus = modulus
-        self._primitive: int | None = None
 
     # -- identity -------------------------------------------------------------
 
@@ -281,12 +241,7 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Base-p digits of a, constant term first, length e."""
-        a = self._check(a)
-        out = []
-        for _ in range(self.e):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return tuple(out)
+        return tuple(digit_columns([self._check(a)], self.p, self.e)[0].tolist())
 
     def elements(self) -> range:
         """All field elements in canonical (counting) order."""
@@ -421,19 +376,26 @@ class Field:
 
     def primitive_element(self) -> int:
         """Smallest generator of the multiplicative group, canonical order."""
-        if self._primitive is not None:
-            return self._primitive
-        o = self.order - 1
-        if o == 1:
-            self._primitive = 1
-            return 1
-        prime_divs = list(factorize(o))
+        return self._generator[0]
+
+    @functools.cached_property
+    def _generator(self) -> tuple[int, np.ndarray]:
+        """(g, g(X)): the smallest primitive element g and its matrix
+        g(X) = sum_j g_j X^j, whose row i holds the digits of g * x^i.  Row 0
+        of g(X)^n holds the digits of g^n, so g qualifies when that row is
+        not the digits of 1 at n = (order - 1)/r for every prime r dividing
+        order - 1."""
+        p, e, o = self.p, self.e, self.order - 1
+        x, powers = _companion(self.modulus, p), [np.eye(e, dtype=np.int64)]
+        while len(powers) < e:
+            powers.append(powers[-1] @ x % p)
+        powers = np.stack(powers)  # X^0, ..., X^(e-1)
+        one, primes = powers[0, 0], list(factorize(o))  # one: the digits of 1
         # for e > 1, the elements below p lie in GF(p), whose units have order < o
-        for g in range(self.p if self.e > 1 else 2, self.order):
-            c = self.coeffs(g)
-            if all(_ppowmod(c, o // r, self.modulus, self.p) != (1,) for r in prime_divs):
-                self._primitive = g
-                return g
+        for g in range(p if e > 1 else 1, self.order):
+            times_g = digit_columns([g], p, e)[0] @ powers % p  # row i: digits of g * x^i
+            if all((_matpow(times_g, o // r, p)[0] != one).any() for r in primes):
+                return g, times_g
         raise NoSuchElementError("no primitive element found")  # pragma: no cover
 
     # -- quadratic-extension coordinates ----------------------------------------------
@@ -454,18 +416,14 @@ class Field:
     def _tables(self) -> dict:
         """The log/exp/Zech tables and the arithmetic they define.
 
-        Multiplication by g is GF(p)-linear on digit vectors; applied to the
-        low and the high digits of every element, then summed digit-wise,
-        it gives the permutation a -> g*a, and pointer doubling over that
+        g(X), the matrix of multiplication by g, applied to the low and the
+        high digits of every element, then summed digit-wise, gives the
+        permutation a -> g*a, and pointer doubling over that
         permutation fills exp.  Nothing is quadratic in the order but the
         grids cached up to TABLE_LIMIT elements.
         """
         p, e, m = self.p, self.e, self.order - 1
-        g = self.coeffs(self.primitive_element())
-        times_g = np.zeros((e, e), dtype=np.int64)
-        for i in range(e):  # digits of g * x^i
-            gx = _pmulmod(g, (0,) * i + (1,), self.modulus, p)
-            times_g[i, : len(gx)] = gx
+        times_g = self._generator[1]
 
         def images(lo: int, hi: int) -> np.ndarray:  # digits of g*a, a in span(x^lo..x^(hi-1))
             vals = np.arange(p ** (hi - lo), dtype=np.int64)

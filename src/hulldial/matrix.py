@@ -138,20 +138,22 @@ def frobenius_entrywise(m: FieldMatrix, l: int) -> FieldMatrix:
 
 
 def scale_columns(m: FieldMatrix, v: Sequence[int]) -> FieldMatrix:
-    """Multiply column j by v[j]."""
-    if len(v) != m.cols:
-        raise ShapeMismatchError(f"weight vector length {len(v)} != cols {m.cols}")
+    """Multiply column j by v[j], the weights read by ``element_codes``."""
+    vec = element_codes(v, m.field.order)
+    if len(vec) != m.cols:
+        raise ShapeMismatchError(f"weight vector length {len(vec)} != cols {m.cols}")
     if m.rows == 0:
         return m
-    vec = np.array(v, dtype=np.int64)
     return FieldMatrix._trusted(m.field, m.field.mul_array(m.data, vec[None, :]))
 
 
 def permute_columns(m: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:
-    """Column j of the result is column perm[j] of the input."""
-    if sorted(perm) != list(range(m.cols)):
+    """Column j of the result is column perm[j] of the input; perm is read by
+    ``element_codes`` with bound cols, so bools act as the ints they stand for."""
+    codes = element_codes(perm, m.cols)
+    if sorted(codes.tolist()) != list(range(m.cols)):
         raise BadPermutationError(f"{perm} is not a permutation of 0..{m.cols - 1}")
-    return FieldMatrix._trusted(m.field, m.data[:, list(perm)])
+    return FieldMatrix._trusted(m.field, m.data[:, codes])
 
 
 def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:

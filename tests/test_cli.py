@@ -542,6 +542,11 @@ def _golden_cases():
     yield "table", "q8_full", ["table", "--q", "8"]
     yield "table", "q7_full", ["table", "--q", "7", "--format", "json"]
     yield "table", "q9_nogeneric", ["table", "--q", "9", "--no-generic", "--format", "pretty"]
+    # rs16's generator digits read over GF(16) with the modulus x^4 + x + 1,
+    # not the default x^4 + x^3 + 1: a non-MDS [16, 3] code with d = 12,
+    # recorded while the field set-up ran on coefficient-tuple polynomials
+    yield "gf16_alt_modulus", "hull", ["hull"]
+    yield "gf16_alt_modulus", "eaqec_json", ["eaqec", "--format", "json"]
 
 
 #: Codes too long to keep as golden files, built by construct for each run
@@ -629,6 +634,16 @@ def test_golden_hull_span_at_n_169(capsys, tmp_path):
     ):
         code, out, _ = _run(capsys, *argv)
         assert code == 0 and out.encode() == (GOLDEN_CLI / golden).read_bytes(), golden
+
+
+def test_code_file_with_a_reducible_modulus_exits_1(capsys, tmp_path):
+    payload = json.loads((GOLDEN_CLI / "gf16_alt_modulus_code.json").read_text())
+    payload["field"]["modulus"] = [1, 0, 0, 0, 1]  # x^4 + 1 = (x + 1)^4
+    codefile = tmp_path / "code.json"
+    codefile.write_text(json.dumps(payload))
+    assert _run(capsys, "hull", str(codefile)) == (
+        1, "", "hulldial: error: modulus (1, 0, 0, 0, 1) is reducible over GF(2)\n"
+    )
 
 
 _BATCHED_TABLES = [

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from hulldial.errors import (
 )
 from hulldial.field import Field, make_quadratic_field, smallest_irreducible
 from hulldial.grs import GrsSpec, MultiplierProblem, solve_multipliers, trace_nonzero_eval_set
-from hulldial.matrix import FieldMatrix, row_space_contains
+from hulldial.matrix import FieldMatrix, permute_columns, row_space_contains, scale_columns
 from oracles import (
     _poly_element,
     poly_add,
@@ -75,6 +78,43 @@ def test_cap_enforced():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         Field(3, 2, (0, 0, 1))  # x^2 = x * x
+
+
+@pytest.mark.parametrize(
+    "p, modulus",
+    [
+        # (x - 2)(x - 3): X^25 = X holds, only the unit check for r = 2 fails
+        (5, (1, 0, 1)),
+        # (x + 1)(x^2 + x + 1)(x^3 + x + 1): X^64 = X holds, the unit checks
+        # for r = 2 and r = 3 both fail
+        (2, (1, 1, 0, 0, 1, 0, 1)),
+        # (x^2 + x + 1)(x^3 + x + 1): the unit check for r = 5 passes, only
+        # X^32 = X fails
+        (2, (1, 0, 0, 0, 1, 1)),
+        # (x^2 + 1)^2, not squarefree
+        (3, (1, 0, 2, 0, 1)),
+    ],
+    ids=["gf5-x2+1", "gf2-three-factors", "gf2-two-factors", "gf3-square"],
+)
+def test_reducible_moduli_each_defeating_a_partial_test_are_refused(p, modulus):
+    with pytest.raises(ValueError, match="is reducible"):
+        Field(p, len(modulus) - 1, modulus)
+
+
+#: Modulus and primitive element of every field GF(p^e) with p < 1100 prime
+#: and p^e <= 2^20, and of the five largest primes below 2^20 at e = 1,
+#: recorded while the set-up still ran on coefficient-tuple polynomials.
+GOLDEN_FIELDS = Path(__file__).parent / "golden" / "fields.json"
+
+
+def test_every_field_set_up_matches_the_golden():
+    golden = json.loads(GOLDEN_FIELDS.read_text())
+    assert len(golden) == 431
+    built = {}
+    for key in golden:
+        f = Field(*map(int, key.split(",")))
+        built[key] = {"modulus": list(f.modulus), "primitive": f.primitive_element()}
+    assert built == golden
 
 
 def test_found_modulus_is_not_tested_again(monkeypatch):
@@ -370,6 +410,12 @@ _READERS = {
         lambda f, seq: solve_multipliers(MultiplierProblem(f, seq, 2)).grs.eval_points,
     ),
     "scale": ((1, 2, 8), 9, lambda f, seq: scale(LinearCode(f, [[1, 1, 1]]), seq).gen.row(0)),
+    "scale_columns": (
+        (1, 2, 8), 9, lambda f, seq: scale_columns(FieldMatrix(f, [[1, 1, 1]]), seq).row(0)
+    ),
+    "permute_columns": (
+        (2, 0, 1), 3, lambda f, seq: permute_columns(FieldMatrix(f, [[0, 1, 2]]), seq).row(0)
+    ),
     "row_space_contains": (
         (1, 2, 8), 9, lambda f, seq: row_space_contains(FieldMatrix(f, [[1, 2, 8]]), seq) and seq
     ),

@@ -14,7 +14,7 @@ from hulldial.errors import (
     SpecMismatchError,
 )
 from hulldial import matrix
-from hulldial.code import gram_matrix
+from hulldial.code import LinearCode, gram_matrix, permute
 from hulldial.field import Field, make_quadratic_field
 from hulldial.grs import full_field_rs
 from hulldial.matrix import (
@@ -505,9 +505,22 @@ def test_zero_row_matrices_are_legal(gf9):
 def test_scale_and_permute_columns(gf9):
     m = FieldMatrix(gf9, [[1, 2, 3]])
     assert scale_columns(m, (1, 1, 1)) == m
+    # weights are element codes: a float, -1 and 9 were once read as 1, 8
+    # and a bare numpy IndexError
+    for weights in ((1, 1.5, 2), (1, -1, 2), (1, 9, 2)):
+        with pytest.raises(ValueError, match=r"must be int64 integers|outside \[0, 9\)"):
+            scale_columns(m, weights)
     with pytest.raises(BadPermutationError):
         permute_columns(m, (0, 0, 1))
     assert permute_columns(m, (2, 1, 0)) == FieldMatrix(gf9, [[3, 2, 1]])
+    # bools are the ints they stand for, not a mask that drops coordinates;
+    # floats are refused, not a bare numpy IndexError
+    two = FieldMatrix(gf9, [[1, 2]])
+    assert permute_columns(two, [True, False]) == FieldMatrix(gf9, [[2, 1]])
+    code = permute(LinearCode(gf9, [[1, 2]]), [True, False])
+    assert (code.n, code.k) == (2, 1)
+    with pytest.raises(ValueError, match="must be int64 integers"):
+        permute_columns(two, [1.0, 0.0])
 
 
 def test_stacking(gf9):
