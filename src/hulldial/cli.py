@@ -211,11 +211,11 @@ def _cmd_eaqec(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    blocks = _table_blocks(args.q, args.max_rows, not args.no_generic)
+    runs = _table_blocks(args.q, args.max_rows, not args.no_generic)
     if args.format == "tsv":  # the bulk format, rendered without records
-        text = _block_tsv_text(args.q, blocks, _LINE_BATCH)
+        text = _block_tsv_text(args.q, runs, _LINE_BATCH)
     else:
-        text = _records_text(_block_records(args.q, blocks), args.format)
+        text = _records_text(_block_records(args.q, runs), args.format)
     _emit(text, args.out)
     return EXIT_OK
 

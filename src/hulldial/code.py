@@ -41,6 +41,7 @@ from .errors import (
 from .field import FIELD_ORDER_CAP, Field, digit_columns, element_codes, ensure_same_field
 from .matrix import (
     FieldMatrix,
+    _scale_columns,
     batch_column_deficient,
     frobenius_entrywise,
     matmul,
@@ -48,7 +49,6 @@ from .matrix import (
     permute_columns,
     rank,
     rref,
-    scale_columns,
     standard_form,
     transpose,
 )
@@ -282,7 +282,7 @@ def check_weight_vector(field: Field, v: Sequence[int], n: int) -> tuple[int, ..
 def scale(c: LinearCode, v: Sequence[int]) -> LinearCode:
     """Multiply coordinate j of every codeword by v[j] (all v[j] nonzero)."""
     v = check_weight_vector(c.field, v, c.n)
-    return LinearCode(c.field, scale_columns(c.gen, v), check=False)
+    return LinearCode(c.field, _scale_columns(c.gen, v), check=False)
 
 
 def permute(c: LinearCode, perm: Sequence[int]) -> LinearCode:

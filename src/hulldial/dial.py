@@ -44,11 +44,11 @@ from .field import digit_columns
 from .matrix import (
     FieldMatrix,
     _columns_first,
+    _scale_columns,
     frobenius_entrywise,
     matmul,
     rank,
     rref,
-    scale_columns,
     standard_form,
     transpose,
 )
@@ -146,7 +146,7 @@ def _scale_down(
         for target in lower:
             lambdas = constants[: h - target]
             v = lambdas + (1,) * (n - len(lambdas))
-            gen = scale_columns(arranged.gen, v)
+            gen = _scale_columns(arranged.gen, v)
             achieved = c.k - rank(matmul(gen, transpose(frobenius_entrywise(gen, sigma))))
             if achieved != target:
                 raise VerificationFailedError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -201,27 +201,28 @@ def _dialed_records(c: LinearCode, targets: list[int] | None, cap: int | None) -
 
 
 #: Most rows a table may hold; a longer table raises CapExceededError,
-#: counted over its (n, k) pairs before any record or byte exists.  The
-#: full q = 16 table fits: 732,032 rows from 16,512 pairs, walked in about
-#: 0.04 s, written by `table` in under 50 MB (as TSV in about 0.4 s and
-#: 36 MB peak RSS, on a 2-vCPU shared host; 2 s as pretty text, 17 s as
-#: JSON), and built as records by enumerate_table1 in about 1.6 s and 140 MB.
+#: counted over its runs of (n, k) pairs before any record or byte exists.
+#: The full q = 16 table fits: 732,032 rows from 16,512 pairs in 275 runs,
+#: walked in about 1 ms, written by `table` in under 50 MB (as TSV in about
+#: 0.25 s and 34 MB peak RSS, on a 2-vCPU shared host; 2 s as pretty text,
+#: 17 s as JSON), and built as records by enumerate_table1 in about 0.9 s and 140 MB.
 TABLE_ROW_CAP = 750_000
 
 
 class _Family(NamedTuple):
     """One parameter family at a fixed q.
 
-    ``pairs()`` yields its (n, k) pairs in emission order; pair (n, k)
-    stands for the rows (n, n-k-h, k+1, k-h), h = 0..k.  ``has(n, k)`` is
-    true exactly on the pairs ``pairs()`` yields, decided in closed form.
-    Every family but coset-trim is one length-and-dimension rule (see
-    _ranged), which gives both.  Coset-trim walks k-major within each t,
-    with n falling as u rises, and the table's row order follows that walk.
+    ``runs()`` yields its (n, k) pairs in emission order, as runs
+    (n, k_lo, k_hi) of consecutive k at one length; pair (n, k) stands for
+    the rows (n, n-k-h, k+1, k-h), h = 0..k.  ``has(n, k)`` is true exactly
+    on the pairs of those runs, decided in closed form.  Every family but
+    coset-trim is one length-and-dimension rule (see _ranged), which gives
+    both.  Coset-trim walks k-major within each t, with n falling as u
+    rises, one pair per run, and the table's row order follows that walk.
     """
 
     name: str
-    pairs: Callable[[], Iterator[tuple[int, int]]]
+    runs: Callable[[], Iterator[tuple[int, int, int]]]
     has: Callable[[int, int], bool]
 
 
@@ -229,15 +230,17 @@ def _ranged(name: str, lengths: Collection[int], dims: Callable[[int], Sequence[
     """The pairs with n in ``lengths``, in order, and k in ``dims(n)``, ascending.
 
     ``lengths`` is a range, a dict or a short list, and ``dims(n)`` a range
-    or a list built once per family, so ``has`` costs O(1) or close to it.
+    or a short list built once per family, so ``has`` costs O(1) or close
+    to it.
     """
 
-    def pairs():
+    def runs():  # one per length, a list split where it skips a value
         for n in lengths:
-            for k in dims(n):
-                yield n, k
+            d = dims(n)
+            cut = [i for i in range(1, len(d)) if d[i] > d[i - 1] + 1] if type(d) is list else []
+            yield from ((n, d[a], d[b - 1]) for a, b in zip([0, *cut], [*cut, len(d)]) if a < b)
 
-    return _Family(name, pairs, lambda n, k: n in lengths and k in dims(n))
+    return _Family(name, runs, lambda n, k: n in lengths and k in dims(n))
 
 
 def _q2plus1(q: int) -> _Family:
@@ -260,14 +263,14 @@ def _coset_trim(q: int) -> _Family:
     def length(t: int, u: int) -> int:
         return q * q - 1 - t * (q - 1) - u * (q + 1)
 
-    def pairs():
+    def runs():
         for t in ts:
             for k in range(1, q):
                 u = 1
                 while 1 + u * (q + 1) <= (q - k) * q - 1:
                     n = length(t, u)
                     if n >= 2 and k <= n:
-                        yield n, k
+                        yield n, k, k
                     u += 1
 
     def has(n: int, k: int) -> bool:
@@ -279,7 +282,7 @@ def _coset_trim(q: int) -> _Family:
                 return True
         return False
 
-    return _Family("coset-trim", pairs, has)
+    return _Family("coset-trim", runs, has)
 
 
 def _near_full(q: int) -> _Family:
@@ -340,52 +343,63 @@ def _families(q: int, include_generic: bool) -> list[_Family]:
     return named + [_generic(q)] if include_generic else named
 
 
-#: A table block (n, k, tags, rows); see _table_blocks.
-_Block = tuple[int, int, tuple[str, ...], int]
+#: A table run (n, k_lo, k_hi, tags, last); see _table_blocks.
+_Run = tuple[int, int, int, tuple[str, ...], int]
 
 
-def _table_blocks(q: int, max_rows: int | None, include_generic: bool) -> list[_Block]:
-    """The table as (n, k, tags, rows) blocks, one per (n, k) pair, in order.
+def _rows_through(lo: int, hi: int) -> int:
+    """The rows of the pairs k = lo..hi at one length: the sum of k + 1."""
+    return (hi - lo + 1) * (lo + hi + 2) // 2
 
-    Block (n, k) stands for its first ``rows`` rows (n, n-k-h, k+1, k-h),
-    h = 0..rows-1, all tagged ``tags``; every block holds k + 1 rows but the
-    last, which is cut to ``max_rows``.  Keys (n, k_q, d, c) and (n, k, h)
-    determine each other, so a key was emitted exactly when its pair was:
-    the dedup set holds the emitted pairs.  A pair with 2k > n yields no
-    row, since its rows fail the distance gate.  Every other row has
-    0 <= h <= k, so it meets the gate and Singleton equality and is MDS.
-    The walk stops at the row that reaches ``max_rows`` or passes
-    TABLE_ROW_CAP; past the cap it raises CapExceededError, before any
-    record or output exists.
+
+def _table_blocks(q: int, max_rows: int | None, include_generic: bool) -> list[_Run]:
+    """The table as runs (n, k_lo, k_hi, tags, last), in order.
+
+    A run holds the pairs (n, k), k = k_lo..k_hi, tagged ``tags``; pair
+    (n, k) stands for its rows (n, n-k-h, k+1, k-h), h = 0..k, but pair k_hi
+    for its first ``last`` rows.  Keys (n, k_q, d, c) and (n, k, h) determine
+    each other, so a key was emitted exactly when its pair was: runs are
+    split around the ks emitted before at their length, and a named
+    family's runs also where the later families holding a pair change.  A
+    pair with 2k > n fails the distance gate and yields no row; every other
+    row has 0 <= h <= k, so it meets the gate and Singleton equality.  Rows
+    are counted per run in closed form, and no run is drawn past the one
+    that reaches ``max_rows`` or passes TABLE_ROW_CAP, where the walk raises
+    CapExceededError before any record or output exists.
     """
     if max_rows is not None and max_rows < 0:
         raise BadTargetError(f"max_rows = {max_rows} must be nonnegative")
     _check_base_field(q, least=3)
     families = _families(q, include_generic)
-    wanted = TABLE_ROW_CAP + 1 if max_rows is None else min(TABLE_ROW_CAP + 1, max_rows)
-    blocks: list[_Block] = []
-    if wanted == 0:
-        return blocks
-    emitted: set[tuple[int, int]] = set()
-    total = 0
-    for i, family in enumerate(families):
-        later, alone = families[i + 1 :], (family.name,)  # the last family tags pairs alone
-        for n, k in family.pairs():
-            if 2 * k > n or (n, k) in emitted:
-                continue
-            emitted.add((n, k))
-            tags = alone + tuple([f.name for f in later if f.has(n, k)]) if later else alone
-            rows = min(k + 1, wanted - total)
-            blocks.append((n, k, tags, rows))
-            total += rows
-            if total == wanted:
-                if total > TABLE_ROW_CAP:
-                    raise CapExceededError(
-                        f"the q = {q} table has over {TABLE_ROW_CAP} rows; "
-                        "ask for at most that many"
-                    )
-                return blocks
-    return blocks
+    left = wanted = TABLE_ROW_CAP + 1 if max_rows is None else min(TABLE_ROW_CAP + 1, max_rows)
+    runs: list[_Run] = []
+    emitted: dict[int, set[int]] = {}
+    for i, family in enumerate(families if wanted else []):  # max_rows 0 draws nothing
+        later, alone = families[i + 1 :], (family.name,)
+        for n, lo, hi in family.runs():
+            hi = min(hi, n // 2)
+            done = sorted(k for k in emitted.get(n, ()) if lo <= k <= hi)
+            if later:
+                emitted.setdefault(n, set()).update(range(lo, hi + 1))
+            for a, b in zip([lo, *[k + 1 for k in done]], [*[k - 1 for k in done], hi]):
+                if a > b:
+                    continue
+                rows = _rows_through(a, b)
+                if rows >= left:  # the last run: k_hi is the least k whose rows reach left
+                    b = (isqrt(8 * (left + a * (a + 1) // 2) - 7) - 1) // 2
+                tags = [alone + tuple([f.name for f in later if f.has(n, k)])
+                        for k in range(a, b + 1)] if later else [alone]
+                cuts = [j for j in range(1, len(tags)) if tags[j] != tags[j - 1]]
+                runs += [(n, a + j, a + e - 1, tags[j], a + e)
+                         for j, e in zip([0, *cuts], [*cuts, b - a + 1])]
+                if rows >= left:
+                    runs[-1] = (*runs[-1][:4], left - _rows_through(a, b - 1))
+                    if wanted > TABLE_ROW_CAP:
+                        raise CapExceededError(f"the q = {q} table has over {TABLE_ROW_CAP} "
+                                               "rows; ask for at most that many")
+                    return runs
+                left -= rows
+    return runs
 
 
 def enumerate_table1(
@@ -404,70 +418,67 @@ def enumerate_table1(
     rows are counted, so time and memory grow with the rows emitted, not
     with the families' size (about q^3 named rows, about q^6/24 generic
     ones).  A table that would hold more than TABLE_ROW_CAP records raises
-    CapExceededError once its row count passes the cap, counted over (n, k)
-    pairs before any record is built.  Every record meets the distance gate
-    and the Singleton bound with equality.
+    CapExceededError once its row count passes the cap, counted over runs
+    of (n, k) pairs before any record is built.  Every record meets the
+    distance gate and the Singleton bound with equality.
     """
     return list(_block_records(q, _table_blocks(q, max_rows, include_generic)))
 
 
-def _block_records(q: int, blocks: Iterable[_Block]) -> Iterator[EaqecParams]:
-    """The records of table blocks, one by one: formula-level, MDS, gated."""
-    for n, k, tags, rows in blocks:
-        for h in range(rows):
-            yield EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
+def _block_records(q: int, runs: Iterable[_Run]) -> Iterator[EaqecParams]:
+    """The records of table runs, one by one: formula-level, MDS, gated."""
+    for n, lo, hi, tags, last in runs:
+        for k in range(lo, hi + 1):
+            for h in range(last if k == hi else k + 1):
+                yield EaqecParams(q, n, n - k - h, k + 1, k - h, True, True, tags)
 
 
-class _Countdown:
-    """str(top), str(top - 1), ..., str(0), each made only when sliced out."""
+def _block_tsv_text(q: int, runs: Sequence[_Run], batch: int) -> Iterator[str]:
+    """TSV_HEADER and the tsv_row of each record of table runs, each line
+    ended, in pieces of exactly ``batch`` lines but the last; no record is built.
 
-    def __init__(self, top: int):
-        self.top = top
-
-    def __getitem__(self, part: slice) -> Iterator[str]:
-        return map(str, range(self.top - part.start, self.top - part.stop, -1))
-
-
-def _block_tsv_text(q: int, blocks: Sequence[_Block], batch: int) -> Iterator[str]:
-    """TSV_HEADER and the tsv_row of each record of table blocks, each line
-    ended, in pieces of exactly ``batch`` lines but the last, which may be
-    shorter; no record is built.
-
-    The rows of block (n, k) differ only in k_q = n-k-h and c = k-h, which
-    count down together as h rises, so the rest of each row is formatted
-    once per block (the labels once per tag tuple).  The rows of a block
-    that fall in one piece are laid out in one list, the repeated row parts
-    with two slices of the decimal strings of max n down to 0 assigned
-    between them, and each piece is one join of its lists, so no string is
-    made per row.  Those decimal strings are made once when the table has
-    at least that many rows; a shorter table (a few rows at a large q)
-    makes each one it needs with ``str``.
+    Row h of pair (n, k) is "{q}\t{n}\t", k_q = n-k-h and a rest
+    "\t{k+1}\t{k-h}\t{labels}\n", formatted once per tag tuple for the ks
+    its runs span, in row order.  A run's k_q are gathered through k + h
+    from the decimal strings of n-2k_hi..n-k_lo, made once for all runs
+    (per run where that makes fewer), and each piece-sized slice of a run
+    is one list [head, k_q, rest] * rows filled by two slice assignments.
     """
-    top = max((n for n, *_ in blocks), default=0)
-    if sum(rows for *_, rows in blocks) > top:
-        countdown = list(map(str, range(top, -1, -1)))
-    else:
-        countdown = _Countdown(top)
-    tails: dict[tuple[str, ...], str] = {}
+    spans: dict[tuple[str, ...], tuple[int, int]] = {}
+    for _, lo, hi, tags, _ in runs:
+        a, b = spans.get(tags, (lo, hi))
+        spans[tags] = min(a, lo), max(b, hi)
+    rests = {
+        tags: (a, [f"\t{k + 1}\t{c}{tail}" for k in range(a, b + 1) for c in range(k, -1, -1)])
+        for tags, (a, b) in spans.items()
+        for tail in [f"\t{_tsv_labels(tags, False, True, True)}\n"]
+    }
+    top = max((b for _, b in spans.values()), default=0)
+    ks = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+    sums = np.arange(len(ks)) - ks * (ks - 1) // 2  # k + h of the rows (k, h) from (0, 0)
+    low = min((n - 2 * hi for n, _, hi, _, _ in runs), default=0)
+    high = max((n - lo for n, lo, _, _, _ in runs), default=0)
+    shared, decimals = high - low < sum(2 * hi - lo + 1 for _, lo, hi, _, _ in runs), None
     piece, room = [TSV_HEADER + "\n"], batch - 1
-    for n, k, tags, rows in blocks:
-        if tags not in tails:
-            tails[tags] = f"\t{_tsv_labels(tags, False, True, True)}\n"
-        head, mid, tail = f"{q}\t{n}\t", f"\t{k + 1}\t", tails[tags]
-        at_kq, at_c = top - (n - k), top - k  # where k_q and c of row h = 0 are
-        h = 0
-        while h < rows:
+    for n, lo, hi, tags, last in runs:
+        first, rest = rests[tags]
+        at = lo * (lo + 1) // 2  # the row (lo, 0), counted from (0, 0)
+        skip = at - first * (first + 1) // 2  # and from (first, 0)
+        if not shared:
+            low, high, decimals = n - 2 * hi, n - lo, None
+        if decimals is None:
+            decimals = np.array([*map(str, range(low, high + 1))], dtype=object)
+        head, rows, done = f"{q}\t{n}\t", _rows_through(lo, hi - 1) + last, 0
+        while done < rows:
             if not room:  # a full piece goes out only once a row follows it
                 yield "".join(piece)
                 piece, room = [], batch
-            take = min(rows - h, room)
-            run = [tail + head, "", mid, ""] * take
-            run[0] = head
-            run[1::4] = countdown[at_kq + h : at_kq + h + take]
-            run[3::4] = countdown[at_c + h : at_c + h + take]
-            run.append(tail)
-            piece += run
-            h += take
+            take = min(rows - done, room)
+            lines = [head, "", ""] * take
+            lines[1::3] = decimals[n - low - sums[at + done : at + done + take]].tolist()
+            lines[2::3] = rest[skip + done : skip + done + take]
+            piece += lines
+            done += take
             room -= take
     yield "".join(piece)
 

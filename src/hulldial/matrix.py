@@ -142,9 +142,12 @@ def scale_columns(m: FieldMatrix, v: Sequence[int]) -> FieldMatrix:
     vec = element_codes(v, m.field.order)
     if len(vec) != m.cols:
         raise ShapeMismatchError(f"weight vector length {len(vec)} != cols {m.cols}")
-    if m.rows == 0:
-        return m
-    return FieldMatrix._trusted(m.field, m.field.mul_array(m.data, vec[None, :]))
+    return _scale_columns(m, vec)
+
+
+def _scale_columns(m: FieldMatrix, vec: Sequence[int]) -> FieldMatrix:
+    """scale_columns for m.cols weights already read as element codes."""
+    return FieldMatrix._trusted(m.field, m.field.mul_array(m.data, np.asarray(vec)[None, :]))
 
 
 def permute_columns(m: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:

@@ -7,7 +7,7 @@ import pytest
 # uninstalled checkout
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hulldial import code, dial, eaqec, matrix
+from hulldial import cli, code, dial, eaqec, matrix
 from hulldial.field import Field, make_quadratic_field
 from hulldial.code import LinearCode
 from hulldial.grs import MultiplierProblem, construct_family, full_field_rs, solve_multipliers
@@ -59,28 +59,38 @@ def self_orthogonal_corpus(gf9, gf16, gf25):
 
 @pytest.fixture
 def table_draws(monkeypatch):
-    """The (n, k) pairs each table family yields, recorded as they are drawn.
+    """The (n, k) pairs the table walk takes from each family, in order.
 
-    Drawing a 1001st pair from one family fails at once, so a table walk
-    that stopped being lazy fails fast instead of filling memory.
+    A family is listed once the walk draws a run from it.  Its pairs are
+    those of the runs the walk returns with it as their first tag, so the
+    run cut at max_rows counts only up to its cut.  Drawing a 1001st run
+    from one family fails at once, so a table walk that stopped being lazy
+    fails fast instead of filling memory.
     """
     drawn: dict[str, list[tuple[int, int]]] = {}
-    families = eaqec._families
+    families, walk = eaqec._families, eaqec._table_blocks
 
     def recording(family):
-        def pairs():
-            for pair in family.pairs():
-                seen = drawn.setdefault(family.name, [])
-                assert len(seen) < 1000, f"drew over 1000 {family.name} pairs"
-                seen.append(pair)
-                yield pair
+        def runs():
+            for count, run in enumerate(family.runs()):
+                assert count < 1000, f"drew over 1000 {family.name} runs"
+                drawn.setdefault(family.name, [])
+                yield run
 
-        return family._replace(pairs=pairs)
+        return family._replace(runs=runs)
+
+    def walking(*args):
+        runs = walk(*args)
+        for n, lo, hi, tags, _ in runs:
+            drawn[tags[0]] += [(n, k) for k in range(lo, hi + 1)]
+        return runs
 
     monkeypatch.setattr(
         eaqec, "_families",
         lambda q, include_generic: [recording(f) for f in families(q, include_generic)],
     )
+    monkeypatch.setattr(eaqec, "_table_blocks", walking)
+    monkeypatch.setattr(cli, "_table_blocks", walking)
     return drawn
 
 

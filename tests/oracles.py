@@ -16,6 +16,8 @@ the Hermitian dials of any code; it scales down the canonical basis that
 ``hull`` reports, with the library's own dialing core.
 ``reference_code_from_dict`` is one for reading a code file; it converts
 each entry on its own, as a sum of its digits times powers of p.
+``table_blocks_by_pair`` is one for the table walk; it takes each family's
+pairs one by one, with one dedup set and a running row count.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ import math
 import numpy as np
 
 from hulldial.errors import (
+    BadTargetError,
+    CapExceededError,
     MalformedCodeError,
     RankDeficientError,
     ShapeMismatchError,
     VerificationFailedError,
 )
-from hulldial.field import Field
+from hulldial.field import Field, _check_base_field
 from hulldial.code import (
     MAX_CODE_LENGTH,
     LinearCode,
@@ -43,7 +47,7 @@ from hulldial.code import (
 from hulldial.dial import _scale_down
 from hulldial.matrix import FieldMatrix, matmul, rref, standard_form
 from hulldial.grs import _CHUNK, PREFIX_SCAN_BUDGET, RANDOM_BUDGET, MultiplierProblem
-from hulldial.eaqec import EaqecParams, _families, classified
+from hulldial.eaqec import TABLE_ROW_CAP, EaqecParams, _families, classified
 
 
 def _poly_digits(field: Field, a: int) -> list[int]:
@@ -488,13 +492,60 @@ def reference_code_from_dict(d: dict) -> LinearCode:
     return LinearCode(field, FieldMatrix(field, arr))
 
 
+def family_pairs(family):
+    """The (n, k) pairs of a table family's runs, one by one, in order."""
+    return ((n, k) for n, lo, hi in family.runs() for k in range(lo, hi + 1))
+
+
+def table_blocks_by_pair(q: int, max_rows: int | None, include_generic: bool) -> list[tuple]:
+    """The table as (n, k, tags, rows) blocks, one per (n, k) pair, in order.
+
+    Block (n, k) stands for its first ``rows`` rows (n, n-k-h, k+1, k-h),
+    h = 0..rows-1, all tagged ``tags``; every block holds k + 1 rows but the
+    last, which is cut to ``max_rows``.  Keys (n, k_q, d, c) and (n, k, h)
+    determine each other, so a key was emitted exactly when its pair was:
+    the dedup set holds the emitted pairs.  A pair with 2k > n yields no
+    row, since its rows fail the distance gate.  The walk stops at the row
+    that reaches ``max_rows`` or passes TABLE_ROW_CAP; past the cap it
+    raises CapExceededError.
+    """
+    if max_rows is not None and max_rows < 0:
+        raise BadTargetError(f"max_rows = {max_rows} must be nonnegative")
+    _check_base_field(q, least=3)
+    families = _families(q, include_generic)
+    wanted = TABLE_ROW_CAP + 1 if max_rows is None else min(TABLE_ROW_CAP + 1, max_rows)
+    blocks: list[tuple] = []
+    if wanted == 0:
+        return blocks
+    emitted: set[tuple[int, int]] = set()
+    total = 0
+    for i, family in enumerate(families):
+        later, alone = families[i + 1 :], (family.name,)  # the last family tags pairs alone
+        for n, k in family_pairs(family):
+            if 2 * k > n or (n, k) in emitted:
+                continue
+            emitted.add((n, k))
+            tags = alone + tuple([f.name for f in later if f.has(n, k)]) if later else alone
+            rows = min(k + 1, wanted - total)
+            blocks.append((n, k, tags, rows))
+            total += rows
+            if total == wanted:
+                if total > TABLE_ROW_CAP:
+                    raise CapExceededError(
+                        f"the q = {q} table has over {TABLE_ROW_CAP} rows; "
+                        "ask for at most that many"
+                    )
+                return blocks
+    return blocks
+
+
 @functools.cache
 def brute_table1_tags(q: int, include_generic: bool) -> dict[tuple[int, int, int, int], tuple]:
     """Every table key (n, k_q, d, c) with its family tags, in emission order."""
     rows = (
         (family.name, n, n - k - h, k + 1, k - h)
         for family in _families(q, include_generic)
-        for n, k in family.pairs()
+        for n, k in family_pairs(family)
         for h in range(k + 1)
     )
     families: dict[tuple[int, int, int, int], list[str]] = {}

@@ -650,7 +650,7 @@ _BATCHED_TABLES = [
     ("q8_full", ["--q", "8"]),
     ("q9_rows300", ["--q", "9", "--max-rows", "300", "--format", "pretty"]),
     ("q9_nogeneric", ["--q", "9", "--no-generic", "--format", "pretty"]),
-    # 35 rows end in the (65, 8) block cut to 8 of its 9 rows, on lines
+    # 35 rows end in the (65, 8) run cut to 8 of its 9 rows, on lines
     # 29..36, across the piece boundaries after lines 35 (7), 30 (2) and 29 (1)
     ("q8_full", ["--q", "8", "--max-rows", "35"]),
 ]
@@ -677,7 +677,8 @@ def test_table_text_is_written_in_line_batches(capsys, monkeypatch, tmp_path, ta
     if tag == "q8_full" and "--max-rows" in argv:  # the header and the first rows
         rows = int(argv[argv.index("--max-rows") + 1])
         golden = b"".join(golden.splitlines(keepends=True)[: rows + 1])
-        assert eaqec._table_blocks(8, rows, True)[-1] == (65, 8, ("q2plus1", "generic"), 8)
+        n, _, k, tags, last = eaqec._table_blocks(8, rows, True)[-1]
+        assert (n, k, tags, last) == (65, 8, ("q2plus1", "generic"), 8)
     out = tmp_path / "table.txt"
     assert _run(capsys, "table", *argv)[1].encode() == golden
     assert _run(capsys, "table", *argv, "--out", str(out))[1] == ""
@@ -720,6 +721,30 @@ def test_table_blocks_render_the_records(capsys, monkeypatch, q, max_rows, no_ge
     # differs, where pytest's diff of two long strings would take minutes
     want = _record_text(records, fmt).splitlines(keepends=True)
     assert code == 0 and out.splitlines(keepends=True) == want
+
+
+@st.composite
+def _runs(draw):
+    """Table runs with short k ranges, at lengths close together or far apart."""
+    base, spread = draw(st.sampled_from((2, 1000))), draw(st.sampled_from((50, 10**6)))
+    runs = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = base + draw(st.integers(0, spread))
+        lo = draw(st.integers(1, min(n // 2, 40)))
+        hi = draw(st.integers(lo, min(n // 2, lo + 40)))
+        tags = draw(st.sampled_from((("generic",), ("q2plus1", "generic"), ("coset-trim",))))
+        runs.append((n, lo, hi, tags, draw(st.integers(1, hi + 1))))
+    return runs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(runs=_runs(), batch=st.sampled_from((1, 3, 4096)))
+def test_tsv_text_of_any_runs_is_their_records(runs, batch):
+    # close lengths share one array of decimal strings, far-apart ones take a
+    # window each; both give the record formatter's bytes in batch-line pieces
+    pieces = list(eaqec._block_tsv_text(7, runs, batch))
+    assert "".join(pieces) == _record_text(eaqec._block_records(7, runs), "tsv")
+    assert all(piece.count("\n") == batch for piece in pieces[:-1])
 
 
 def _escaped_text():

@@ -583,7 +583,7 @@ def _corrupting(monkeypatch, unit, which=None):
     place of the first scaled coordinate of row 0, in every output or, for
     a self-orthogonal input (whose hull is the whole code), in the output
     for target ``which`` alone.  Returns the targets it corrupted."""
-    scale, corrupted_targets = dial.scale_columns, []
+    scale, corrupted_targets = dial._scale_columns, []
 
     def corrupted(gen, v):
         out = scale(gen, v)
@@ -598,7 +598,7 @@ def _corrupting(monkeypatch, unit, which=None):
         data[0, 0] = units[unit - 1]
         return FieldMatrix(field, data)
 
-    monkeypatch.setattr(dial, "scale_columns", corrupted)
+    monkeypatch.setattr(dial, "_scale_columns", corrupted)
     return corrupted_targets
 
 

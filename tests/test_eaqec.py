@@ -43,7 +43,7 @@ from hulldial.eaqec import (
 )
 from hulldial.matrix import FieldMatrix, rank
 
-from oracles import brute_table1, brute_table1_tags
+from oracles import brute_table1, brute_table1_tags, family_pairs, table_blocks_by_pair
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_counts.json"
 GOLDEN_NAMED = Path(__file__).parent / "golden" / "table1_named_digests.json"
@@ -440,6 +440,45 @@ def test_table_matches_full_walk_oracle(case):
     assert enumerate_table1(q, **limits) == brute_table1(q, **limits)
 
 
+RUN_QS = (3, 4, 5, 7, 8, 9, 11, 13, 16, 27, 31, 32)
+
+
+@functools.cache
+def _named_rows(q: int) -> int:
+    return sum(rows for *_, rows in table_blocks_by_pair(q, None, False))
+
+
+def _pair_blocks(q: int, max_rows, include_generic: bool):
+    """The table walk's runs, expanded to (n, k, tags, rows) blocks, or the error it raises."""
+    try:
+        runs = eaqec._table_blocks(q, max_rows, include_generic)
+    except CapExceededError as e:
+        return str(e)
+    return [
+        (n, k, tags, last if k == hi else k + 1)
+        for n, lo, hi, tags, last in runs
+        for k in range(lo, hi + 1)
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_table_runs_match_the_pair_walk_oracle(data):
+    # the walk by runs of consecutive k, expanded to one block per (n, k)
+    # pair, is the pair-by-pair walk, cut and capped at the same row
+    q = data.draw(st.sampled_from(RUN_QS))
+    include_generic = data.draw(st.booleans())
+    named = _named_rows(q)
+    max_rows = data.draw(
+        st.none() | st.just(0) | st.integers(0, 2000) | st.integers(max(0, named - 10), named + 10)
+    )
+    try:
+        want = table_blocks_by_pair(q, max_rows, include_generic)
+    except CapExceededError as e:
+        want = str(e)
+    assert _pair_blocks(q, max_rows, include_generic) == want
+
+
 def _rows_before_last(pairs) -> int:
     """Rows of every pair but the last drawn: all of them were needed."""
     return sum(k + 1 for _, k in pairs[:-1])
@@ -461,7 +500,7 @@ def test_table_draws_named_rows_only_as_needed(table_draws):
     assert set(table_draws) == {"q2plus1"} and _rows_before_last(table_draws["q2plus1"]) < 5
     # a limit ending inside coset-trim, the third family at q = 31
     table_draws.clear()
-    first = sum(k + 1 for _, k in eaqec._q2plus1(31).pairs())
+    first = sum(k + 1 for _, k in family_pairs(eaqec._q2plus1(31)))
     rows = enumerate_table1(31, max_rows=first + 10, include_generic=False)
     assert [r.families[0] for r in rows[first:]] == ["coset-trim"] * 10
     assert set(table_draws) == {"q2plus1", "coset-trim"}
@@ -475,7 +514,7 @@ MEMBERSHIP_QS = (3, 4, 5, 7, 8, 9, 11, 13, 23, 27, 31, 32)
 def _family_pairs(q: int) -> dict[str, tuple[list, set]]:
     """Each family's pairs at q, generic included: the walk and its set."""
     return {
-        family.name: (pairs := list(family.pairs()), set(pairs))
+        family.name: (pairs := list(family_pairs(family)), set(pairs))
         for family in eaqec._families(q, include_generic=True)
     }
 
