@@ -38,7 +38,6 @@ from .matrix import (
     null_space,
     rank,
     rref,
-    same_row_space,
     standard_form,
 )
 from .code import (
@@ -47,7 +46,6 @@ from .code import (
     dual_min_distance,
     hermitian_dual,
     hull,
-    is_galois_self_orthogonal,
     is_hermitian_self_orthogonal,
     is_mds,
     min_distance,

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import HulldialError, MalformedCodeError
 from .field import make_quadratic_field
 from .code import LinearCode, enumeration_cap, hull, min_distance
-from .dial import _hermitian_dials, dial_galois_hull
+from .dial import dial_galois_hull, reduce_hull
 from .grs import DEFAULT_SEED, FAMILIES, construct_family
 from .eaqec import (
     TSV_HEADER,
@@ -195,7 +195,7 @@ def _cmd_dial(args) -> int:
     if args.galois_l is not None:
         result = dial_galois_hull(code, args.target, args.galois_l)
     else:
-        (result,) = _hermitian_dials(code, [args.target])
+        result = reduce_hull(code, args.target)
     _emit([_json_text(result.to_dict())], args.out)
     return EXIT_OK
 
@@ -329,8 +329,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "cap" in args:
             enumeration_cap(args.cap)  # a bad cap fails before any work
         return args.fn(args)
-    except (HulldialError, ValueError, ZeroDivisionError, OSError) as exc:
-        sys.stderr.write(f"hulldial: error: {exc}\n")
+    except (HulldialError, ValueError, ZeroDivisionError, OSError, MemoryError) as exc:
+        sys.stderr.write(f"hulldial: error: {str(exc) or type(exc).__name__}\n")
         return EXIT_ERROR
 
 

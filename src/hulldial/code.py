@@ -1,9 +1,9 @@
 """Linear codes over GF(p^e): duals, hulls, distances, equivalence maps.
 
 A LinearCode is a full-row-rank generator matrix together with its field.
-Codes are stored non-canonically (the generator as given); code equality
-is row-space equality, tested by mutual rank checks, because equivalence
-transforms deliberately produce different generators for the same code.
+Codes are stored non-canonically (the generator as given), because
+equivalence transforms deliberately produce different generators for the
+same code; ``hull`` reports a canonical basis where one is needed.
 
 Both distances are exact or an error, and share three routes:
 - an MDS certificate.  The systematic form (I | A) of a GRS code is a
@@ -116,14 +116,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n}, {self.k}] over GF({self.field.order}))"
-
-    @classmethod
-    def zero(cls, field: Field, n: int) -> "LinearCode":
-        return cls(field, FieldMatrix.zeros(field, 0, n))
-
-    @classmethod
-    def full(cls, field: Field, n: int) -> "LinearCode":
-        return cls(field, FieldMatrix.identity(field, n))
 
     def to_dict(self) -> dict:
         return {
@@ -257,11 +249,6 @@ def gram_matrix(c: LinearCode, l: int | None = None) -> FieldMatrix:
 def is_hermitian_self_orthogonal(c: LinearCode) -> bool:
     """True iff the Hermitian Gram matrix of the generator vanishes."""
     return not np.any(gram_matrix(c).data)
-
-
-def is_galois_self_orthogonal(c: LinearCode, l: int) -> bool:
-    """True iff the code is contained in its l-Galois dual."""
-    return not np.any(gram_matrix(c, l).data)
 
 
 # ---------------------------------------------------------------------------

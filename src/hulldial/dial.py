@@ -223,9 +223,3 @@ def reduce_hull(c: LinearCode, l_prime: int) -> DialResult:
     On a self-orthogonal code the two give the same result.
     """
     return _dials(c, "hermitian", None, [l_prime])[0]
-
-
-def _hermitian_dials(c: LinearCode, targets: Iterable[int] | None = None) -> list[DialResult]:
-    """dial_hull's result for each target if c is Hermitian self-orthogonal,
-    else reduce_hull's; by default every target from 0 to the hull dimension."""
-    return _dials(c, "hermitian", None, targets)

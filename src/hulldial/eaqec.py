@@ -33,7 +33,7 @@ from .errors import (
 )
 from .field import _check_base_field, factorize
 from .code import LinearCode, dual_min_distance, hull, min_distance
-from .dial import _hermitian_dials
+from .dial import _dials
 from .grs import _even_subgroup_bound
 
 
@@ -190,7 +190,7 @@ def eaqec_sweep(c: LinearCode, cap: int | None = None) -> list[EaqecParams]:
 
 def _dialed_records(c: LinearCode, targets: list[int] | None, cap: int | None) -> list[EaqecParams]:
     """eaqec_sweep's records for the given targets (by default every one)."""
-    dials = _hermitian_dials(c, targets)
+    dials = _dials(c, "hermitian", None, targets)
     dd = dual_min_distance(c, cap)
     return [_witnessed(r.code, r.achieved_h, c.n - c.k, dd, witness_digest(r.code)) for r in dials]
 

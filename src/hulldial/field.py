@@ -239,10 +239,6 @@ class Field:
 
     # -- element representation -------------------------------------------------
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of a, constant term first, length e."""
-        return tuple(digit_columns([self._check(a)], self.p, self.e)[0].tolist())
-
     def elements(self) -> range:
         """All field elements in canonical (counting) order."""
         return range(self.order)

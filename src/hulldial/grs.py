@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -194,7 +193,8 @@ def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     g + g^q vanishes on exactly q^2 - n points certifies that an
     [n, k] Hermitian self-orthogonal MDS code exists on the complement.
     g's coefficients, lowest degree first, are read by ``element_codes``.
-    The zero polynomial yields an empty set (returned with a warning).
+    When g + g^q vanishes everywhere (g = 0, say) the set is empty, and
+    ``construct_family`` refuses it as smaller than k.
     g is evaluated at every element at once, by Horner steps on arrays;
     their work is checked against ``HORNER_BUDGET`` before the first.
     """
@@ -208,10 +208,7 @@ def trace_nonzero_eval_set(field: Field, g: Sequence[int]) -> tuple[int, ...]:
     gx = np.zeros_like(xs)
     for c in reversed(coeffs):
         gx = field.add_array(field.mul_array(gx, xs), c)
-    points = tuple(np.flatnonzero(field.add_array(gx, field.conj_array(gx))).tolist())
-    if not points:
-        warnings.warn("g + g^q vanishes everywhere; evaluation set is empty", stacklevel=2)
-    return points
+    return tuple(np.flatnonzero(field.add_array(gx, field.conj_array(gx))).tolist())
 
 
 def subgroup_eval_set(field: Field, m: int) -> tuple[int, ...]:

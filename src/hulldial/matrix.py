@@ -82,10 +82,6 @@ class FieldMatrix:
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
         return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "FieldMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
     # -- basics ----------------------------------------------------------------
 
     @property
@@ -137,16 +133,9 @@ def frobenius_entrywise(m: FieldMatrix, l: int) -> FieldMatrix:
     return FieldMatrix._trusted(m.field, m.field.frobenius_array(m.data, l))
 
 
-def scale_columns(m: FieldMatrix, v: Sequence[int]) -> FieldMatrix:
-    """Multiply column j by v[j], the weights read by ``element_codes``."""
-    vec = element_codes(v, m.field.order)
-    if len(vec) != m.cols:
-        raise ShapeMismatchError(f"weight vector length {len(vec)} != cols {m.cols}")
-    return _scale_columns(m, vec)
-
-
 def _scale_columns(m: FieldMatrix, vec: Sequence[int]) -> FieldMatrix:
-    """scale_columns for m.cols weights already read as element codes."""
+    """Multiply column j by vec[j], m.cols weights that are already element
+    codes (``code.scale`` reads and checks a caller's weights)."""
     return FieldMatrix._trusted(m.field, m.field.mul_array(m.data, np.asarray(vec)[None, :]))
 
 
@@ -157,13 +146,6 @@ def permute_columns(m: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:
     if sorted(codes.tolist()) != list(range(m.cols)):
         raise BadPermutationError(f"{perm} is not a permutation of 0..{m.cols - 1}")
     return FieldMatrix._trusted(m.field, m.data[:, codes])
-
-
-def vstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    ensure_same_field(a.field, b.field)
-    if a.cols != b.cols:
-        raise ShapeMismatchError(f"column counts differ: {a.cols} vs {b.cols}")
-    return FieldMatrix(a.field, np.vstack([a.data, b.data]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,23 +307,6 @@ def null_space(m: FieldMatrix) -> FieldMatrix:
     basis[np.arange(len(free)), free] = 1
     basis[:, order[:r]] = field.neg_array(R.data[:r, free]).T
     return FieldMatrix._trusted(field, basis)
-
-
-def row_space_contains(m: FieldMatrix, vec: Sequence[int]) -> bool:
-    """True iff vec lies in the row space of m."""
-    v = FieldMatrix(m.field, [vec])
-    if v.cols != m.cols:
-        raise ShapeMismatchError("vector length does not match column count")
-    return rank(vstack(m, v)) == rank(m)
-
-
-def same_row_space(a: FieldMatrix, b: FieldMatrix) -> bool:
-    """True iff the two row spaces are equal."""
-    ensure_same_field(a.field, b.field)
-    if a.cols != b.cols:
-        return False
-    ra, rb = rank(a), rank(b)
-    return ra == rb and rank(vstack(a, b)) == ra
 
 
 def standard_form(g: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:

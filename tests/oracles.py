@@ -5,7 +5,7 @@ only: full message-space enumeration, Laplace-expansion determinants,
 inner products summed term by term.  None of it shares code paths with
 the library's echelon-form machinery, so agreement is meaningful.  The
 scalar arithmetic itself is checked against ``poly_*``, which compute on
-base-p digit lists and read only p, e and the modulus of a Field.  Three
+base-p digit lists and read only p, e and the modulus of a Field.  Five
 exceptions are references kept from earlier designs.
 ``random_phase_by_whole_chunks`` is one for the order of the multiplier
 solver's seeded draws, too long to walk with scalars; it sums on element
@@ -18,6 +18,9 @@ the Hermitian dials of any code; it scales down the canonical basis that
 each entry on its own, as a sum of its digits times powers of p.
 ``table_blocks_by_pair`` is one for the table walk; it takes each family's
 pairs one by one, with one dedup set and a running row count.
+``row_space_contains`` and ``same_row_space`` are test helpers, not
+oracles: they compare row spaces by the library's own ``rank`` of the
+stacked rows.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from hulldial.errors import (
     ShapeMismatchError,
     VerificationFailedError,
 )
-from hulldial.field import Field, _check_base_field
+from hulldial.field import Field, _check_base_field, ensure_same_field
 from hulldial.code import (
     MAX_CODE_LENGTH,
     LinearCode,
@@ -45,7 +48,7 @@ from hulldial.code import (
     is_hermitian_self_orthogonal,
 )
 from hulldial.dial import _scale_down
-from hulldial.matrix import FieldMatrix, matmul, rref, standard_form
+from hulldial.matrix import FieldMatrix, matmul, rank, rref, standard_form
 from hulldial.grs import _CHUNK, PREFIX_SCAN_BUDGET, RANDOM_BUDGET, MultiplierProblem
 from hulldial.eaqec import TABLE_ROW_CAP, EaqecParams, _families, classified
 
@@ -448,12 +451,30 @@ def arrange_p1_by_full_reduction(
 
 
 def dials_from_measured_hull(c: LinearCode, targets=None) -> list:
-    """``dial._hermitian_dials`` as it was while it scaled down ``hull(c).basis``
-    whenever a separate self-orthogonality check failed, kept verbatim."""
+    """The library's Hermitian dials of c (``dial._dials`` of the Hermitian
+    form) as they were while they scaled down ``hull(c).basis`` whenever a
+    separate self-orthogonality check failed, kept verbatim."""
     basis = c.gen if is_hermitian_self_orthogonal(c) else hull(c, "hermitian").basis
     if targets is None:
         targets = range(basis.rows + 1)
     return _scale_down(c, basis, targets, c.field.e // 2)
+
+
+def row_space_contains(m: FieldMatrix, vec) -> bool:
+    """True iff vec lies in the row space of m."""
+    v = FieldMatrix(m.field, [vec])
+    if v.cols != m.cols:
+        raise ShapeMismatchError("vector length does not match column count")
+    return rank(FieldMatrix(m.field, np.vstack([m.data, v.data]))) == rank(m)
+
+
+def same_row_space(a: FieldMatrix, b: FieldMatrix) -> bool:
+    """True iff the two row spaces are equal."""
+    ensure_same_field(a.field, b.field)
+    if a.cols != b.cols:
+        return False
+    ra, rb = rank(a), rank(b)
+    return ra == rb and rank(FieldMatrix(a.field, np.vstack([a.data, b.data]))) == ra
 
 
 def reference_code_from_dict(d: dict) -> LinearCode:

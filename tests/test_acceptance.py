@@ -21,7 +21,6 @@ from hulldial.matrix import (
     conj_transpose,
     matmul,
     rank,
-    same_row_space,
     standard_form,
 )
 from hulldial.code import (
@@ -40,7 +39,7 @@ from hulldial.grs import (
     full_field_rs,
     solve_multipliers,
 )
-from oracles import brute_hull_dim, weight_vector_inverse_conj
+from oracles import brute_hull_dim, same_row_space, weight_vector_inverse_conj
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_counts.json"
 

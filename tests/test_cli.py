@@ -1,9 +1,11 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,36 @@ def test_construct_deterministic(capsys):
                           "--k", "3", "--seed", "7")
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical for identical argv + seed
+
+
+#: Every public name of the package but its submodules.  A helper that
+#: only tests call belongs in tests/oracles.py, not here.
+_PUBLIC_NAMES = {
+    "BadDimensionError", "BadFamilyParamsError", "BadFieldError", "BadGaloisIndexError",
+    "BadPermutationError", "BadTargetError", "CapExceededError", "DialResult",
+    "DuplicateEvalPointsError", "EaqecParams", "Field", "FieldMatrix", "GrsSpec",
+    "HullReport", "HulldialError", "LinearCode", "MalformedCodeError",
+    "MultiplierProblem", "MultiplierSearch", "NoSuchElementError", "NotADivisorError",
+    "NotPrimeError", "NotSelfOrthogonalError", "OddExtensionError",
+    "RankDeficientError", "ShapeMismatchError", "SmallFieldError", "SpecMismatchError",
+    "TooLargeToEnumerateError", "Verdict", "VerificationFailedError",
+    "ZeroMultiplierError", "arrange_p1_nonsingular", "claim", "conj_transpose",
+    "construct_family", "dial_galois_hull", "dial_hull", "dual_min_distance",
+    "eaqec_from_code", "eaqec_from_dial", "eaqec_sweep", "enumerate_table1",
+    "full_field_rs", "grs_generator", "hermitian_dual", "hull",
+    "is_hermitian_self_orthogonal", "is_mds", "make_quadratic_field", "matmul",
+    "min_distance", "null_space", "permute", "rank", "reduce_hull", "rref", "scale",
+    "solve_multipliers", "standard_form", "subgroup_eval_set",
+    "subgroup_union_eval_set", "trace_nonzero_eval_set", "verify_claim",
+}
+
+
+def test_public_names_are_pinned():
+    public = {
+        name for name, value in vars(hulldial).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == _PUBLIC_NAMES
 
 
 def test_construct_usage_error_exit_1(capsys):
@@ -208,6 +240,46 @@ def test_refused_table_writes_nothing(capsys, monkeypatch, tmp_path, fmt):
     code, out, _ = _run(capsys, "table", "--q", "16", "--format", fmt, "--out", str(target))
     assert code == 1 and out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _hulldial_process(*argv, limit_bytes=None):
+    """Run ``python -m hulldial`` in a child process, with its own address
+    space capped at limit_bytes if given (a limit on the child alone)."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(hulldial.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "hulldial", *argv], env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=None if limit_bytes is None else cap,
+    )
+
+
+def test_memory_error_exits_1_with_one_line_and_no_file(capsys, monkeypatch, tmp_path):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    target = tmp_path / "code.json"
+    argv = ["construct", "--q", "3", "--family", "full-field", "--k", "2", "--out", str(target)]
+    monkeypatch.setattr(cli, "construct_family", exhausted)
+    assert _run(capsys, *argv) == (1, "", "hulldial: error: MemoryError\n")
+    assert list(tmp_path.iterdir()) == []
+    # GF(256^2) tables and a 255 x 65536 elimination do not fit in 700 MiB;
+    # numpy's allocation failure once ended the process with a traceback
+    argv[2], argv[6] = "256", "255"
+    done = _hulldial_process(*argv, limit_bytes=700 * 2**20)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("hulldial: error: ") and done.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_trace_poly_set_is_one_stderr_line():
+    # the empty set once came with a UserWarning naming the library's source line
+    done = _hulldial_process("construct", "--q", "5", "--family", "trace-poly", "--k", "2",
+                             "--g", "0")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "hulldial: error: evaluation set smaller than k\n"
 
 
 #: Runs hulldial in a grandchild and prints its peak RSS, so no earlier
@@ -424,6 +496,9 @@ def test_verify_cap_needs_witness(capsys):
     code, out, err = _run(capsys, "verify", "--q", "3", "--params", "9,6,3,1", "--cap", "10")
     assert code == 1 and out == ""
     assert err.count("hulldial: error:") == 1 and "--witness" in err
+    # and --params takes exactly four values
+    assert _run(capsys, "verify", "--q", "3", "--params", "9,6,3") == (
+        1, "", "hulldial: error: --params must be n,k,d,c\n")
 
 
 def test_distance_and_hull_commands(tmp_path, capsys):

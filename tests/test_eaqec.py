@@ -164,7 +164,7 @@ def _digest_codes(draw):
     n = draw(st.integers(1, 8))
     shape = draw(st.sampled_from(["zero", "full", "any"]))
     if shape == "zero":
-        return LinearCode.zero(field, n)
+        return LinearCode(field, FieldMatrix.zeros(field, 0, n))
     k = n if shape == "full" else draw(st.integers(1, n))
     element = st.one_of(st.sampled_from([0, 1, field.order - 1]), st.integers(0, field.order - 1))
     entries = draw(st.lists(element, min_size=k * n, max_size=k * n))
@@ -307,12 +307,14 @@ def test_qecc_from_self_orthogonal(rs92, gf9):
     rec = eaqec_from_dial(rs92, rs92.k)
     assert rec.params == (9, 5, 3, 0)
     assert rec.mds
-    zero = LinearCode.zero(gf9, 4)
+    zero = LinearCode(gf9, FieldMatrix.zeros(gf9, 0, 4))
     degenerate = eaqec_from_dial(zero, zero.k)
     assert degenerate.params == (4, 4, 1, 0)
     assert degenerate.mds
     with pytest.raises(BadTargetError):
         eaqec_from_dial(LinearCode(gf9, [[1, 0]]), 1)
+    with pytest.raises(BadTargetError, match="l must be nonnegative"):
+        eaqec_from_dial(rs92, -1)
 
 
 def test_classified_rejects_bound_violations():
@@ -601,6 +603,17 @@ def test_verify_claim_witnesses_full_field_codes_past_the_cap(q, k, params):
 def test_verify_claim_wrong_witness(rs92):
     verdict = verify_claim(claim(3, 9, 6, 3, 1), rs92)  # hull dim 2, not 1
     assert not verdict.passed
+    # the [16, 1] full-field code over GF(16) derives the claimed
+    # [[16, 14, 2, 0]], but as a q = 4 code
+    gf16_witness = full_field_rs(make_quadratic_field(4), 1).code()
+    verdict = verify_claim(claim(3, 16, 14, 2, 0), gf16_witness)
+    assert verdict.failures == ("witness base field GF(4) != GF(3)",)
+    # the dual of an [n, n] witness is the zero code, which has no distance
+    full = LinearCode(rs92.field, np.eye(3, dtype=np.int64))
+    verdict = verify_claim(claim(3, 3, 3, 1, 0), full)
+    assert verdict.failures == (
+        "witness check failed: the dual of the full space is the zero code",
+    )
 
 
 def test_verify_claim_propagates_programming_errors(monkeypatch, rs92):

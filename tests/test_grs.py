@@ -10,6 +10,7 @@ from hulldial.errors import (
     CapExceededError,
     DuplicateEvalPointsError,
     NotADivisorError,
+    ShapeMismatchError,
     TooLargeToEnumerateError,
     VerificationFailedError,
     ZeroMultiplierError,
@@ -53,6 +54,8 @@ def test_grs_spec_validation(gf9):
         GrsSpec(gf9, (1, 2), (1, 0), 1)
     with pytest.raises(BadDimensionError):
         GrsSpec(gf9, (1, 2), (1, 1), 3)
+    with pytest.raises(ShapeMismatchError, match="expected 2 multipliers, got 3"):
+        GrsSpec(gf9, (1, 2), (1, 1, 1), 1)
     ext = GrsSpec(gf9, (1, 2), (1, 1, 1), 3, extended=True)
     assert ext.length == 3
 
@@ -438,6 +441,8 @@ def test_solver_refuses_long_codes_before_building_system(monkeypatch):
         for q in (37, 1024):
             with pytest.raises(CapExceededError):
                 construct_family(make_quadratic_field(q), "q2plus1", k=1)
+        with pytest.raises(BadDimensionError, match="k must be at least 1"):
+            solve_multipliers(MultiplierProblem(make_quadratic_field(3), tuple(range(9)), 0))
     field = make_quadratic_field(37)
     res = solve_multipliers(MultiplierProblem(field, tuple(range(6)), 1))
     assert (res.status, res.null_dim) == ("found", 5)
@@ -519,11 +524,11 @@ def test_trace_eval_sets(gf9):
     # g = x: the zero set is {0, w, 2w}
     pts = trace_nonzero_eval_set(gf9, [0, 1])
     assert pts == (1, 2, 4, 5, 7, 8)
-    # zero polynomial: empty set, flagged
+    # zero polynomial: the empty set, with no warning (construct_family refuses it)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         empty = trace_nonzero_eval_set(gf9, [0])
-    assert empty == () and caught
+    assert empty == () and not caught
 
 
 def test_trace_eval_set_horner_budget(gf9, monkeypatch):
@@ -561,9 +566,7 @@ def test_trace_eval_set_horner_budget_admits_useful_degrees(monkeypatch, q, top)
 def test_trace_eval_set_matches_scalar_oracle(data):
     field = make_quadratic_field(data.draw(st.sampled_from((2, 3, 4, 8, 37))))
     g = data.draw(st.lists(st.integers(0, field.order - 1), max_size=6))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # g + g^q may vanish everywhere
-        assert trace_nonzero_eval_set(field, g) == trace_nonzero_points(field, g)
+    assert trace_nonzero_eval_set(field, g) == trace_nonzero_points(field, g)
 
 
 def test_norm_substituted_polys_shapes(gf9):
@@ -606,6 +609,8 @@ def test_construct_family_full_field(gf9):
     assert res.found
     code = res.grs.code()
     assert (code.n, code.k) == (9, 2) and min_distance(code) == 8
+    with pytest.raises(BadFamilyParamsError, match="k must be at least 1"):
+        construct_family(gf9, "full-field", k=0)
 
 
 def test_construct_family_q2plus1(gf9):
@@ -637,6 +642,13 @@ def test_construct_family_two_subgroup(gf25):
     assert len(res.grs.eval_points) == 24
     with pytest.raises(BadFamilyParamsError):
         construct_family(gf25, "two-subgroup", k=2, m1=3, m2=3)
+    for k, m1, m2, reason in (
+        (1, 2, 3, "m1, m2 must be odd"),
+        (1, 5, 1, r"m1, m2 must divide q\+1 = 6"),
+        (3, 1, 3, r"needs k <= \(q-1\)/2 = 2"),
+    ):
+        with pytest.raises(BadFamilyParamsError, match=reason):
+            construct_family(gf25, "two-subgroup", k=k, m1=m1, m2=m2)
 
 
 def test_construct_family_trace_poly(gf9):
@@ -646,6 +658,8 @@ def test_construct_family_trace_poly(gf9):
     assert (code.n, code.k) == (6, 2) and min_distance(code) == 5
     with pytest.raises(BadFamilyParamsError):
         construct_family(gf9, "trace-poly", k=2, g=[0, 0, 0, 1])  # degree too high
+    with pytest.raises(BadFamilyParamsError, match="needs k <= q-1 = 2"):
+        construct_family(gf9, "trace-poly", k=3, g=[0, 1])
 
 
 def test_construct_family_even_subgroup():
@@ -659,6 +673,8 @@ def test_construct_family_even_subgroup():
     gf25 = make_quadratic_field(5)
     with pytest.raises(BadFamilyParamsError):
         construct_family(gf25, "even-subgroup", k=1, m=4)  # m >= 6 required
+    with pytest.raises(BadFamilyParamsError, match="needs k <= 4"):
+        construct_family(gf49, "even-subgroup", k=5, m=6)  # 4 + 2^0 (3/3) - 1
 
 
 def test_construct_family_unknown(gf9):
