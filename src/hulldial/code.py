@@ -67,9 +67,11 @@ MAX_ENUM_CAP = 2**63 - 1
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    """The cap argument, else DEFAULT_ENUM_CAP; past int64 it raises."""
+    """The cap argument, else DEFAULT_ENUM_CAP; below 0 or past int64 it raises."""
     if cap is None:
         return DEFAULT_ENUM_CAP
+    if cap < 0:
+        raise ValueError(f"enumeration cap {cap} is negative")
     if cap > MAX_ENUM_CAP:
         raise CapExceededError(f"enumeration cap {cap} exceeds the int64 limit {MAX_ENUM_CAP}")
     return cap

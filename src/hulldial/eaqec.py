@@ -32,7 +32,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .field import _check_base_field, factorize
-from .code import LinearCode, dual_min_distance, hull, min_distance
+from .code import LinearCode, dual_min_distance, enumeration_cap, hull, min_distance
 from .dial import _dials
 from .grs import _even_subgroup_bound
 
@@ -509,10 +509,11 @@ def verify_claim(
     The Singleton bound is only enforced under its gate d <= (n+2)/2; a
     witness, when given, is fully re-measured (hull dimension and both
     distances) and must reproduce the claimed parameters through one of
-    the two derivations.  A q that is not a prime power, or whose GF(q^2)
-    is past the field-order cap, raises before any check runs.
+    the two derivations.  A bad q (not a prime power, or GF(q^2) past the
+    field-order cap) or ``cap`` is no witness fault: it raises first.
     """
     _check_base_field(params.q, least=2)
+    enumeration_cap(cap)
     n, k_q, d, c, q = params.n, params.k_q, params.d, params.c, params.q
     gate = 2 * d <= n + 2
     checks = ["sanity", "singleton-bound"] if gate else ["sanity"]

@@ -21,7 +21,10 @@ on Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990).  Fields of at
 most ``TABLE_LIMIT`` elements also cache their full add/mul grids, computed
 from the tables, behind the same methods.  Sums of products (``dot_lanes``,
 the kernel of matrix products) read a lane copy of exp, built on the first
-such sum, whose plain integer sums are field sums.
+such sum, whose plain integer sums are field sums.  Arithmetic takes element
+arrays (``*_array``; the norm is ``pow_array(a, q + 1)``); the scalar ``inv``,
+``pow``, ``find_power_non_one`` and ``norm_preimage`` serve callers holding
+one element: each ``rref`` pivot, the dial's scaling constants, one norm lift.
 """
 
 from __future__ import annotations
@@ -255,20 +258,6 @@ class Field:
 
     # -- scalar arithmetic --------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        a, b = self._check(a), self._check(b)
-        return int(self._tables["add"](a, b))
-
-    def neg(self, a: int) -> int:
-        return int(self._tables["neg"][self._check(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        a, b = self._check(a), self._check(b)
-        return int(self._tables["mul"](a, b))
-
     def inv(self, a: int) -> int:
         if (a := self._check(a)) == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -286,22 +275,6 @@ class Field:
 
     # -- Galois structure -----------------------------------------------------------
 
-    def frobenius(self, a: int, l: int = 1) -> int:
-        """The Galois map a -> a^(p^l); l is reduced mod e."""
-        l %= self.e
-        return self.pow(a, self.p**l)
-
-    def conj(self, a: int) -> int:
-        """Conjugation a -> a^q over GF(q^2); requires even extension degree."""
-        return self.pow(a, self.subfield_order)
-
-    def norm(self, a: int) -> int:
-        """The norm a -> a^(q+1), landing in the subfield GF(q)."""
-        w = self.pow(a, self.subfield_order + 1)
-        if not self.in_subfield(w):
-            raise VerificationFailedError("norm left the subfield")
-        return w
-
     @functools.cached_property
     def subfield_elements(self) -> np.ndarray:
         """GF(q) inside GF(q^2), the fixed points of conjugation, in canonical
@@ -314,10 +287,6 @@ class Field:
             )
         fixed.flags.writeable = False
         return fixed
-
-    def in_subfield(self, a: int) -> bool:
-        """True iff a lies in GF(q), the fixed field of conjugation."""
-        return self.conj(a) == a
 
     def find_power_non_one(self, exponent: int, count: int) -> tuple[int, ...]:
         """First ``count`` nonzero elements x with x**exponent != 1.
@@ -347,10 +316,8 @@ class Field:
         onto GF(q)*, so a preimage always exists.
         """
         w = self._check(w)
-        if w == 0:
-            raise ValueError("0 has no norm preimage among nonzero multipliers")
-        if not self.in_subfield(w):
-            raise ValueError(f"{w} is not in the subfield GF({self.subfield_order})")
+        if w == 0 or self.pow(w, self.subfield_order) != w:
+            raise ValueError(f"{w} is not a unit of the subfield GF({self.subfield_order})")
         return int(self.norm_preimage_array(w))
 
     def norm_preimage_array(self, w) -> np.ndarray:

@@ -274,7 +274,8 @@ def _orthogonality_system(problem: MultiplierProblem) -> FieldMatrix:
     exponents = np.arange(k)[:, None] + f.subfield_order * np.arange(k)  # i + jq
     z = f.pow_array(pts, exponents.reshape(-1, 1))  # row i*k + j holds a_l^(i+jq)
     x = f.extension_generator()
-    z1 = f.mul_array(f.add_array(z, f.neg_array(f.conj_array(z))), f.inv(f.sub(x, f.conj(x))))
+    dz, dx = (f.add_array(a, f.neg_array(f.conj_array(a))) for a in (z, x))  # z - z^q, x - x^q
+    z1 = f.mul_array(dz, f.inv(dx))
     z0 = f.add_array(z, f.neg_array(f.mul_array(z1, x)))
     ncols = len(pts) + (1 if problem.extended else 0)
     system = np.zeros((k * k, 2, ncols), dtype=np.int64)

@@ -110,9 +110,6 @@ class FieldMatrix:
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols} over GF({self.field.order}))"
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.data[i])
-
     def tolist(self) -> list[list[int]]:
         return self.data.tolist()
 

@@ -1,11 +1,12 @@
 """Independent brute-force oracles for desk-scale cross-checks.
 
-Everything here recomputes from definitions with scalar field arithmetic
-only: full message-space enumeration, Laplace-expansion determinants,
-inner products summed term by term.  None of it shares code paths with
-the library's echelon-form machinery, so agreement is meaningful.  The
-scalar arithmetic itself is checked against ``poly_*``, which compute on
-base-p digit lists and read only p, e and the modulus of a Field.  Five
+Everything here recomputes from definitions: full message-space
+enumeration, Laplace-expansion determinants, inner products summed term
+by term.  Element arithmetic is ``poly_*`` only: they compute on base-p
+digit lists and read only p, e and the modulus of a Field, never the
+library's tables, and are memoized, since the oracles repeat the same few
+products and powers.  None of it shares code paths with the library's
+arithmetic or echelon-form machinery, so agreement is meaningful.  Five
 exceptions are references kept from earlier designs.
 ``random_phase_by_whole_chunks`` is one for the order of the multiplier
 solver's seeded draws, too long to walk with scalars; it sums on element
@@ -61,16 +62,19 @@ def _poly_element(field: Field, digits) -> int:
     return sum(d * field.p**i for i, d in enumerate(digits))
 
 
+@functools.cache
 def poly_add(field: Field, a: int, b: int) -> int:
     """a + b, digit by digit mod p."""
     pairs = zip(_poly_digits(field, a), _poly_digits(field, b))
     return _poly_element(field, [(x + y) % field.p for x, y in pairs])
 
 
+@functools.cache
 def poly_neg(field: Field, a: int) -> int:
     return _poly_element(field, [-x % field.p for x in _poly_digits(field, a)])
 
 
+@functools.cache
 def poly_mul(field: Field, a: int, b: int) -> int:
     """Schoolbook product of the digit polynomials, reduced mod the monic modulus."""
     p, e, f = field.p, field.e, field.modulus
@@ -85,6 +89,7 @@ def poly_mul(field: Field, a: int, b: int) -> int:
     return _poly_element(field, prod[:e])
 
 
+@functools.cache
 def poly_pow(field: Field, a: int, n: int) -> int:
     """a^n by square and multiply, 0^0 = 1; negative n inverts a first."""
     if n < 0:
@@ -151,14 +156,14 @@ def codeword(field: Field, message, gen_rows) -> tuple[int, ...]:
     for col in range(n):
         acc = 0
         for j, m in enumerate(message):
-            acc = field.add(acc, field.mul(m, gen_rows[j][col]))
+            acc = poly_add(field, acc, poly_mul(field, m, gen_rows[j][col]))
         out.append(acc)
     return tuple(out)
 
 
 def all_codewords(code: LinearCode) -> list[tuple[int, ...]]:
     field = code.field
-    rows = [code.gen.row(i) for i in range(code.k)]
+    rows = code.gen.tolist()
     words = []
     for msg in itertools.product(field.elements(), repeat=code.k):
         words.append(codeword(field, msg, rows))
@@ -179,13 +184,12 @@ def twisted_inner(field: Field, c, x, l: int) -> int:
     """sum_i c_i * x_i^(p^l): the pairing defining the l-Galois dual."""
     acc = 0
     for ci, xi in zip(c, x):
-        acc = field.add(acc, field.mul(ci, field.frobenius(xi, l)))
+        acc = poly_add(field, acc, poly_mul(field, ci, poly_pow(field, xi, field.p**l)))
     return acc
 
 
 def in_twisted_dual(code: LinearCode, vec, l: int) -> bool:
-    rows = [code.gen.row(i) for i in range(code.k)]
-    return all(twisted_inner(code.field, vec, row, l) == 0 for row in rows)
+    return all(twisted_inner(code.field, vec, row, l) == 0 for row in code.gen.tolist())
 
 
 def brute_hull_dim(code: LinearCode, kind: str = "hermitian", l: int | None = None) -> int:
@@ -207,7 +211,7 @@ def brute_hull_dim(code: LinearCode, kind: str = "hermitian", l: int | None = No
 
 def weight_vector_inverse_conj(field: Field, v) -> tuple[int, ...]:
     """Entrywise v -> v^(-q); conj(inv(x)) and inv(conj(x)) agree."""
-    return tuple(field.conj(field.inv(int(x))) for x in v)
+    return tuple(poly_pow(field, int(x), -field.subfield_order) for x in v)
 
 
 def dual_block_generator(arranged: LinearCode, v) -> list[list[int]]:
@@ -224,13 +228,14 @@ def dual_block_generator(arranged: LinearCode, v) -> list[list[int]]:
     generator's rows whenever v is 1 there.
     """
     field, k, n = arranged.field, arranged.k, arranged.n
-    rows = [arranged.gen.row(i) for i in range(k)]
-    assert all(row[:k] == tuple(int(i == j) for j in range(k)) for i, row in enumerate(rows))
+    q, rows = field.subfield_order, arranged.gen.tolist()
+    assert all(row[:k] == [int(i == j) for j in range(k)] for i, row in enumerate(rows))
     assert len(v) == n and all(x == 1 for x in v[k:])
     d = weight_vector_inverse_conj(field, v[:k])
-    top = [[d[i] if j == i else 0 for j in range(k)] + list(rows[i][k:]) for i in range(k)]
+    top = [[d[i] if j == i else 0 for j in range(k)] + rows[i][k:] for i in range(k)]
+    minus_d = [poly_neg(field, x) for x in d]
     bottom = [
-        [field.neg(field.mul(field.conj(rows[j][2 * k + i]), d[j])) for j in range(k)]
+        [poly_mul(field, poly_pow(field, rows[j][2 * k + i], q), minus_d[j]) for j in range(k)]
         + [0] * k
         + [int(i == j) for j in range(n - 2 * k)]
         for i in range(n - 2 * k)
@@ -247,8 +252,8 @@ def laplace_det(field: Field, m: list[list[int]]) -> int:
         if m[0][j] == 0:
             continue
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = field.mul(m[0][j], laplace_det(field, minor))
-        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
+        term = poly_mul(field, m[0][j], laplace_det(field, minor))
+        total = poly_add(field, total, term if j % 2 == 0 else poly_neg(field, term))
     return total
 
 
@@ -268,8 +273,7 @@ def minor_rank(field: Field, data) -> int:
 
 def brute_dual_distance(code: LinearCode) -> int:
     """Smallest w such that some w generator columns have minor rank < w."""
-    field = code.field
-    rows = [code.gen.row(i) for i in range(code.k)]
+    field, rows = code.field, code.gen.tolist()
     for w in range(1, code.n + 1):
         for cols in itertools.combinations(range(code.n), w):
             if minor_rank(field, [[row[j] for j in cols] for row in rows]) < w:
@@ -281,7 +285,7 @@ def power_sum(field: Field, points, t: int) -> int:
     """sum of x^t over the given points, with 0^0 = 1."""
     acc = 0
     for x in points:
-        acc = field.add(acc, field.pow(x, t))
+        acc = poly_add(field, acc, poly_pow(field, x, t))
     return acc
 
 
@@ -293,15 +297,19 @@ def gram_by_power_sums(field: Field, points, k: int) -> list[list[int]]:
 
 def subfield_coordinates(field: Field, z: int) -> tuple[int, int]:
     """Coordinates (z0, z1) of z in the GF(q)-basis {1, x}: z = z0 + z1*x."""
-    beta = field.extension_generator()
-    z1 = field.mul(field.sub(z, field.conj(z)), field.inv(field.sub(beta, field.conj(beta))))
-    z0 = field.sub(z, field.mul(z1, beta))
-    assert field.in_subfield(z0) and field.in_subfield(z1)
+    beta, q = field.extension_generator(), field.subfield_order
+
+    def less_conj(a):  # a - a^q
+        return poly_add(field, a, poly_neg(field, poly_pow(field, a, q)))
+
+    z1 = poly_mul(field, less_conj(z), poly_inv(field, less_conj(beta)))
+    z0 = poly_add(field, z, poly_neg(field, poly_mul(field, z1, beta)))
+    assert less_conj(z0) == less_conj(z1) == 0
     return z0, z1
 
 
 def orthogonality_system(problem: MultiplierProblem) -> list[list[int]]:
-    """The solver's GF(q) system, entry by entry with scalar powers.
+    """The solver's GF(q) system, entry by entry with ``poly_pow``.
 
     Rows 2(ik + j) and 2(ik + j) + 1 hold the coordinates of a_l^(i+jq)
     on 1 and on x; the extension column is 1 only in row 2(k^2 - 1).
@@ -311,7 +319,9 @@ def orthogonality_system(problem: MultiplierProblem) -> list[list[int]]:
     rows = []
     for i in range(k):
         for j in range(k):
-            coords = [subfield_coordinates(f, f.pow(a, i + j * q)) for a in problem.eval_points]
+            coords = [
+                subfield_coordinates(f, poly_pow(f, a, i + j * q)) for a in problem.eval_points
+            ]
             row0, row1 = [z0 for z0, _ in coords], [z1 for _, z1 in coords]
             if problem.extended:
                 row0.append(1 if i == j == k - 1 else 0)
@@ -322,12 +332,12 @@ def orthogonality_system(problem: MultiplierProblem) -> list[list[int]]:
 
 def trace_nonzero_points(field: Field, g) -> tuple[int, ...]:
     """Points x with g(x) + g(x)^q != 0, g evaluated by scalar Horner steps."""
-    points = []
+    points, q = [], field.subfield_order
     for x in field.elements():
         gx = 0
         for c in reversed(list(g)):
-            gx = field.add(field.mul(gx, x), c)
-        if field.add(gx, field.conj(gx)) != 0:
+            gx = poly_add(field, poly_mul(field, gx, x), int(c))
+        if poly_add(field, gx, poly_pow(field, gx, q)) != 0:
             points.append(x)
     return tuple(points)
 
@@ -360,7 +370,7 @@ def brute_first_all_nonzero(field: Field, basis):
     rows = [list(map(int, row)) for row in basis]
     nu = len(rows)
     ncols = len(rows[0]) if rows else 0
-    sub = [a for a in field.elements() if field.in_subfield(a)]
+    sub = [a for a in field.elements() if poly_pow(field, a, field.subfield_order) == a]
     q = len(sub)
     for index in range(1, q**nu):
         coeff = [sub[(index // q**t) % q] for t in range(nu)]
@@ -368,7 +378,7 @@ def brute_first_all_nonzero(field: Field, basis):
         for col in range(ncols):
             acc = 0
             for t in range(nu):
-                acc = field.add(acc, field.mul(coeff[t], rows[t][col]))
+                acc = poly_add(field, acc, poly_mul(field, coeff[t], rows[t][col]))
             if acc == 0:
                 break
             vec.append(acc)

@@ -39,7 +39,7 @@ from hulldial.grs import (
     full_field_rs,
     solve_multipliers,
 )
-from oracles import brute_hull_dim, same_row_space, weight_vector_inverse_conj
+from oracles import brute_hull_dim, poly_neg, same_row_space, weight_vector_inverse_conj
 
 GOLDEN = Path(__file__).parent / "golden" / "table1_counts.json"
 
@@ -80,9 +80,7 @@ def test_criterion_2_standard_form_gram(self_orthogonal_corpus):
             sf, _ = standard_form(code.gen)
             P = FieldMatrix(field, sf.data[:, code.k :])
             gram = matmul(P, conj_transpose(P))
-            neg_eye = np.vectorize(field.neg, otypes=[np.int64])(
-                np.eye(code.k, dtype=np.int64)
-            )
+            neg_eye = poly_neg(field, 1) * np.eye(code.k, dtype=np.int64)
             assert np.array_equal(gram.data, neg_eye), tag
             assert rank(P) == code.k, tag
 

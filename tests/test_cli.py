@@ -73,6 +73,31 @@ def test_public_names_are_pinned():
     assert public == _PUBLIC_NAMES
 
 
+#: Every public attribute of a Field and of a FieldMatrix.  Element
+#: arithmetic is the *_array methods; the few scalar methods left are the
+#: ones library paths call once per step.  A scalar twin of an array
+#: method, which only tests would call, does not belong here.
+_PUBLIC_ATTRIBUTES = {
+    hulldial.Field: {
+        "add_array", "conj_array", "dot_lanes", "e", "elements", "extension_generator",
+        "find_power_non_one", "from_lanes", "frobenius_array", "inv", "inv_array",
+        "lane_capacity", "modulus", "mul_array", "neg_array", "norm_preimage",
+        "norm_preimage_array", "order", "p", "pow", "pow_array", "primitive_element",
+        "subfield_elements", "subfield_order", "to_dict",
+    },
+    hulldial.FieldMatrix: {
+        "cols", "data", "field", "rows", "shape", "to_dict", "tolist", "zeros",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(_PUBLIC_ATTRIBUTES), ids=lambda kind: kind.__name__)
+def test_public_attributes_are_pinned(kind):
+    gf9 = hulldial.make_quadratic_field(3)
+    instance = gf9 if kind is hulldial.Field else hulldial.FieldMatrix(gf9, [[1, 2]])
+    assert {name for name in dir(instance) if not name.startswith("_")} == _PUBLIC_ATTRIBUTES[kind]
+
+
 def test_construct_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--q", "3", "--family", "full-field"])
@@ -424,6 +449,14 @@ def test_enumeration_cap_past_int64_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "eaqec_sweep", _must_not_run)
     code, out, err = _run(capsys, "eaqec", str(codefile), "--cap", str(2**64))
     assert code == 1 and out == "" and "int64" in err
+
+
+@pytest.mark.parametrize("command, cap", [("distance", "-1"), ("eaqec", "-5")])
+def test_negative_enumeration_cap_exits_1(capsys, monkeypatch, command, cap):
+    for name in ("eaqec_sweep", "min_distance"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    code, out, err = _run(capsys, command, str(GOLDEN_CLI / "gf9_code.json"), "--cap", cap)
+    assert (code, out, err) == (1, "", f"hulldial: error: enumeration cap {cap} is negative\n")
 
 
 def test_table_q8_includes_char2_row(capsys):

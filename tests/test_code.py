@@ -52,6 +52,7 @@ from oracles import (
     brute_hull_dim,
     brute_min_distance,
     in_twisted_dual,
+    poly_mul,
     reference_code_from_dict,
     row_space_contains,
     same_row_space,
@@ -95,8 +96,7 @@ def test_hermitian_dual_structure(gf9, rs92):
     # standard-form structural containment: rowspace(-conj(P)^T | I) in the dual
     sf, perm = standard_form(rs92.gen)
     P = FieldMatrix(gf9, sf.data[:, 2:])
-    neg = np.vectorize(gf9.neg, otypes=[np.int64])
-    block = np.hstack([neg(conj_transpose(P).data), np.eye(7, dtype=np.int64)])
+    block = np.hstack([gf9.neg_array(conj_transpose(P).data), np.eye(7, dtype=np.int64)])
     dual_of_sf = hermitian_dual(permute(rs92, perm))
     for row in block:
         assert row_space_contains(dual_of_sf.gen, row)
@@ -153,8 +153,7 @@ def test_hull_reports(gf9, gf16, rs92):
             assert rep.dim == rep.basis.rows == brute_hull_dim(c, kind, l)
             assert rep.basis.cols == c.n
             dual = dual_of_kind(c, kind, l)
-            for i in range(rep.basis.rows):
-                row = rep.basis.row(i)
+            for row in rep.basis.tolist():
                 assert row_space_contains(c.gen, row) and row_space_contains(dual.gen, row)
                 assert in_twisted_dual(c, row, l_eff)
     for kind, l, _ in _hull_kinds(gf16):
@@ -228,7 +227,7 @@ def test_scale_refuses_non_integer_weights(gf9):
     c = LinearCode(gf9, [[1, 2, 3]])
     with pytest.raises(ValueError, match="must be int64 integers"):
         scale(c, [1, 2.5, 1])
-    assert scale(c, [np.int64(1), 2, np.uint8(1)]).gen.tolist() == [[1, gf9.mul(2, 2), 3]]
+    assert scale(c, [np.int64(1), 2, np.uint8(1)]).gen.tolist() == [[1, poly_mul(gf9, 2, 2), 3]]
 
 
 def test_scaling_dual_identity_seeded(gf9, gf16):
@@ -243,8 +242,10 @@ def test_scaling_dual_identity_seeded(gf9, gf16):
 
 
 def test_inverse_conj_two_orders_agree(gf9):
-    for x in range(1, 9):
-        assert gf9.conj(gf9.inv(x)) == gf9.inv(gf9.conj(x))
+    units = np.arange(1, 9)
+    inv_conj = gf9.conj_array(gf9.inv_array(units))
+    assert np.array_equal(inv_conj, gf9.inv_array(gf9.conj_array(units)))
+    assert inv_conj.tolist() == list(weight_vector_inverse_conj(gf9, units))
 
 
 def test_scale_preserves_distance(gf9, rs92):
@@ -354,6 +355,16 @@ def test_enumeration_cap_rejects_values_past_int64():
         enumeration_cap(2**63)
 
 
+def test_enumeration_cap_rejects_negative_values(gf9):
+    # a cap of 0 allows no enumeration; a negative one is malformed
+    assert enumeration_cap(0) == 0
+    for cap in (-1, -5):
+        with pytest.raises(ValueError, match=f"enumeration cap {cap} is negative"):
+            enumeration_cap(cap)
+        with pytest.raises(ValueError, match="is negative"):
+            min_distance(LinearCode(gf9, [[1, 2, 3]]), cap=cap)
+
+
 def test_is_mds(gf9, rs92, monkeypatch):
     assert is_mds(rs92)
     assert is_mds(LinearCode(gf9, [[1] * 6]))
@@ -388,7 +399,7 @@ def _mds_candidates(draw):
         if damage == "zero":
             cols[j] = [0] * k
         elif damage == "copy":
-            cols[j] = [field.mul(draw(nonzero), x) for x in cols[draw(st.integers(0, n - 1))]]
+            cols[j] = field.mul_array(draw(nonzero), cols[draw(st.integers(0, n - 1))]).tolist()
     else:
         cols = []
         for _ in range(n):
@@ -396,7 +407,7 @@ def _mds_candidates(draw):
             if kind == "zero":
                 col = [0] * k
             elif kind == "repeat" and cols:
-                col = [field.mul(draw(nonzero), x) for x in draw(st.sampled_from(cols))]
+                col = field.mul_array(draw(nonzero), draw(st.sampled_from(cols))).tolist()
             elif kind == "sparse":
                 col = [0] * k
                 col[draw(st.integers(0, k - 1))] = draw(nonzero)
@@ -471,9 +482,9 @@ def test_support_search_finds_dependency_past_first_chunk():
     pairs, used = [], {0, root}
     for s in range(1, field.order):
         if s not in used:
-            pairs.append((s, field.mul(c, field.inv(s))))
+            pairs.append((s, poly_mul(field, c, field.inv(s))))
             used.update(pairs[-1])
-    point = lambda t: [1, t, field.mul(t, t)]  # noqa: E731
+    point = lambda t: [1, t, poly_mul(field, t, t)]  # noqa: E731
     cols = [point(s) for s, _ in pairs[:67]] + [point(t) for t in pairs[67]] + [[1, 0, c]]
     assert len(cols) == 70 and math.comb(70, 3) > _CHUNK
     assert dual_min_distance(LinearCode(field, np.array(cols).T)) == 3
@@ -496,8 +507,7 @@ def _column_codes(draw):
         if kind == "zero":
             col = [0] * k
         elif kind == "repeat" and cols:
-            scalar = draw(nonzero)
-            col = [field.mul(scalar, x) for x in draw(st.sampled_from(cols))]
+            col = field.mul_array(draw(nonzero), draw(st.sampled_from(cols))).tolist()
         elif kind == "sparse":
             col = [0] * k
             col[draw(st.integers(0, k - 1))] = draw(nonzero)

@@ -43,6 +43,8 @@ from oracles import (
     brute_hull_dim,
     dials_from_measured_hull,
     dual_block_generator,
+    poly_neg,
+    poly_pow,
     row_space_contains,
     same_row_space,
     scalar_rref,
@@ -66,7 +68,8 @@ def _check_scaled_down(c, res, start, target, distances):
     """
     field = c.field
     m = start - target
-    qualifying = [a for a in range(1, field.order) if field.norm(a) != 1]
+    q = field.subfield_order
+    qualifying = [a for a in range(1, field.order) if poly_pow(field, a, q + 1) != 1]
     assert res.lambdas == tuple(qualifying[:m])
     assert res.v == res.lambdas + (1,) * (c.n - m)
     assert same_row_space(res.code.gen, scale(permute(c, res.perm), res.v).gen)
@@ -87,8 +90,7 @@ def test_standard_form_gram_identity(rs92, gf9):
     P = FieldMatrix(gf9, sf.data[:, 2:])
     assert P.shape == (2, 7)
     gram = matmul(P, conj_transpose(P))
-    neg = np.vectorize(gf9.neg, otypes=[np.int64])
-    assert np.array_equal(gram.data, neg(np.eye(2, dtype=np.int64)))
+    assert np.array_equal(gram.data, poly_neg(gf9, 1) * np.eye(2, dtype=np.int64))
     assert rank(P) == 2
 
 
@@ -262,7 +264,7 @@ def test_dial_examples(gf9, rs92):
     ones = LinearCode(gf9, [[1] * 9])
     res0 = dial_hull(ones, 0)
     assert res0.achieved_h == 0
-    assert all(gf9.norm(lam) != 1 for lam in res0.lambdas)
+    assert all(poly_pow(gf9, lam, 4) != 1 for lam in res0.lambdas)
 
 
 def test_dial_bad_target(rs92):
@@ -314,8 +316,7 @@ def test_dial_hull_contains_unscaled_tail_rows(rs92):
     res = dial_hull(rs92, h)
     rep = hull(res.code, "hermitian")
     k = rs92.k
-    for i in range(k - h, k):
-        row = res.code.gen.row(i)
+    for row in res.code.gen.tolist()[k - h : k]:
         assert row_space_contains(res.code.gen, row)
         assert row_space_contains(hermitian_dual(res.code).gen, row)
         assert row_space_contains(rep.basis, row)
@@ -338,7 +339,7 @@ def test_dual_block_generator_mechanics(rs92, gf9):
         assert same_row_space(FieldMatrix(gf9, B), dual.gen)
         scaled = scale(arranged, v)
         for i in range(rs92.k - h, rs92.k):
-            assert scaled.gen.row(i) == tuple(B[i])
+            assert scaled.gen.tolist()[i] == B[i]
 
 
 def test_galois_dial_matches_hermitian(rs92):

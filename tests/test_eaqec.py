@@ -616,6 +616,15 @@ def test_verify_claim_wrong_witness(rs92):
     )
 
 
+def test_verify_claim_refuses_a_bad_cap_before_the_witness(monkeypatch, rs92):
+    # a bad cap is the caller's fault: it raises, not a failed witness check
+    monkeypatch.setattr(eaqec, "eaqec_from_code", lambda code, cap=None: 1 / 0)
+    with pytest.raises(CapExceededError, match="exceeds the int64 limit"):
+        verify_claim(claim(3, 9, 6, 3, 1), rs92, cap=2**64)
+    with pytest.raises(ValueError, match="enumeration cap -1 is negative"):
+        verify_claim(claim(3, 9, 6, 3, 1), rs92, cap=-1)
+
+
 def test_verify_claim_propagates_programming_errors(monkeypatch, rs92):
     def broken(code, cap=None):
         raise TypeError("not a measurement failure")

@@ -34,6 +34,8 @@ from oracles import (
     _poly_digits,
     minor_rank,
     poly_matmul,
+    poly_mul,
+    poly_pow,
     row_space_contains,
     same_row_space,
     scalar_rref,
@@ -232,7 +234,7 @@ def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
     b = rng.integers(0, field.order, size=(inner, 2))
     # column 0 of the product sums only products whose digits are all p - 1:
     # every lane of every term is full, the worst case for a carry
-    b[:, 0] = [field.mul(field.order - 1, field.inv(int(x))) for x in a[0]]
+    b[:, 0] = field.mul_array(field.order - 1, field.inv_array(a[0]))
     shapes, adds = _kernel_calls(monkeypatch, field)
     monkeypatch.setattr(matrix, "_PRODUCT_BUDGET", budget)
     out = matmul(FieldMatrix(field, a), FieldMatrix(field, b))
@@ -242,7 +244,7 @@ def test_matmul_at_and_past_the_lane_capacity(monkeypatch, field, over, budget):
         assert len(adds) == math.ceil(inner / (capacity // 7 * 7)) - 1
     else:  # one slice of capacity terms, then one more term added to it
         assert widths == [capacity] + [1] * over and len(adds) == over
-    assert out.data[0, 0] == field.mul(inner % field.p, field.order - 1)
+    assert out.data[0, 0] == poly_mul(field, inner % field.p, field.order - 1)
     assert out.tolist() == poly_matmul(field, a, b)
     assert capacity == {729: 511, 3**12: 15, 625: 8191}[field.order]
 
@@ -424,7 +426,8 @@ def test_rref_stops_scanning_once_the_remaining_rows_are_zero(gf9, monkeypatch):
     nonzero = np.nonzero
     monkeypatch.setattr(matrix.np, "nonzero", lambda a: scans.append(1) or nonzero(a))
     r, pivots = rref(FieldMatrix(gf9, data))
-    assert pivots == (150,) and r.row(0)[150:152] == (1, gf9.inv(3)) and not r.data[1:].any()
+    assert pivots == (150,) and r.data[0, 150:152].tolist() == [1, gf9.inv(3)]
+    assert not r.data[1:].any()
     assert len(scans) <= 5
 
 
@@ -565,7 +568,7 @@ def test_out_of_range_entries_are_refused_where_user_data_enters(gf9):
             LinearCode.from_dict(_code_dict(gf9, 1, 2, entries))
     # fewer than e digits are leading zeros
     ok = LinearCode.from_dict(_code_dict(gf9, 1, 2, [[0, 2], [2]]))
-    assert ok.gen.row(0) == (6, 2)
+    assert ok.gen.tolist() == [[6, 2]]
     d = LinearCode(gf9, [[1, 2]]).to_dict()
     d["generator"]["entries"][1] = [0, gf9.p]
     with pytest.raises(MalformedCodeError):
@@ -599,4 +602,4 @@ def test_results_wrapped_without_a_check_are_read_only(gf9):
 def test_frobenius_entrywise(gf9):
     m = FieldMatrix(gf9, [[3, 4]])
     fr = frobenius_entrywise(m, 1)
-    assert fr == FieldMatrix(gf9, [[gf9.frobenius(3, 1), gf9.frobenius(4, 1)]])
+    assert fr == FieldMatrix(gf9, [[poly_pow(gf9, 3, 3), poly_pow(gf9, 4, 3)]])
